@@ -6,8 +6,9 @@ along a trajectory, and estimate an orientation density from logged angles.
 
 Every run writes its outputs plus a manifest.json into --out-dir. Outputs
 are staged to temporary files and renamed into place only after the whole
-run succeeds, so a failed run never leaves partial outputs. Manifests carry
-no timestamps; rerunning a command reproduces every output byte for byte.
+run succeeds, with the manifest renamed last: a manifest.json is present
+only beside a complete set of outputs from one run. Manifests carry no
+timestamps; rerunning a command reproduces every output byte for byte.
 
 Exit codes: 0 on success, 2 for bad parameters or malformed input files,
 3 for runtime invariant violations such as a trajectory leaving the
@@ -19,16 +20,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .deployment import (
-    Deployment,
-    cost as deployment_cost,
     evaluate_coverage,
     generate_random,
     generate_uniform,
@@ -38,7 +34,7 @@ from .deployment import (
     metrics,
     deployment_to_json,
 )
-from .ega import EgaParams, default_segment_bounds, run as run_search
+from .ega import GENES_PER_LANDMARK, EgaParams, default_segment_bounds, run as run_search
 from .errors import SchemaError, TrajectoryOutOfRegionError
 from .observer import ObserverConfig, load_trajectory, simulate
 from .pdf_estimation import (
@@ -68,7 +64,16 @@ class _Stage:
         return os.path.join(self.out_dir, f".tmp.{name}")
 
     def commit(self):
-        for name in self.pending:
+        """Rename staged files into place, the manifest last.
+
+        The previous run's manifest goes first, so an interrupted commit
+        never leaves a manifest describing a mixed set of outputs.
+        """
+        try:
+            os.remove(os.path.join(self.out_dir, "manifest.json"))
+        except FileNotFoundError:
+            pass
+        for name in sorted(self.pending, key=lambda name: name == "manifest.json"):
             os.replace(
                 os.path.join(self.out_dir, f".tmp.{name}"),
                 os.path.join(self.out_dir, name),
@@ -143,7 +148,6 @@ def _cmd_analyze(args) -> int:
     deployment = load_deployment(args.deployment)
     coverage = evaluate_coverage(scene, deployment, threads=threads)
     met = metrics(coverage)
-    total_cost = math.fsum(coverage.rel[coverage.qualified].tolist())
 
     stage = _Stage(args.out_dir)
     try:
@@ -162,7 +166,7 @@ def _cmd_analyze(args) -> int:
             stage.path("metrics.json"),
             {
                 "average_cp": met.average_cp,
-                "cost": total_cost,
+                "cost": coverage.cost,
                 "maximum_cp": met.maximum_cp,
                 "n": scene.params.n,
                 "qualified_ratio": met.qualified_ratio,
@@ -233,11 +237,11 @@ def _cmd_optimize(args) -> int:
     if count < 1:
         raise ValueError("landmark count must be at least 1")
 
-    length = 5 * count
+    length = GENES_PER_LANDMARK * count
     lo, hi = default_segment_bounds(length)
     upsilon_min = args.upsilon_min if args.upsilon_min is not None else lo
     upsilon_max = args.upsilon_max if args.upsilon_max is not None else hi
-    q = args.q if args.q is not None else (0 if args.mode == "sga" else 7)
+    q = args.q if args.q is not None else (0 if args.mode == "sga" else EgaParams.q)
     params = EgaParams(
         m=args.m,
         q=q,

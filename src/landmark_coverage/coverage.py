@@ -24,6 +24,7 @@ import numpy as np
 
 from .geometry import (
     CameraIntrinsics,
+    Deployment,
     Landmark,
     Pose6,
     cm_to_mm,
@@ -307,41 +308,29 @@ class CapSet:
         return self.masks.sum(axis=0)
 
 
-def _landmark_arrays(landmarks: Sequence[Landmark]):
-    k = len(landmarks)
-    positions = np.empty((k, 3))
-    normals = np.empty((k, 3))
-    nus = np.empty(k)
-    for i, lm in enumerate(landmarks):
-        positions[i] = lm.position
-        normals[i] = landmark_normal(lm)
-        nus[i] = lm.nu
-    return positions, normals, nus
-
-
 def strengths_grid(
     points: np.ndarray,
     rotations: np.ndarray,
-    landmarks: Sequence[Landmark],
+    landmarks: Deployment | Sequence[Landmark],
     intrinsics: CameraIntrinsics,
     delta: float,
 ) -> np.ndarray:
     """Coverage strengths for every (position, rotation, landmark) triple.
 
-    ``points`` is (B, 3) in cm, ``rotations`` is (G, 3, 3) world-to-camera.
-    Returns (B, G, K).  Expressions and operation order mirror the scalar
-    criteria exactly; a camera position coinciding with a landmark yields
-    strength 0 instead of the scalar path's error.
+    ``points`` is (B, 3) in cm, ``rotations`` is (G, 3, 3) world-to-camera,
+    ``landmarks`` a Deployment or a Landmark sequence.  Returns (B, G, K).
+    Expressions and operation order mirror the scalar criteria exactly; a
+    camera position coinciding with a landmark yields strength 0 instead of
+    the scalar path's error.
     """
     points = np.asarray(points, dtype=float)
+    plates = Deployment.of(landmarks)
     B = points.shape[0]
     G = rotations.shape[0]
-    K = len(landmarks)
-    if K == 0:
+    if len(plates) == 0:
         return np.zeros((B, G, 0))
-    positions, normals, nus = _landmark_arrays(landmarks)
 
-    d = positions[None, :, :] - points[:, None, :]  # (B, K, 3) landmark - camera
+    d = plates.positions[None, :, :] - points[:, None, :]  # (B, K, 3) landmark - camera
     dx = d[:, None, :, 0]
     dy = d[:, None, :, 1]
     dz = d[:, None, :, 2]
@@ -362,15 +351,14 @@ def strengths_grid(
     with np.errstate(divide="ignore", invalid="ignore"):
         resolution = intrinsics.magnification / (z_mm * s_max)
 
-    visible = in_fov & in_focus & _occlusion_grid(points, positions, normals, nus)[:, None, :]
+    visible = in_fov & in_focus & _occlusion_grid(points, plates)[:, None, :]
     return np.where(visible, resolution, 0.0)
 
 
-def _occlusion_grid(
-    points: np.ndarray, positions: np.ndarray, normals: np.ndarray, nus: np.ndarray
-) -> np.ndarray:
+def _occlusion_grid(points: np.ndarray, plates: Deployment) -> np.ndarray:
     """Orientation-independent occlusion pass for every (position, landmark)."""
-    w = points[:, None, :] - positions[None, :, :]  # (B, K, 3) camera - landmark
+    normals = plates.normals
+    w = points[:, None, :] - plates.positions[None, :, :]  # (B, K, 3) camera - landmark
     wx, wy, wz = w[..., 0], w[..., 1], w[..., 2]
     facing = (normals[None, :, 0] * wx + normals[None, :, 1] * wy) + normals[None, :, 2] * wz
 
@@ -388,8 +376,8 @@ def _occlusion_grid(
     s2 = np.maximum(s2, 0.0)
     with np.errstate(invalid="ignore"):
         perp = nj * np.sqrt(s2)
-    blocked_pair = (dots > 0) & (nj < nk) & (perp <= nus[None, None, :])
-    k_idx = np.arange(positions.shape[0])
+    blocked_pair = (dots > 0) & (nj < nk) & (perp <= plates.nu[None, None, :])
+    k_idx = np.arange(len(plates))
     blocked_pair[:, k_idx, k_idx] = False
     blocked = blocked_pair.any(axis=1)
     return (facing > 0) & ~blocked
@@ -404,7 +392,7 @@ def measurable(strengths: np.ndarray, thold: float) -> np.ndarray:
 
 def coverage_caps(
     point,
-    landmarks: Sequence[Landmark],
+    landmarks: Deployment | Sequence[Landmark],
     grid: OrientationGrid,
     intrinsics: CameraIntrinsics,
     params: CoverageParams,
@@ -428,7 +416,7 @@ def nple_probability(caps: CapSet, pdf: OrientationPdf) -> float:
 
 def cell_counts(
     points: np.ndarray,
-    landmarks: Sequence[Landmark],
+    landmarks: Deployment | Sequence[Landmark],
     grid: OrientationGrid,
     intrinsics: CameraIntrinsics,
     params: CoverageParams,
@@ -442,7 +430,7 @@ def cell_counts(
 
 def coverage_probabilities(
     points: np.ndarray,
-    landmarks: Sequence[Landmark],
+    landmarks: Deployment | Sequence[Landmark],
     grid: OrientationGrid,
     pdf: OrientationPdf,
     intrinsics: CameraIntrinsics,

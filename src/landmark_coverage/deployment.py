@@ -22,10 +22,10 @@ from .coverage import (
     CoverageParams,
     OrientationGrid,
     OrientationPdf,
-    cell_counts,
+    coverage_probabilities,
 )
 from .errors import SchemaError
-from .geometry import Landmark, as_vec3, normal_to_angles
+from .geometry import CameraIntrinsics, Deployment, Landmark, as_vec3, normal_to_angles
 
 WALL_NAMES = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")
 
@@ -82,22 +82,6 @@ def standard_walls(length: float, width: float, height: float) -> list[Wall]:
 
 
 @dataclass(eq=False)
-class Deployment:
-    """An ordered collection of plate landmarks."""
-
-    landmarks: list[Landmark]
-
-    def __len__(self) -> int:
-        return len(self.landmarks)
-
-
-def _as_landmarks(deployment) -> Sequence[Landmark]:
-    if isinstance(deployment, Deployment):
-        return deployment.landmarks
-    return list(deployment)
-
-
-@dataclass(eq=False)
 class Scene:
     """A room, its reachable-position grid, and all evaluation settings."""
 
@@ -108,7 +92,7 @@ class Scene:
     rel: np.ndarray
     grid: OrientationGrid
     pdf: OrientationPdf
-    intrinsics: object
+    intrinsics: CameraIntrinsics
     params: CoverageParams
     thold_p: float
     nu_default: float
@@ -242,6 +226,11 @@ class CoverageMap:
         if np.any(self.p_n < 0) or np.any(self.p_n > 1 + 1e-9):
             raise ValueError("coverage probabilities must lie in [0, 1]")
 
+    @property
+    def cost(self) -> float:
+        """Relevance-weighted count of qualified positions."""
+        return math.fsum(self.rel[self.qualified].tolist())
+
     def with_threshold(self, thold_p: float) -> "CoverageMap":
         return CoverageMap(
             points=self.points,
@@ -264,33 +253,23 @@ class DeploymentMetrics:
             raise ValueError("average coverage cannot exceed the maximum")
 
 
-def _chunk_probabilities(scene: Scene, landmarks: Sequence[Landmark], start: int, stop: int):
-    counts = cell_counts(
-        scene.points[start:stop],
-        landmarks,
-        scene.grid,
-        scene.intrinsics,
-        scene.params,
-    )
-    weights = scene.pdf.weights
-    n = scene.params.n
-    out = np.empty(counts.shape[0])
-    for b in range(counts.shape[0]):
-        out[b] = math.fsum(weights[counts[b] >= n].tolist())
-    return out
-
-
 def evaluate_coverage(scene: Scene, deployment, threads: int = 1) -> CoverageMap:
     """n-fold coverage probability at every reachable grid position."""
-    landmarks = _as_landmarks(deployment)
-    per_point = scene.grid.n_cells * max(1, len(landmarks))
+    plates = Deployment.of(deployment)
+    per_point = scene.grid.n_cells * max(1, len(plates))
     chunk = max(1, _CHUNK_ELEMENTS // per_point)
-    spans = [(s, min(s + chunk, scene.n_points)) for s in range(0, scene.n_points, chunk)]
+    spans = [scene.points[s : s + chunk] for s in range(0, scene.n_points, chunk)]
+
+    def span_probabilities(points):
+        return coverage_probabilities(
+            points, plates, scene.grid, scene.pdf, scene.intrinsics, scene.params
+        )
+
     if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda sp: _chunk_probabilities(scene, landmarks, *sp), spans))
+            parts = list(pool.map(span_probabilities, spans))
     else:
-        parts = [_chunk_probabilities(scene, landmarks, *sp) for sp in spans]
+        parts = [span_probabilities(sp) for sp in spans]
     p_n = np.concatenate(parts)
     return CoverageMap(
         points=scene.points,
@@ -304,8 +283,7 @@ def evaluate_coverage(scene: Scene, deployment, threads: int = 1) -> CoverageMap
 
 def cost(scene: Scene, deployment, threads: int = 1) -> float:
     """Relevance-weighted count of qualified positions (higher is better)."""
-    cov = evaluate_coverage(scene, deployment, threads=threads)
-    return math.fsum(cov.rel[cov.qualified].tolist())
+    return evaluate_coverage(scene, deployment, threads=threads).cost
 
 
 def metrics(coverage_map: CoverageMap) -> DeploymentMetrics:
@@ -315,9 +293,8 @@ def metrics(coverage_map: CoverageMap) -> DeploymentMetrics:
     total = math.fsum(coverage_map.rel.tolist())
     if total <= 0:
         raise ValueError("total relevance must be positive")
-    qual = math.fsum(coverage_map.rel[coverage_map.qualified].tolist())
     return DeploymentMetrics(
-        qualified_ratio=qual / total,
+        qualified_ratio=coverage_map.cost / total,
         average_cp=float(np.mean(coverage_map.p_n)),
         maximum_cp=float(np.max(coverage_map.p_n)),
     )
@@ -432,8 +409,6 @@ def load_json(path, context: str) -> dict:
 
 
 def scene_from_config(doc: dict, context: str = "scene") -> Scene:
-    from .geometry import CameraIntrinsics
-
     _check_schema(doc, context)
     room = _require(doc, "room", context)
     reach = _require(doc, "reachable", context)

@@ -154,6 +154,36 @@ def landmark_normal(landmark: Landmark) -> np.ndarray:
     return np.array([-sr * ce, cr * ce, -se])
 
 
+@dataclass(eq=False)
+class Deployment:
+    """An ordered tuple of plate landmarks plus their plate arrays.
+
+    ``positions`` (K, 3), ``normals`` (K, 3) and ``nu`` (K,) are derived
+    once from the landmarks; the normals come from ``landmark_normal`` so
+    the batched kernel sees exactly the values the scalar criteria use.
+    """
+
+    landmarks: tuple[Landmark, ...]
+    positions: np.ndarray = field(init=False, repr=False)
+    normals: np.ndarray = field(init=False, repr=False)
+    nu: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.landmarks = tuple(self.landmarks)
+        k = len(self.landmarks)
+        self.positions = np.array([lm.position for lm in self.landmarks]).reshape(k, 3)
+        self.normals = np.array([landmark_normal(lm) for lm in self.landmarks]).reshape(k, 3)
+        self.nu = np.array([lm.nu for lm in self.landmarks], dtype=float)
+
+    def __len__(self) -> int:
+        return len(self.landmarks)
+
+    @classmethod
+    def of(cls, plates) -> "Deployment":
+        """``plates`` itself when it is a Deployment, else one built from the sequence."""
+        return plates if isinstance(plates, cls) else cls(plates)
+
+
 def normal_to_angles(normal) -> tuple[float, float]:
     """Recover (rho, eta) from a unit facing normal; inverse of landmark_normal."""
     n = as_vec3(normal)

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverage import measurable, strengths_grid
-from .deployment import Scene, _as_landmarks
+from .deployment import Scene
 from .errors import SchemaError, TrajectoryOutOfRegionError
 from .geometry import (
+    Deployment,
     Pose6,
     is_rigid_transform,
     pose_to_se3,
@@ -30,15 +31,6 @@ from .geometry import (
     se3_step,
     twist,
 )
-
-
-def landmark_homogeneous(landmarks) -> np.ndarray:
-    """Landmark positions as homogeneous columns, shape (4, K)."""
-    items = _as_landmarks(landmarks)
-    out = np.ones((4, len(items)))
-    for i, lm in enumerate(items):
-        out[:3, i] = lm.position
-    return out
 
 
 def project_to_twist(a: np.ndarray) -> np.ndarray:
@@ -167,9 +159,8 @@ def pose_strengths(x, landmarks, intrinsics, delta: float) -> np.ndarray:
     """Coverage strengths of all landmarks seen from the pose X."""
     x = np.asarray(x, dtype=float)
     r_c = np.ascontiguousarray(x[:3, :3].T)
-    return strengths_grid(
-        x[:3, 3][None, :], r_c[None, :, :], _as_landmarks(landmarks), intrinsics, delta
-    )[0, 0]
+    position = x[:3, 3][None, :]
+    return strengths_grid(position, r_c[None, :, :], landmarks, intrinsics, delta)[0, 0]
 
 
 def simulate(
@@ -184,9 +175,9 @@ def simulate(
     Every sampled camera position must stay inside the reachable region;
     leaving it raises TrajectoryOutOfRegionError.
     """
-    landmarks = _as_landmarks(deployment)
-    c_h = landmark_homogeneous(landmarks)
-    k = c_h.shape[1]
+    plates = Deployment.of(deployment)
+    k = len(plates)
+    c_h = np.vstack([plates.positions.T, np.ones(k)])
     n = scene.params.n
     x = np.array(trajectory.initial, dtype=float)
     x_hat = np.array(trajectory.initial if x_hat0 is None else x_hat0, dtype=float)
@@ -216,9 +207,7 @@ def simulate(
             mask = np.ones(k, dtype=bool)
         else:
             source = x_hat if config.use_estimate_for_visibility else x
-            strengths = pose_strengths(
-                source, landmarks, scene.intrinsics, scene.params.delta
-            )
+            strengths = pose_strengths(source, plates, scene.intrinsics, scene.params.delta)
             mask = measurable(strengths, scene.params.thold)
         visible[i] = mask
         qualified[i] = int(mask.sum()) >= n

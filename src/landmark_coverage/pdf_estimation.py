@@ -51,6 +51,13 @@ class AngleSamples:
         return int(self.t.size)
 
 
+def _default_mean_gap(samples: AngleSamples) -> float:
+    """Default thinning gap: 50 raw median sampling periods."""
+    if len(samples) < 2:
+        raise ValueError("resampling needs at least two samples")
+    return 50.0 * float(np.median(np.diff(samples.t)))
+
+
 def random_interval_resample(
     samples: AngleSamples, seed: int, mean_gap: float | None = None
 ) -> AngleSamples:
@@ -63,7 +70,7 @@ def random_interval_resample(
     if len(samples) < 2:
         raise ValueError("resampling needs at least two samples")
     if mean_gap is None:
-        mean_gap = 50.0 * float(np.median(np.diff(samples.t)))
+        mean_gap = _default_mean_gap(samples)
     if not (mean_gap > 0 and math.isfinite(mean_gap)):
         raise ValueError("mean gap must be positive")
     rng = np.random.default_rng(seed)
@@ -185,9 +192,7 @@ def estimate_orientation_pdf(
 ) -> tuple[OrientationPdf, EstimationReport]:
     """Orientation-cell density estimated from a logged yaw/pitch trace."""
     if mean_gap is None:
-        if len(samples) < 2:
-            raise ValueError("resampling needs at least two samples")
-        mean_gap = 50.0 * float(np.median(np.diff(samples.t)))
+        mean_gap = _default_mean_gap(samples)
     kept = random_interval_resample(samples, seed=seed, mean_gap=mean_gap)
     ranges = ((-math.pi, math.pi), (-_HALF_PI, _HALF_PI))
     indep = independence_test(

@@ -29,6 +29,31 @@ def run_ok(argv, capsys):
     assert code == 0
 
 
+def test_interrupted_commit_leaves_no_manifest(tmp_path, capsys, monkeypatch):
+    plates, out = tmp_path / "plates", tmp_path / "report"
+    run_ok(["generate", "--scene", DESK, "--count", "6", "--out-dir", str(plates)], capsys)
+    analyze = ["analyze", "--scene", DESK, "--deployment", str(plates / "deployment.json"),
+               "--out-dir", str(out)]
+    run_ok(analyze + ["--n", "2"], capsys)
+    assert (out / "manifest.json").exists()
+
+    real_replace = os.replace
+    renamed = []
+
+    def replace_failing_second(src, dst):
+        renamed.append(dst)
+        if len(renamed) == 2:
+            raise OSError("simulated crash mid-commit")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_failing_second)
+    with pytest.raises(OSError, match="mid-commit"):
+        main(analyze + ["--n", "1"])
+    capsys.readouterr()
+    assert not (out / "manifest.json").exists()
+    assert_clean(out)
+
+
 def test_generate_uniform_rerun_is_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     run_ok(["generate", "--scene", DESK, "--count", "9", "--out-dir", str(a)], capsys)

@@ -23,7 +23,7 @@ from landmark_coverage.coverage import (
     resolution_criterion,
     strengths_grid,
 )
-from landmark_coverage.geometry import CameraIntrinsics, Landmark, Pose6
+from landmark_coverage.geometry import CameraIntrinsics, Deployment, Landmark, Pose6
 
 TABLE3 = CameraIntrinsics(
     f=5.0, s_u=0.0058, s_v=0.0058, o_u=800, o_v=600,
@@ -347,15 +347,16 @@ def test_kernel_matches_scalar_criteria_bitwise():
         for _ in range(5)
     ]
     points = rng.uniform(50.0, 350.0, (10, 3))
-    batch = strengths_grid(points, grid.rotations(), landmarks, intr, delta)
-    assert batch.shape == (10, 18, 5)
-    for b in range(points.shape[0]):
-        for g in range(grid.n_cells):
-            yaw, pitch = grid.cell_angles(g)
-            pose = Pose6(points[b], yaw=yaw, pitch=pitch)
-            for k in range(len(landmarks)):
-                expected = coverage_strength(k, landmarks, pose, intr, delta)
-                assert batch[b, g, k] == expected
+    for plates in (landmarks, Deployment(landmarks)):
+        batch = strengths_grid(points, grid.rotations(), plates, intr, delta)
+        assert batch.shape == (10, 18, 5)
+        for b in range(points.shape[0]):
+            for g in range(grid.n_cells):
+                yaw, pitch = grid.cell_angles(g)
+                pose = Pose6(points[b], yaw=yaw, pitch=pitch)
+                for k in range(len(landmarks)):
+                    expected = coverage_strength(k, landmarks, pose, intr, delta)
+                    assert batch[b, g, k] == expected
 
 
 def test_kernel_zero_landmarks():

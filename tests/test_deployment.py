@@ -240,11 +240,21 @@ def test_evaluate_coverage_chunking_is_invisible(monkeypatch):
     assert whole.tobytes() == threaded.tobytes()
 
 
+def test_evaluate_coverage_without_plates():
+    scene = small_scene()
+    empty = dep.Deployment([])
+    assert np.all(dep.evaluate_coverage(scene.with_coverage(n=2), empty).p_n == 0.0)
+    everywhere = dep.evaluate_coverage(scene.with_coverage(n=0), empty).p_n
+    assert np.all(everywhere == math.fsum(scene.pdf.weights.tolist()))
+    assert everywhere == pytest.approx(1.0)
+
+
 def test_cost_and_metrics():
     scene = small_scene()
     deployment = dep.generate_uniform(scene, 8)
     cov = dep.evaluate_coverage(scene, deployment)
     assert dep.cost(scene, deployment) == math.fsum(cov.rel[cov.qualified].tolist())
+    assert cov.cost == dep.cost(scene, deployment)
     met = dep.metrics(cov)
     assert 0.0 <= met.qualified_ratio <= 1.0
     assert met.average_cp <= met.maximum_cp + 1e-12

@@ -7,6 +7,7 @@ import pytest
 
 from landmark_coverage.geometry import (
     CameraIntrinsics,
+    Deployment,
     Landmark,
     Pose6,
     apply_rotation,
@@ -178,6 +179,48 @@ def test_landmark_validation():
         Landmark(np.zeros(3), rho=0.0, eta=2.0)
     with pytest.raises(ValueError):
         Landmark(np.zeros(3), rho=0.0, eta=0.0, nu=0.0)
+
+
+def random_landmarks(rng, count):
+    return [
+        Landmark(
+            rng.uniform(0.0, 400.0, 3),
+            rho=rng.uniform(-math.pi, math.pi),
+            eta=rng.uniform(-math.pi / 2, math.pi / 2),
+            nu=rng.uniform(1.0, 20.0),
+        )
+        for _ in range(count)
+    ]
+
+
+def test_deployment_plate_arrays_match_landmarks_bitwise():
+    landmarks = random_landmarks(np.random.default_rng(5), 7)
+    plates = Deployment(landmarks)
+    assert isinstance(plates.landmarks, tuple)
+    assert len(plates) == 7
+    assert plates.positions.shape == plates.normals.shape == (7, 3)
+    assert plates.nu.shape == (7,)
+    for k, lm in enumerate(landmarks):
+        assert plates.landmarks[k] is lm
+        assert np.array_equal(plates.positions[k], lm.position)
+        assert np.array_equal(plates.normals[k], landmark_normal(lm))
+        assert plates.nu[k] == lm.nu
+
+
+def test_deployment_of_converts_only_sequences():
+    landmarks = random_landmarks(np.random.default_rng(6), 3)
+    plates = Deployment(landmarks)
+    assert Deployment.of(plates) is plates
+    built = Deployment.of(landmarks)
+    assert isinstance(built, Deployment)
+    assert built.landmarks == plates.landmarks
+
+
+def test_empty_deployment_has_empty_plate_arrays():
+    plates = Deployment([])
+    assert len(plates) == 0
+    assert plates.positions.shape == plates.normals.shape == (0, 3)
+    assert plates.nu.shape == (0,)
 
 
 def test_intrinsics_magnification():

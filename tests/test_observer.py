@@ -10,6 +10,7 @@ import landmark_coverage.observer as obs
 from landmark_coverage.coverage import measurable
 from landmark_coverage.errors import SchemaError, TrajectoryOutOfRegionError
 from landmark_coverage.geometry import (
+    Deployment,
     Pose6,
     frobenius_error,
     is_twist,
@@ -25,13 +26,6 @@ def random_transform(rng, angle=0.5, shift=1.0):
     w = w / np.linalg.norm(w) * rng.uniform(0.1, angle)
     v = rng.uniform(-shift, shift, 3)
     return expm(twist(w, v))
-
-
-def test_landmark_homogeneous_layout(tiny_deployment):
-    c_h = obs.landmark_homogeneous(tiny_deployment)
-    assert c_h.shape == (4, 6)
-    assert np.all(c_h[3] == 1.0)
-    assert np.array_equal(c_h[:3, 0], tiny_deployment.landmarks[0].position)
 
 
 def test_project_to_twist_properties():
@@ -236,6 +230,17 @@ def test_simulate_camera_model_masks_measurements():
     assert np.array_equal(trace.visible[0], expected)
     assert 0 < expected.sum() < len(deployment.landmarks)
     assert trace.qualified[0] == (expected.sum() >= scene.params.n)
+
+
+def test_simulate_camera_model_without_plates():
+    scene, _ = room_scene_and_plates()
+    x0 = pose_to_se3(Pose6(scene.center, yaw=0.3))
+    spec = obs.TrajectorySpec(initial=x0, segments=[(0.05, np.zeros((4, 4)))])
+    cfg = obs.ObserverConfig(k_i=1e-5, dt=0.01, visibility="camera-model")
+    trace = obs.simulate(scene, Deployment([]), spec, cfg)
+    steps = len(spec.step_twists(cfg.dt))
+    assert trace.visible.shape == (steps + 1, 0)
+    assert not trace.qualified.any()
 
 
 def test_simulate_visibility_from_estimate():
