@@ -44,9 +44,6 @@ from .pdf_estimation import (
     pdf_to_json,
 )
 
-THREADS_ENV = "LANDMARK_COVERAGE_THREADS"
-
-
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
@@ -113,13 +110,7 @@ def _manifest(command: str, parameters: dict, inputs: dict, outputs: list[str]) 
     }
 
 
-def _resolve_threads(value) -> int:
-    if value is None:
-        value = os.environ.get(THREADS_ENV, "1")
-    try:
-        threads = int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"thread count must be an integer, got {value!r}")
+def _resolve_threads(threads: int) -> int:
     if threads < 1:
         raise ValueError("thread count must be at least 1")
     return threads
@@ -423,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--pdf", default=None, help="orientation density JSON override")
     analyze.add_argument("--n", type=int, default=None, help="override the coverage count n")
     analyze.add_argument("--thold-p", dest="thold_p", type=float, default=None)
-    analyze.add_argument("--threads", type=int, default=None)
+    analyze.add_argument("--threads", type=int, default=1)
     analyze.set_defaults(func=_cmd_analyze)
 
     generate = sub.add_parser("generate", help="write a uniform or random deployment")
@@ -448,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--iterations", type=int, default=400)
     optimize.add_argument("--seed", type=int, default=0)
     optimize.add_argument("--plateau", type=int, default=None)
-    optimize.add_argument("--threads", type=int, default=None)
+    optimize.add_argument("--threads", type=int, default=1)
     optimize.add_argument("--out-dir", required=True)
     optimize.set_defaults(func=_cmd_optimize)
 

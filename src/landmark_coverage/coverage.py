@@ -9,9 +9,10 @@ turns per-landmark coverage into spherical caps, and integrating an
 orientation density over the cells where at least ``n`` caps overlap gives
 the n-fold coverage probability of a position.
 
-The scalar criteria are the reference semantics.  The batched kernel at the
-bottom evaluates the same expressions with the same operation ordering, so
-both paths produce bitwise identical strengths.
+The scalar criteria are the reference semantics.  Every gate bounds the
+plate's camera depth ``z``, so the batched kernel at the bottom computes
+only ``z`` and the plate ranges, with the same expressions and operation
+ordering, and returns the thresholded mask bit for bit.
 """
 
 from __future__ import annotations
@@ -192,14 +193,17 @@ def resolution_criterion(
 def fov_criterion(
     landmark: Landmark, camera_pose: Pose6, intrinsics: CameraIntrinsics
 ) -> int:
-    """1 when the landmark projects inside the image on all sides."""
-    s = world_to_local(landmark.position, camera_pose)
-    x, y, z = float(s[0]), float(s[1]), float(s[2])
+    """1 when the landmark's depth reaches ``range * cos(half angle)``.
+
+    That is a circular cone at the tightest image half angle (34.8 deg for
+    the Table 3 camera, 42.9 deg horizontally), not the image rectangle.
+    """
+    z = float(world_to_local(landmark.position, camera_pose)[2])
     if z <= 0:
         return 0
-    r2 = x * x + y * y
-    lim = z * intrinsics.min_fov_tan
-    return 1 if r2 <= lim * lim else 0
+    dx, dy, dz = landmark.position - camera_pose.position
+    r = math.sqrt((dx * dx + dy * dy) + dz * dz)
+    return 1 if z >= r * intrinsics.fov_cos else 0
 
 
 def focus_criterion(
@@ -314,56 +318,51 @@ def strengths_grid(
     landmarks: Deployment | Sequence[Landmark],
     intrinsics: CameraIntrinsics,
     delta: float,
+    thold: float = 0.0,
 ) -> np.ndarray:
-    """Coverage strengths for every (position, rotation, landmark) triple.
+    """Measurable mask for every (position, rotation, landmark) triple.
 
     ``points`` is (B, 3) in cm, ``rotations`` is (G, 3, 3) world-to-camera,
-    ``landmarks`` a Deployment or a Landmark sequence.  Returns (B, G, K).
-    Expressions and operation order mirror the scalar criteria exactly; a
-    camera position coinciding with a landmark yields strength 0 instead of
-    the scalar path's error.
+    ``landmarks`` a Deployment or a Landmark sequence.  Returns a (B, G, K)
+    bool array: True where the coverage strength is positive and reaches
+    ``thold``, so ``thold == 0`` keeps the gates alone.  Expressions and
+    operation order mirror the scalar criteria exactly; a camera position
+    coinciding with a landmark is never measurable instead of the scalar
+    path's error.
     """
     points = np.asarray(points, dtype=float)
     plates = Deployment.of(landmarks)
-    B = points.shape[0]
-    G = rotations.shape[0]
     if len(plates) == 0:
-        return np.zeros((B, G, 0))
+        return np.zeros((points.shape[0], rotations.shape[0], 0), dtype=bool)
 
     d = plates.positions[None, :, :] - points[:, None, :]  # (B, K, 3) landmark - camera
-    dx = d[:, None, :, 0]
-    dy = d[:, None, :, 1]
-    dz = d[:, None, :, 2]
-    r = rotations[None, :, :, :]
-    x = (r[:, :, 0, 0, None] * dx + r[:, :, 0, 1, None] * dy) + r[:, :, 0, 2, None] * dz
-    y = (r[:, :, 1, 0, None] * dx + r[:, :, 1, 1, None] * dy) + r[:, :, 1, 2, None] * dz
-    z = (r[:, :, 2, 0, None] * dx + r[:, :, 2, 1, None] * dy) + r[:, :, 2, 2, None] * dz
+    dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
+    ranges = np.sqrt((dx * dx + dy * dy) + dz * dz)  # (B, K)
+    r = rotations[None, :, 2, :, None]  # optical-axis rows, (1, G, 3, 1)
+    z = (r[:, :, 0] * dx[:, None, :] + r[:, :, 1] * dy[:, None, :]) + r[:, :, 2] * dz[:, None, :]
 
-    r2 = x * x + y * y
-    lim = z * intrinsics.min_fov_tan
-    in_fov = (z > 0) & (r2 <= lim * lim)
-
+    visible = (z > 0) & (z >= (ranges * intrinsics.fov_cos)[:, None, :])
     z_mm = cm_to_mm(z)
     near, far = focus_depths(intrinsics, delta)
-    in_focus = (z_mm >= near) & (z_mm <= far)
+    visible &= (z_mm >= near) & (z_mm <= far)
+    if thold > 0:
+        s_max = max(intrinsics.s_u, intrinsics.s_v)
+        with np.errstate(divide="ignore"):
+            visible &= intrinsics.magnification / (z_mm * s_max) >= thold
+    visible &= _occlusion_grid(d, ranges, plates)[:, None, :]
+    return visible
 
-    s_max = max(intrinsics.s_u, intrinsics.s_v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        resolution = intrinsics.magnification / (z_mm * s_max)
 
-    visible = in_fov & in_focus & _occlusion_grid(points, plates)[:, None, :]
-    return np.where(visible, resolution, 0.0)
+def _occlusion_grid(d: np.ndarray, ranges: np.ndarray, plates: Deployment) -> np.ndarray:
+    """Orientation-independent occlusion pass for every (position, landmark).
 
-
-def _occlusion_grid(points: np.ndarray, plates: Deployment) -> np.ndarray:
-    """Orientation-independent occlusion pass for every (position, landmark)."""
+    ``d`` is landmark - camera with norms ``ranges``; the scalar ``facing > 0``
+    on camera - landmark is exactly ``n . d < 0`` here, as negation is exact.
+    """
     normals = plates.normals
-    w = points[:, None, :] - plates.positions[None, :, :]  # (B, K, 3) camera - landmark
-    wx, wy, wz = w[..., 0], w[..., 1], w[..., 2]
-    facing = (normals[None, :, 0] * wx + normals[None, :, 1] * wy) + normals[None, :, 2] * wz
+    ax, ay, az = d[..., 0], d[..., 1], d[..., 2]
+    facing = (normals[None, :, 0] * ax + normals[None, :, 1] * ay) + normals[None, :, 2] * az
 
-    ax, ay, az = -wx, -wy, -wz  # landmark - camera
-    ranges = np.sqrt((ax * ax + ay * ay) + az * az)  # (B, K)
     dots = (
         (ax[:, :, None] * ax[:, None, :] + ay[:, :, None] * ay[:, None, :])
         + az[:, :, None] * az[:, None, :]
@@ -380,14 +379,7 @@ def _occlusion_grid(points: np.ndarray, plates: Deployment) -> np.ndarray:
     k_idx = np.arange(len(plates))
     blocked_pair[:, k_idx, k_idx] = False
     blocked = blocked_pair.any(axis=1)
-    return (facing > 0) & ~blocked
-
-
-def measurable(strengths: np.ndarray, thold: float) -> np.ndarray:
-    """Strength-threshold mask; a zero strength is never measurable."""
-    if thold > 0:
-        return strengths >= thold
-    return strengths > 0.0
+    return (facing < 0) & ~blocked
 
 
 def coverage_caps(
@@ -399,8 +391,9 @@ def coverage_caps(
 ) -> CapSet:
     """Spherical-cap masks for one camera position over the orientation grid."""
     p = np.asarray(point, dtype=float).reshape(1, 3)
-    strengths = strengths_grid(p, grid.rotations(), landmarks, intrinsics, params.delta)
-    masks = measurable(strengths[0], params.thold).T  # (K, G)
+    masks = strengths_grid(
+        p, grid.rotations(), landmarks, intrinsics, params.delta, params.thold
+    )[0].T  # (K, G)
     counts = masks.sum(axis=0)
     return CapSet(masks=masks, n=params.n, nple=counts >= params.n)
 
@@ -422,10 +415,9 @@ def cell_counts(
     params: CoverageParams,
 ) -> np.ndarray:
     """Covered-landmark counts per (position, cell), shape (B, G)."""
-    strengths = strengths_grid(
-        np.asarray(points, dtype=float), grid.rotations(), landmarks, intrinsics, params.delta
-    )
-    return measurable(strengths, params.thold).sum(axis=2)
+    return strengths_grid(
+        points, grid.rotations(), landmarks, intrinsics, params.delta, params.thold
+    ).sum(axis=2)
 
 
 def coverage_probabilities(

@@ -375,17 +375,30 @@ SCHEMA_VERSION = 1
 
 
 def _require(mapping: dict, key: str, context: str):
+    if not isinstance(mapping, dict):
+        raise SchemaError(f"{context}: expected an object, got {mapping!r}")
     if key not in mapping:
         raise SchemaError(f"{context}: missing required key '{key}'")
     return mapping[key]
 
 
-def _number(value, context: str, allow_null_inf: bool = False) -> float:
+def _number(value, context: str, allow_null_inf: bool = False, positive: bool = False) -> float:
     if value is None and allow_null_inf:
         return math.inf
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{context}: expected a number, got {value!r}")
+    if positive and not (value > 0 and math.isfinite(value)):
+        raise SchemaError(f"{context}: expected a positive finite number, got {value!r}")
     return float(value)
+
+
+def _integer(value, context: str) -> int:
+    """A count or seed: a JSON integer, or a float with no fractional part."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{context}: expected an integer, got {value!r}")
+    return value
 
 
 def _check_schema(doc: dict, context: str):
@@ -416,15 +429,18 @@ def scene_from_config(doc: dict, context: str = "scene") -> Scene:
     optics = _require(doc, "intrinsics", context)
     cov = _require(doc, "coverage", context)
     orientation = doc.get("orientation", {})
+    if not isinstance(orientation, dict):
+        raise SchemaError(f"{context}.orientation: expected an object, got {orientation!r}")
+    walls = doc.get("walls")
+    if walls is not None and not (isinstance(walls, list) and all(isinstance(w, str) for w in walls)):
+        raise SchemaError(f"{context}.walls: expected an array of wall names, got {walls!r}")
 
     room_cm = [_number(_require(room, k, f"{context}.room"), f"{context}.room.{k}") for k in ("length_cm", "width_cm", "height_cm")]
     reach_cm = [_number(_require(reach, k, f"{context}.reachable"), f"{context}.reachable.{k}") for k in ("length_cm", "width_cm", "height_cm")]
-    shape = [int(_number(_require(grid, k, f"{context}.grid"), f"{context}.grid.{k}")) for k in ("nx", "ny", "nz")]
+    shape = [_integer(_require(grid, k, f"{context}.grid"), f"{context}.grid.{k}") for k in ("nx", "ny", "nz")]
 
-    yaw_step = _number(orientation.get("yaw_step_rad", math.pi / 12), f"{context}.orientation.yaw_step_rad")
-    pitch_step = _number(orientation.get("pitch_step_rad", math.pi / 12), f"{context}.orientation.pitch_step_rad")
-    n_yaw = round(2.0 * math.pi / yaw_step)
-    n_pitch = round(math.pi / pitch_step)
+    yaw_step = _number(orientation.get("yaw_step_rad", math.pi / 12), f"{context}.orientation.yaw_step_rad", positive=True)
+    pitch_step = _number(orientation.get("pitch_step_rad", math.pi / 12), f"{context}.orientation.pitch_step_rad", positive=True)
 
     try:
         intr = CameraIntrinsics(
@@ -433,21 +449,22 @@ def scene_from_config(doc: dict, context: str = "scene") -> Scene:
             s_v=_number(_require(optics, "s_v_mm", f"{context}.intrinsics"), f"{context}.intrinsics.s_v_mm"),
             o_u=_number(_require(optics, "o_u_px", f"{context}.intrinsics"), f"{context}.intrinsics.o_u_px"),
             o_v=_number(_require(optics, "o_v_px", f"{context}.intrinsics"), f"{context}.intrinsics.o_v_px"),
-            width=int(_number(_require(optics, "width_px", f"{context}.intrinsics"), f"{context}.intrinsics.width_px")),
-            height=int(_number(_require(optics, "height_px", f"{context}.intrinsics"), f"{context}.intrinsics.height_px")),
+            width=_integer(_require(optics, "width_px", f"{context}.intrinsics"), f"{context}.intrinsics.width_px"),
+            height=_integer(_require(optics, "height_px", f"{context}.intrinsics"), f"{context}.intrinsics.height_px"),
             d_a=_number(_require(optics, "d_a_mm", f"{context}.intrinsics"), f"{context}.intrinsics.d_a_mm"),
             d_s=_number(optics.get("d_s_mm"), f"{context}.intrinsics.d_s_mm", allow_null_inf=True),
         )
         params = CoverageParams(
             thold=_number(_require(cov, "thold", f"{context}.coverage"), f"{context}.coverage.thold"),
             delta=_number(_require(cov, "delta_px", f"{context}.coverage"), f"{context}.coverage.delta_px"),
-            n=int(_number(_require(cov, "n", f"{context}.coverage"), f"{context}.coverage.n")),
+            n=_integer(_require(cov, "n", f"{context}.coverage"), f"{context}.coverage.n"),
         )
         pdf_spec = doc.get("pdf", "uniform")
         if isinstance(pdf_spec, dict):
             pdf_spec = np.asarray(_require(pdf_spec, "weights", f"{context}.pdf"), dtype=float)
         rel_spec = doc.get("rel", "uniform")
         rel = None if rel_spec == "uniform" else np.asarray(_require(rel_spec, "values", f"{context}.rel"), dtype=float)
+        cells = OrientationGrid.from_steps(yaw_step, pitch_step)
         return make_scene(
             room_cm,
             reach_cm,
@@ -456,11 +473,11 @@ def scene_from_config(doc: dict, context: str = "scene") -> Scene:
             params=params,
             thold_p=_number(_require(cov, "thold_p", f"{context}.coverage"), f"{context}.coverage.thold_p"),
             nu_default=_number(cov.get("nu_cm", 10.0), f"{context}.coverage.nu_cm"),
-            n_yaw=n_yaw,
-            n_pitch=n_pitch,
+            n_yaw=cells.n_yaw,
+            n_pitch=cells.n_pitch,
             pdf=pdf_spec,
             rel=rel,
-            wall_names=doc.get("walls"),
+            wall_names=walls,
         )
     except ValueError as exc:
         if isinstance(exc, SchemaError):

@@ -120,13 +120,20 @@ def local_to_world(point, frame: Pose6) -> np.ndarray:
     return apply_rotation(frame.rotation().T, p) + frame.position
 
 
-@dataclass
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@dataclass(frozen=True)
 class Landmark:
     """A flat directional plate at ``position`` (cm).
 
     rho/eta are the facing yaw/pitch, mu is the plate roll (stored for
     completeness; a flat plate images identically under roll), nu (cm) is
-    the plate's virtual diameter used for line-of-sight blocking.
+    the plate's virtual diameter used for line-of-sight blocking.  Plates
+    are immutable: ``position`` is a read-only copy of the given vector, so
+    a ``Deployment``'s plate arrays never go stale.
     """
 
     position: np.ndarray
@@ -136,7 +143,7 @@ class Landmark:
     nu: float = 10.0
 
     def __post_init__(self):
-        self.position = as_vec3(self.position)
+        object.__setattr__(self, "position", _read_only(as_vec3(self.position).copy()))
         if not (-math.pi <= self.rho < math.pi):
             raise ValueError(f"rho {self.rho} outside [-pi, pi)")
         if not (-math.pi / 2 <= self.eta <= math.pi / 2):
@@ -159,8 +166,9 @@ class Deployment:
     """An ordered tuple of plate landmarks plus their plate arrays.
 
     ``positions`` (K, 3), ``normals`` (K, 3) and ``nu`` (K,) are derived
-    once from the landmarks; the normals come from ``landmark_normal`` so
-    the batched kernel sees exactly the values the scalar criteria use.
+    once from the landmarks and are read-only; the normals come from
+    ``landmark_normal`` so the batched kernel sees exactly the values the
+    scalar criteria use.
     """
 
     landmarks: tuple[Landmark, ...]
@@ -171,9 +179,11 @@ class Deployment:
     def __post_init__(self):
         self.landmarks = tuple(self.landmarks)
         k = len(self.landmarks)
-        self.positions = np.array([lm.position for lm in self.landmarks]).reshape(k, 3)
-        self.normals = np.array([landmark_normal(lm) for lm in self.landmarks]).reshape(k, 3)
-        self.nu = np.array([lm.nu for lm in self.landmarks], dtype=float)
+        self.positions = _read_only(np.array([lm.position for lm in self.landmarks]).reshape(k, 3))
+        self.normals = _read_only(
+            np.array([landmark_normal(lm) for lm in self.landmarks]).reshape(k, 3)
+        )
+        self.nu = _read_only(np.array([lm.nu for lm in self.landmarks], dtype=float))
 
     def __len__(self) -> int:
         return len(self.landmarks)
@@ -254,6 +264,11 @@ class CameraIntrinsics:
     def min_fov_tan(self) -> float:
         """Tangent of the tightest field-of-view half angle."""
         return min(self.half_extents_mm) / self.f
+
+    @property
+    def fov_cos(self) -> float:
+        """Cosine of the tightest field-of-view half angle: the FOV cone's bound."""
+        return 1.0 / math.sqrt(1.0 + self.min_fov_tan**2)
 
 
 def fov_half_angles(intrinsics: CameraIntrinsics) -> tuple[float, float, float, float]:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import measurable, strengths_grid
-from .deployment import Scene
+from .coverage import strengths_grid
+from .deployment import Scene, _integer, _number
 from .errors import SchemaError, TrajectoryOutOfRegionError
 from .geometry import (
     Deployment,
@@ -155,12 +155,12 @@ class ObserverTrace:
         return float(self.er[-1])
 
 
-def pose_strengths(x, landmarks, intrinsics, delta: float) -> np.ndarray:
-    """Coverage strengths of all landmarks seen from the pose X."""
+def pose_strengths(x, landmarks, intrinsics, delta: float, thold: float = 0.0) -> np.ndarray:
+    """Measurable mask of all landmarks seen from the pose X, shape (K,)."""
     x = np.asarray(x, dtype=float)
     r_c = np.ascontiguousarray(x[:3, :3].T)
     position = x[:3, 3][None, :]
-    return strengths_grid(position, r_c[None, :, :], landmarks, intrinsics, delta)[0, 0]
+    return strengths_grid(position, r_c[None, :, :], landmarks, intrinsics, delta, thold)[0, 0]
 
 
 def simulate(
@@ -207,8 +207,9 @@ def simulate(
             mask = np.ones(k, dtype=bool)
         else:
             source = x_hat if config.use_estimate_for_visibility else x
-            strengths = pose_strengths(source, plates, scene.intrinsics, scene.params.delta)
-            mask = measurable(strengths, scene.params.thold)
+            mask = pose_strengths(
+                source, plates, scene.intrinsics, scene.params.delta, scene.params.thold
+            )
         visible[i] = mask
         qualified[i] = int(mask.sum()) >= n
         if i < len(steps):
@@ -343,11 +344,13 @@ def trajectory_from_json(doc: dict, scene: Scene, context: str = "trajectory"):
         for key in ("duration_s", "seed"):
             if key not in spec:
                 raise SchemaError(f"{context}.random_walk: missing required key '{key}'")
+        seed = _integer(spec["seed"], f"{context}.random_walk.seed")
+        dt = _number(spec.get("dt_s", 0.01), f"{context}.random_walk.dt_s", positive=True)
         try:
             walk = random_walk_trajectory(
                 scene,
                 duration=float(spec["duration_s"]),
-                seed=int(spec["seed"]),
+                seed=seed,
                 segment_duration=float(spec.get("segment_duration_s", 0.5)),
                 lin_speed=float(spec.get("lin_speed_cm_s", 30.0)),
                 ang_speed=float(spec.get("ang_speed_rad_s", 0.6)),
@@ -355,7 +358,7 @@ def trajectory_from_json(doc: dict, scene: Scene, context: str = "trajectory"):
                 if "initial" in spec
                 else None,
                 margin=float(spec.get("margin_cm", 0.0)),
-                dt=float(spec.get("dt_s", 0.01)),
+                dt=dt,
             )
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{context}.random_walk: {exc}") from exc

@@ -17,6 +17,7 @@ import numpy as np
 from scipy import stats
 
 from .coverage import OrientationGrid, OrientationPdf
+from .deployment import _integer
 from .errors import SchemaError
 
 _HALF_PI = math.pi / 2
@@ -275,8 +276,8 @@ def pdf_from_json(doc: dict, context: str = "pdf") -> tuple[OrientationPdf, int,
     for key in ("n_yaw", "n_pitch", "weights"):
         if key not in doc:
             raise SchemaError(f"{context}: missing required key '{key}'")
-    n_yaw = int(doc["n_yaw"])
-    n_pitch = int(doc["n_pitch"])
+    n_yaw = _integer(doc["n_yaw"], f"{context}.n_yaw")
+    n_pitch = _integer(doc["n_pitch"], f"{context}.n_pitch")
     weights = doc["weights"]
     if not isinstance(weights, list) or len(weights) != n_yaw * n_pitch:
         raise SchemaError(f"{context}: 'weights' must be an array of n_yaw * n_pitch numbers")

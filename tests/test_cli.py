@@ -83,7 +83,7 @@ def test_generate_random_is_seed_deterministic(tmp_path, capsys):
     assert read_all(c)["deployment.json"] != read_all(a)["deployment.json"]
 
 
-def test_analyze_outputs_and_thread_invariance(tmp_path, capsys, monkeypatch):
+def test_analyze_outputs_and_thread_invariance(tmp_path, capsys):
     dep_dir = tmp_path / "dep"
     run_ok(["generate", "--scene", DESK, "--count", "8", "--out-dir", str(dep_dir)], capsys)
     deployment = str(dep_dir / "deployment.json")
@@ -92,8 +92,7 @@ def test_analyze_outputs_and_thread_invariance(tmp_path, capsys, monkeypatch):
     base = ["analyze", "--scene", DESK, "--deployment", deployment]
     run_ok(base + ["--threads", "1", "--out-dir", str(a)], capsys)
     run_ok(base + ["--threads", "3", "--out-dir", str(b)], capsys)
-    monkeypatch.setenv("LANDMARK_COVERAGE_THREADS", "2")
-    run_ok(base + ["--out-dir", str(c)], capsys)
+    run_ok(base + ["--threads", "2", "--out-dir", str(c)], capsys)
 
     files = read_all(a)
     assert sorted(files) == ["coverage.csv", "manifest.json", "metrics.json"]
@@ -265,6 +264,69 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
                  "--iterations", "1", "--out-dir", str(out)])
     assert code == 2
     assert "Q + 1 <= M" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _edit(doc, path, value):
+    """A deep copy of ``doc`` with the dotted ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path.split(".")
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+MALFORMED_INPUTS = [
+    ("scene", "orientation.yaw_step_rad", 0, "yaw_step_rad"),
+    ("scene", "orientation", 3, "orientation"),
+    ("scene", "rel", 3, "rel"),
+    ("scene", "walls", "x_min", "walls"),
+    ("scene", "grid.nx", 2.7, "grid.nx"),
+    ("scene", "coverage.n", 1.5, "coverage.n"),
+    ("scene", "intrinsics.width_px", 1600.5, "width_px"),
+    ("scene", "intrinsics.height_px", 1200.5, "height_px"),
+    ("pdf", "n_yaw", None, "n_yaw"),
+    ("pdf", "n_yaw", 12.7, "n_yaw"),
+    ("trajectory", "random_walk.dt_s", 0, "dt_s"),
+    ("trajectory", "random_walk.seed", 1.5, "seed"),
+    ("trajectory", "random_walk.seed", True, "seed"),
+]
+
+
+@pytest.mark.parametrize("target, path, value, field", MALFORMED_INPUTS)
+def test_malformed_field_exits_2_naming_it(tmp_path, capsys, target, path, value, field):
+    docs = {
+        "scene": json.loads((CONFIG_DIR / "desk_room.json").read_text(encoding="utf-8")),
+        # 12.7 truncated to 12 would match these 72 weights and the 12 x 6 desk grid.
+        "pdf": {"schema": 1, "n_yaw": 12, "n_pitch": 6, "weights": [1.0 / 72.0] * 72},
+        "trajectory": {
+            "schema": 1,
+            "random_walk": {"duration_s": 0.1, "seed": 0, "dt_s": 0.01},
+        },
+        "deployment": {
+            "schema": 1,
+            "landmarks": [{"x": 300.0, "y": 0.0, "z": 300.0, "rho": 0.0, "eta": 0.0, "nu": 10.0}],
+        },
+    }
+    docs[target] = _edit(docs[target], path, value)
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    common = ["--scene", str(paths["scene"]), "--out-dir", str(out)]
+    argv = {
+        "scene": ["generate", "--count", "3"],
+        "pdf": ["analyze", "--deployment", str(paths["deployment"]), "--pdf", str(paths["pdf"])],
+        "trajectory": ["simulate", "--deployment", str(paths["deployment"]),
+                       "--trajectory", str(paths["trajectory"])],
+    }[target]
+    code = main(argv + common)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and field in err.splitlines()[0]
     assert not out.exists()
 
 

@@ -17,7 +17,6 @@ from landmark_coverage.coverage import (
     focus_criterion,
     focus_depths,
     fov_criterion,
-    measurable,
     nple_probability,
     occlusion_criterion,
     resolution_criterion,
@@ -194,9 +193,20 @@ def test_coverage_strength_roll_invariant():
 
 
 def test_measurable_zero_threshold_excludes_zero_strength():
-    s = np.array([0.0, 0.1, 0.2, 0.3])
-    assert np.array_equal(measurable(s, 0.2), [False, False, True, True])
-    assert np.array_equal(measurable(s, 0.0), [False, True, True, True])
+    camera = np.zeros((1, 3))
+    rotation = Pose6(np.zeros(3)).rotation()[None]
+    ahead = facing_landmark([0.0, 200.0, 0.0], camera[0])
+    behind = facing_landmark([0.0, -200.0, 0.0], camera[0])
+    s = coverage_strength(0, [ahead, behind], Pose6(np.zeros(3)), TABLE3, delta=4.0)
+    assert s > 0.2
+
+    def mask(thold):
+        return strengths_grid(camera, rotation, [ahead, behind], TABLE3, 4.0, thold)[0, 0]
+
+    assert np.array_equal(mask(0.0), [True, False])  # zero strength never counts
+    assert np.array_equal(mask(0.2), [True, False])
+    assert np.array_equal(mask(s), [True, False])
+    assert np.array_equal(mask(math.nextafter(s, math.inf)), [False, False])
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +342,27 @@ def test_capset_validation():
         CapSet(masks=np.zeros(4, dtype=bool), n=1, nple=np.zeros(4, dtype=bool))
 
 
+def fov_edge_plates(rng, point, rotation, count):
+    """Plates facing ``point`` within 1e-9 rad of the FOV cone's edge."""
+    axis = rotation[2]
+    half = math.atan(TABLE3.min_fov_tan)
+    plates = []
+    for _ in range(count):
+        u = rng.normal(size=3)
+        u -= (u @ axis) * axis
+        u /= np.linalg.norm(u)
+        angle = half + rng.uniform(-1e-9, 1e-9)
+        direction = math.cos(angle) * axis + math.sin(angle) * u
+        plates.append(facing_landmark(point + rng.uniform(120.0, 400.0) * direction, point))
+    return plates
+
+
 def test_kernel_matches_scalar_criteria_bitwise():
     rng = np.random.default_rng(17)
     intr = TABLE3
     delta = 4.0
     grid = OrientationGrid.from_cells(6, 3)
+    rotations = grid.rotations()
     landmarks = [
         Landmark(
             rng.uniform(0.0, 400.0, 3),
@@ -347,29 +373,66 @@ def test_kernel_matches_scalar_criteria_bitwise():
         for _ in range(5)
     ]
     points = rng.uniform(50.0, 350.0, (10, 3))
+
+    def poses(b, g):
+        yaw, pitch = grid.cell_angles(g)
+        return Pose6(points[b], yaw=yaw, pitch=pitch)
+
+    def kernel(b, g, plates, thold):
+        return strengths_grid(points[b : b + 1], rotations[g : g + 1], plates, intr, delta, thold)
+
+    scalar = np.array([
+        [
+            [coverage_strength(k, landmarks, poses(b, g), intr, delta) for k in range(5)]
+            for g in range(grid.n_cells)
+        ]
+        for b in range(points.shape[0])
+    ])
+    assert (scalar > 0).any()
     for plates in (landmarks, Deployment(landmarks)):
-        batch = strengths_grid(points, grid.rotations(), plates, intr, delta)
-        assert batch.shape == (10, 18, 5)
-        for b in range(points.shape[0]):
-            for g in range(grid.n_cells):
-                yaw, pitch = grid.cell_angles(g)
-                pose = Pose6(points[b], yaw=yaw, pitch=pitch)
-                for k in range(len(landmarks)):
-                    expected = coverage_strength(k, landmarks, pose, intr, delta)
-                    assert batch[b, g, k] == expected
+        for thold in (0.0, 0.2):
+            batch = strengths_grid(points, rotations, plates, intr, delta, thold)
+            assert batch.dtype == bool
+            assert np.array_equal(batch, (scalar > 0) & (scalar >= thold))
+    # The resolution compare is the scalar expression bit for bit.
+    for b, g, k in zip(*np.nonzero(scalar > 0)):
+        s = scalar[b, g, k]
+        assert kernel(b, g, landmarks, s)[0, 0, k]
+        assert not kernel(b, g, landmarks, math.nextafter(s, math.inf))[0, 0, k]
+
+    # Plates on the FOV cone's edge, where the depth form of the gate decides.
+    decisions = set()
+    for b in range(3):
+        for g in (1, 7, 16):
+            edge = fov_edge_plates(rng, points[b], rotations[g], 8)
+            batch = kernel(b, g, edge, 0.0)[0, 0]
+            for k in range(len(edge)):
+                assert batch[k] == (coverage_strength(k, edge, poses(b, g), intr, delta) > 0)
+                decisions.add((fov_criterion(edge[k], poses(b, g), intr) == 1, bool(batch[k])))
+    assert {(True, True), (False, False)} <= decisions
 
 
 def test_kernel_zero_landmarks():
     grid = OrientationGrid.from_cells(4, 2)
     out = strengths_grid(np.zeros((3, 3)), grid.rotations(), [], TABLE3, 4.0)
-    assert out.shape == (3, 8, 0)
+    assert out.shape == (3, 8, 0) and out.dtype == bool
 
 
 def test_kernel_coincident_position_gives_zero_strength():
     grid = OrientationGrid.from_cells(4, 2)
     lm = Landmark(np.array([50.0, 50.0, 50.0]), rho=0.0, eta=0.0)
     out = strengths_grid(np.array([[50.0, 50.0, 50.0]]), grid.rotations(), [lm], TABLE3, 4.0)
-    assert np.all(out == 0.0)
+    assert not out.any()
+
+
+def test_kernel_edge_on_plate_is_not_measurable():
+    # The camera lies in the plate's plane, so the facing product is exactly 0.
+    plate = Landmark(np.array([0.0, 100.0, 0.0]), rho=0.0, eta=0.0)  # faces +y
+    pose = Pose6(np.array([200.0, 100.0, 0.0]), yaw=-math.pi / 2)  # looks along -x
+    assert fov_criterion(plate, pose, TABLE3) == 1
+    assert coverage_strength(0, [plate], pose, TABLE3, delta=4.0) == 0.0
+    out = strengths_grid(pose.position[None], pose.rotation()[None], [plate], TABLE3, 4.0)
+    assert not out.any()
 
 
 def test_coverage_params_validation():

@@ -223,6 +223,23 @@ def test_empty_deployment_has_empty_plate_arrays():
     assert plates.nu.shape == (0,)
 
 
+def test_plates_are_immutable():
+    source = np.array([10.0, 20.0, 30.0])
+    lm = Landmark(source, rho=0.0, eta=0.0)
+    plates = Deployment([lm])
+    source[0] = 99.0  # the plate keeps its own copy
+    assert lm.position[0] == 10.0
+    with pytest.raises(AttributeError):
+        lm.rho = 1.0
+    with pytest.raises(ValueError):
+        lm.position[0] = 50.0
+    with pytest.raises(ValueError):
+        plates.positions[0, 0] = 1.0
+    for array in (plates.normals, plates.nu):
+        assert not array.flags.writeable
+    assert plates.positions[0, 0] == lm.position[0] == 10.0
+
+
 def test_intrinsics_magnification():
     intr = CameraIntrinsics(**TABLE3)
     assert math.isclose(intr.magnification, 5.014100394811055, rel_tol=1e-12)
@@ -250,6 +267,7 @@ def test_fov_half_angles_table3_camera():
     assert math.isclose(top, math.atan(0.696), rel_tol=1e-12)
     assert math.isclose(intr.min_fov_tan, 0.696, rel_tol=1e-12)
     assert math.isclose(math.atan(intr.min_fov_tan), 0.6080363528005533, rel_tol=1e-12)
+    assert math.isclose(intr.fov_cos, math.cos(0.6080363528005533), rel_tol=1e-12)
 
 
 def test_fov_half_angles_full_hd_long_lens():

@@ -7,7 +7,6 @@ import pytest
 from scipy.linalg import expm
 
 import landmark_coverage.observer as obs
-from landmark_coverage.coverage import measurable
 from landmark_coverage.errors import SchemaError, TrajectoryOutOfRegionError
 from landmark_coverage.geometry import (
     Deployment,
@@ -115,20 +114,22 @@ def test_trajectory_spec_step_twists():
         obs.TrajectorySpec(initial=np.diag([2.0, 1.0, 1.0, 1.0]), segments=[(1.0, u)])
 
 
-def test_pose_strengths_matches_scalar_loop(tiny_scene, tiny_deployment):
+def test_pose_strengths_matches_scalar_loop():
     from landmark_coverage.coverage import coverage_strength
 
-    pose = Pose6(tiny_scene.center + [0.3, -0.2, 0.1], yaw=0.4, pitch=-0.2)
+    scene, deployment = room_scene_and_plates()
+    pose = Pose6(scene.center + [3.0, -2.0, 1.0], yaw=0.4, pitch=-0.2)
     x = pose_to_se3(pose)
-    strengths = obs.pose_strengths(
-        x, tiny_deployment, tiny_scene.intrinsics, tiny_scene.params.delta
-    )
-    for k in range(len(tiny_deployment.landmarks)):
-        expected = coverage_strength(
-            k, tiny_deployment.landmarks, pose,
-            tiny_scene.intrinsics, tiny_scene.params.delta,
-        )
-        assert strengths[k] == expected
+    strengths = [
+        coverage_strength(k, deployment.landmarks, pose, scene.intrinsics, scene.params.delta)
+        for k in range(len(deployment))
+    ]
+    positive = sorted(s for s in strengths if s > 0)
+    assert positive and len(positive) < len(strengths)
+    for thold in (0.0, positive[0], math.nextafter(positive[-1], math.inf)):
+        mask = obs.pose_strengths(x, deployment, scene.intrinsics, scene.params.delta, thold)
+        assert mask.dtype == bool
+        assert mask.tolist() == [s > 0 and s >= thold for s in strengths]
 
 
 def test_simulate_static_ideal_converges(tiny_scene, tiny_deployment):
@@ -223,9 +224,8 @@ def test_simulate_camera_model_masks_measurements():
     spec = obs.TrajectorySpec(initial=x0, segments=[(0.2, np.zeros((4, 4)))])
     cfg = obs.ObserverConfig(k_i=1e-5, dt=0.01, visibility="camera-model")
     trace = obs.simulate(scene, deployment, spec, cfg)
-    expected = measurable(
-        obs.pose_strengths(x0, deployment, scene.intrinsics, scene.params.delta),
-        scene.params.thold,
+    expected = obs.pose_strengths(
+        x0, deployment, scene.intrinsics, scene.params.delta, scene.params.thold
     )
     assert np.array_equal(trace.visible[0], expected)
     assert 0 < expected.sum() < len(deployment.landmarks)
@@ -252,13 +252,11 @@ def test_simulate_visibility_from_estimate():
         k_i=1e-5, dt=0.01, visibility="camera-model", use_estimate_for_visibility=True
     )
     trace = obs.simulate(scene, deployment, spec, cfg, x_hat0=x_hat0)
-    from_estimate = measurable(
-        obs.pose_strengths(x_hat0, deployment, scene.intrinsics, scene.params.delta),
-        scene.params.thold,
+    from_estimate = obs.pose_strengths(
+        x_hat0, deployment, scene.intrinsics, scene.params.delta, scene.params.thold
     )
-    from_truth = measurable(
-        obs.pose_strengths(x0, deployment, scene.intrinsics, scene.params.delta),
-        scene.params.thold,
+    from_truth = obs.pose_strengths(
+        x0, deployment, scene.intrinsics, scene.params.delta, scene.params.thold
     )
     assert np.array_equal(trace.visible[0], from_estimate)
     assert not np.array_equal(from_estimate, from_truth)
