@@ -29,13 +29,12 @@ from .deployment import (
     generate_random,
     generate_uniform,
     load_deployment,
-    load_json,
     load_scene,
     metrics,
     deployment_to_json,
 )
 from .ega import GENES_PER_LANDMARK, EgaParams, default_segment_bounds, run as run_search
-from .errors import SchemaError, TrajectoryOutOfRegionError
+from .errors import SchemaError, TrajectoryOutOfRegionError, load_json as _load_json
 from .observer import ObserverConfig, load_trajectory, simulate
 from .pdf_estimation import (
     estimate_orientation_pdf,
@@ -49,40 +48,56 @@ def _fmt(value: float) -> str:
 
 
 class _Stage:
-    """Staged output directory: write to temp names, then commit all."""
+    """Staged output directory: write to temp names, then commit all.
+
+    Used as a context manager; whatever was staged but not committed is
+    removed on exit.
+    """
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
         self.pending: list[str] = []
         os.makedirs(out_dir, exist_ok=True)
 
-    def path(self, name: str) -> str:
-        self.pending.append(name)
-        return os.path.join(self.out_dir, f".tmp.{name}")
+    def __enter__(self) -> "_Stage":
+        return self
 
-    def commit(self):
-        """Rename staged files into place, the manifest last.
-
-        The previous run's manifest goes first, so an interrupted commit
-        never leaves a manifest describing a mixed set of outputs.
-        """
-        try:
-            os.remove(os.path.join(self.out_dir, "manifest.json"))
-        except FileNotFoundError:
-            pass
-        for name in sorted(self.pending, key=lambda name: name == "manifest.json"):
-            os.replace(
-                os.path.join(self.out_dir, f".tmp.{name}"),
-                os.path.join(self.out_dir, name),
-            )
-        self.pending = []
-
-    def cleanup(self):
+    def __exit__(self, *exc_info):
         for name in self.pending:
             try:
                 os.remove(os.path.join(self.out_dir, f".tmp.{name}"))
             except OSError:
                 pass
+
+    def path(self, name: str) -> str:
+        self.pending.append(name)
+        return os.path.join(self.out_dir, f".tmp.{name}")
+
+    def commit(self, command: str, parameters: dict, inputs: dict):
+        """Write manifest.json listing the staged outputs, then rename all.
+
+        The previous run's manifest goes first and the new one is renamed
+        last, so an interrupted commit never leaves a manifest describing a
+        mixed set of outputs.
+        """
+        manifest = {
+            "schema": 1,
+            "tool": {"name": "landmark-coverage", "version": __version__},
+            "command": command,
+            "parameters": parameters,
+            "inputs": inputs,
+            "outputs": sorted(self.pending + ["manifest.json"]),
+        }
+        _write_json(self.path("manifest.json"), manifest)
+        try:
+            os.remove(os.path.join(self.out_dir, "manifest.json"))
+        except FileNotFoundError:
+            pass
+        for name in self.pending:
+            os.replace(
+                os.path.join(self.out_dir, f".tmp.{name}"),
+                os.path.join(self.out_dir, name),
+            )
         self.pending = []
 
 
@@ -99,17 +114,6 @@ def _write_csv(path: str, header: list[str], rows):
             fh.write(",".join(row) + "\n")
 
 
-def _manifest(command: str, parameters: dict, inputs: dict, outputs: list[str]) -> dict:
-    return {
-        "schema": 1,
-        "tool": {"name": "landmark-coverage", "version": __version__},
-        "command": command,
-        "parameters": parameters,
-        "inputs": inputs,
-        "outputs": sorted(outputs),
-    }
-
-
 def _resolve_threads(threads: int) -> int:
     if threads < 1:
         raise ValueError("thread count must be at least 1")
@@ -119,7 +123,7 @@ def _resolve_threads(threads: int) -> int:
 def _scene_with_overrides(args):
     scene = load_scene(args.scene)
     if getattr(args, "pdf", None):
-        pdf, n_yaw, n_pitch = pdf_from_json(load_json(args.pdf, "pdf"), context=f"pdf {args.pdf}")
+        pdf, n_yaw, n_pitch = pdf_from_json(_load_json(args.pdf, "pdf"), context=f"pdf {args.pdf}")
         if (n_yaw, n_pitch) != (scene.grid.n_yaw, scene.grid.n_pitch):
             raise SchemaError(
                 f"pdf {args.pdf}: grid {n_yaw}x{n_pitch} does not match the scene "
@@ -140,8 +144,7 @@ def _cmd_analyze(args) -> int:
     coverage = evaluate_coverage(scene, deployment, threads=threads)
     met = metrics(coverage)
 
-    stage = _Stage(args.out_dir)
-    try:
+    with _Stage(args.out_dir) as stage:
         rows = (
             [
                 _fmt(coverage.points[i, 0]),
@@ -164,25 +167,11 @@ def _cmd_analyze(args) -> int:
                 "thold_p": scene.thold_p,
             },
         )
-        _write_json(
-            stage.path("manifest.json"),
-            _manifest(
-                "analyze",
-                {
-                    "n": scene.params.n,
-                    "thold_p": scene.thold_p,
-                },
-                {
-                    "scene": args.scene,
-                    "deployment": args.deployment,
-                    "pdf": args.pdf,
-                },
-                ["coverage.csv", "metrics.json", "manifest.json"],
-            ),
+        stage.commit(
+            "analyze",
+            {"n": scene.params.n, "thold_p": scene.thold_p},
+            {"scene": args.scene, "deployment": args.deployment, "pdf": args.pdf},
         )
-        stage.commit()
-    finally:
-        stage.cleanup()
     print(
         f"qualified_ratio={met.qualified_ratio:.6f} "
         f"average_cp={met.average_cp:.6f} maximum_cp={met.maximum_cp:.6f}"
@@ -196,21 +185,13 @@ def _cmd_generate(args) -> int:
         deployment = generate_uniform(scene, args.count)
     else:
         deployment = generate_random(scene, args.count, seed=args.seed)
-    stage = _Stage(args.out_dir)
-    try:
+    with _Stage(args.out_dir) as stage:
         _write_json(stage.path("deployment.json"), deployment_to_json(deployment))
-        _write_json(
-            stage.path("manifest.json"),
-            _manifest(
-                "generate",
-                {"kind": args.kind, "count": args.count, "seed": args.seed},
-                {"scene": args.scene},
-                ["deployment.json", "manifest.json"],
-            ),
+        stage.commit(
+            "generate",
+            {"kind": args.kind, "count": args.count, "seed": args.seed},
+            {"scene": args.scene},
         )
-        stage.commit()
-    finally:
-        stage.cleanup()
     print(f"generated {len(deployment.landmarks)} landmarks ({args.kind})")
     return 0
 
@@ -253,8 +234,7 @@ def _cmd_optimize(args) -> int:
         threads=threads,
     )
 
-    stage = _Stage(args.out_dir)
-    try:
+    with _Stage(args.out_dir) as stage:
         _write_json(stage.path("deployment.json"), deployment_to_json(best))
         _write_csv(
             stage.path("history.csv"),
@@ -264,30 +244,23 @@ def _cmd_optimize(args) -> int:
                 for h in history
             ),
         )
-        _write_json(
-            stage.path("manifest.json"),
-            _manifest(
-                "optimize",
-                {
-                    "mode": args.mode,
-                    "encoding": args.encoding,
-                    "count": count,
-                    "m": params.m,
-                    "q": params.q,
-                    "upsilon_min": params.upsilon_min,
-                    "upsilon_max": params.upsilon_max,
-                    "psi": params.psi,
-                    "iterations": params.iterations,
-                    "seed": params.seed,
-                    "plateau": params.plateau,
-                },
-                {"scene": args.scene, "initial": args.initial},
-                ["deployment.json", "history.csv", "manifest.json"],
-            ),
+        stage.commit(
+            "optimize",
+            {
+                "mode": args.mode,
+                "encoding": args.encoding,
+                "count": count,
+                "m": params.m,
+                "q": params.q,
+                "upsilon_min": params.upsilon_min,
+                "upsilon_max": params.upsilon_max,
+                "psi": params.psi,
+                "iterations": params.iterations,
+                "seed": params.seed,
+                "plateau": params.plateau,
+            },
+            {"scene": args.scene, "initial": args.initial},
         )
-        stage.commit()
-    finally:
-        stage.cleanup()
     print(
         f"generations={history[-1].generation} best={history[-1].best:.6f} "
         f"mean={history[-1].mean:.6f}"
@@ -308,8 +281,7 @@ def _cmd_simulate(args) -> int:
     )
     trace = simulate(scene, deployment, trajectory, config, x_hat0=x_hat0)
 
-    stage = _Stage(args.out_dir)
-    try:
+    with _Stage(args.out_dir) as stage:
         counts = trace.visible.sum(axis=1)
         _write_csv(
             stage.path("trace.csv"),
@@ -334,28 +306,17 @@ def _cmd_simulate(args) -> int:
                 "steps": int(trace.t.size - 1),
             },
         )
-        _write_json(
-            stage.path("manifest.json"),
-            _manifest(
-                "simulate",
-                {
-                    "k_i": config.k_i,
-                    "k0": config.k0,
-                    "dt": config.dt,
-                    "visibility": config.visibility,
-                    "use_estimate_for_visibility": config.use_estimate_for_visibility,
-                },
-                {
-                    "scene": args.scene,
-                    "deployment": args.deployment,
-                    "trajectory": args.trajectory,
-                },
-                ["trace.csv", "summary.json", "manifest.json"],
-            ),
+        stage.commit(
+            "simulate",
+            {
+                "k_i": config.k_i,
+                "k0": config.k0,
+                "dt": config.dt,
+                "visibility": config.visibility,
+                "use_estimate_for_visibility": config.use_estimate_for_visibility,
+            },
+            {"scene": args.scene, "deployment": args.deployment, "trajectory": args.trajectory},
         )
-        stage.commit()
-    finally:
-        stage.cleanup()
     print(
         f"steps={trace.t.size - 1} final_error={trace.final_error:.6e} "
         f"qualified_time_ratio={trace.qualified_time_ratio:.4f}"
@@ -372,27 +333,19 @@ def _cmd_estimate_pdf(args) -> int:
         seed=args.seed,
         mean_gap=args.mean_gap,
     )
-    stage = _Stage(args.out_dir)
-    try:
+    with _Stage(args.out_dir) as stage:
         _write_json(stage.path("pdf.json"), pdf_to_json(pdf, args.n_yaw, args.n_pitch))
         _write_json(stage.path("report.json"), report.to_json())
-        _write_json(
-            stage.path("manifest.json"),
-            _manifest(
-                "estimate-pdf",
-                {
-                    "n_yaw": args.n_yaw,
-                    "n_pitch": args.n_pitch,
-                    "seed": args.seed,
-                    "mean_gap": args.mean_gap,
-                },
-                {"samples": args.samples},
-                ["pdf.json", "report.json", "manifest.json"],
-            ),
+        stage.commit(
+            "estimate-pdf",
+            {
+                "n_yaw": args.n_yaw,
+                "n_pitch": args.n_pitch,
+                "seed": args.seed,
+                "mean_gap": args.mean_gap,
+            },
+            {"samples": args.samples},
         )
-        stage.commit()
-    finally:
-        stage.cleanup()
     print(
         f"kept={report.n_kept}/{report.n_raw} uniform_adopted={report.uniform_adopted}"
     )

@@ -137,7 +137,7 @@ class OrientationPdf:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.ndim != 1 or self.weights.size == 0:
             raise ValueError("weights must be a non-empty 1-d array")
-        if np.any(self.weights < 0):
+        if not np.all(self.weights >= 0):
             raise ValueError("weights must be non-negative")
         total = math.fsum(self.weights.tolist())
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
@@ -339,16 +339,22 @@ def strengths_grid(
     dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
     ranges = np.sqrt((dx * dx + dy * dy) + dz * dz)  # (B, K)
     r = rotations[None, :, 2, :, None]  # optical-axis rows, (1, G, 3, 1)
-    z = (r[:, :, 0] * dx[:, None, :] + r[:, :, 1] * dy[:, None, :]) + r[:, :, 2] * dz[:, None, :]
+    # The (B, G, K) float terms are summed and divided in place, so at most
+    # two are alive at once: freeing a larger peak every call makes the
+    # allocator hand the pages back and fault them in again on the next.
+    z = r[:, :, 0] * dx[:, None, :]
+    z += r[:, :, 1] * dy[:, None, :]
+    z += r[:, :, 2] * dz[:, None, :]
 
     visible = (z > 0) & (z >= (ranges * intrinsics.fov_cos)[:, None, :])
-    z_mm = cm_to_mm(z)
+    z = cm_to_mm(z)
     near, far = focus_depths(intrinsics, delta)
-    visible &= (z_mm >= near) & (z_mm <= far)
+    visible &= (z >= near) & (z <= far)
     if thold > 0:
-        s_max = max(intrinsics.s_u, intrinsics.s_v)
+        resolution = z * max(intrinsics.s_u, intrinsics.s_v)
         with np.errstate(divide="ignore"):
-            visible &= intrinsics.magnification / (z_mm * s_max) >= thold
+            np.divide(intrinsics.magnification, resolution, out=resolution)
+        visible &= resolution >= thold
     visible &= _occlusion_grid(d, ranges, plates)[:, None, :]
     return visible
 

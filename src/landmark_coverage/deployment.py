@@ -24,7 +24,17 @@ from .coverage import (
     OrientationPdf,
     coverage_probabilities,
 )
-from .errors import SchemaError
+from .errors import (
+    SCHEMA_VERSION,
+    SchemaError,
+    check_schema as _check_schema,
+    integer as _integer,
+    load_json as _load_json,
+    number as _number,
+    numbers as _numbers,
+    require as _require,
+    schema_errors as _schema_errors,
+)
 from .geometry import CameraIntrinsics, Deployment, Landmark, as_vec3, normal_to_angles
 
 WALL_NAMES = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")
@@ -163,12 +173,12 @@ def make_scene(
     points = np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()])
 
     grid = OrientationGrid.from_cells(n_yaw, n_pitch)
-    if isinstance(pdf, OrientationPdf):
+    if isinstance(pdf, str):
+        if pdf not in ("uniform", "solid-angle"):
+            raise ValueError(f"pdf must be 'uniform', 'solid-angle' or cell weights, got {pdf!r}")
+        density = OrientationPdf.uniform(grid) if pdf == "uniform" else OrientationPdf.solid_angle(grid)
+    elif isinstance(pdf, OrientationPdf):
         density = pdf
-    elif pdf == "uniform":
-        density = OrientationPdf.uniform(grid)
-    elif pdf == "solid-angle":
-        density = OrientationPdf.solid_angle(grid)
     else:
         density = OrientationPdf(np.asarray(pdf, dtype=float).ravel())
     if density.weights.size != grid.n_cells:
@@ -180,7 +190,7 @@ def make_scene(
         rel_arr = np.asarray(rel, dtype=float).ravel()
         if rel_arr.shape != (points.shape[0],):
             raise ValueError("rel weights must match the position grid")
-        if np.any(rel_arr < 0):
+        if not np.all(rel_arr >= 0):
             raise ValueError("rel weights must be non-negative")
 
     names = tuple(wall_names) if wall_names is not None else WALL_NAMES
@@ -371,55 +381,6 @@ def generate_random(scene: Scene, count: int, seed: int) -> Deployment:
 # ---------------------------------------------------------------------------
 # File formats
 
-SCHEMA_VERSION = 1
-
-
-def _require(mapping: dict, key: str, context: str):
-    if not isinstance(mapping, dict):
-        raise SchemaError(f"{context}: expected an object, got {mapping!r}")
-    if key not in mapping:
-        raise SchemaError(f"{context}: missing required key '{key}'")
-    return mapping[key]
-
-
-def _number(value, context: str, allow_null_inf: bool = False, positive: bool = False) -> float:
-    if value is None and allow_null_inf:
-        return math.inf
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{context}: expected a number, got {value!r}")
-    if positive and not (value > 0 and math.isfinite(value)):
-        raise SchemaError(f"{context}: expected a positive finite number, got {value!r}")
-    return float(value)
-
-
-def _integer(value, context: str) -> int:
-    """A count or seed: a JSON integer, or a float with no fractional part."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{context}: expected an integer, got {value!r}")
-    return value
-
-
-def _check_schema(doc: dict, context: str):
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{context}: top level must be an object")
-    version = _require(doc, "schema", context)
-    if version != SCHEMA_VERSION:
-        raise SchemaError(f"{context}: unsupported schema version {version!r}")
-
-
-def load_json(path, context: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise SchemaError(f"{context}: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(
-            f"{context}: invalid JSON at {path} line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-
 
 def scene_from_config(doc: dict, context: str = "scene") -> Scene:
     _check_schema(doc, context)
@@ -442,7 +403,17 @@ def scene_from_config(doc: dict, context: str = "scene") -> Scene:
     yaw_step = _number(orientation.get("yaw_step_rad", math.pi / 12), f"{context}.orientation.yaw_step_rad", positive=True)
     pitch_step = _number(orientation.get("pitch_step_rad", math.pi / 12), f"{context}.orientation.pitch_step_rad", positive=True)
 
-    try:
+    pdf = doc.get("pdf", "uniform")
+    if not isinstance(pdf, str):
+        with _schema_errors(f"{context}.pdf"):
+            pdf = OrientationPdf(_numbers(_require(pdf, "weights", f"{context}.pdf"), f"{context}.pdf.weights"))
+    rel = doc.get("rel", "uniform")
+    if rel == "uniform":
+        rel = None
+    else:
+        rel = _numbers(_require(rel, "values", f"{context}.rel"), f"{context}.rel.values")
+
+    with _schema_errors(context):
         intr = CameraIntrinsics(
             f=_number(_require(optics, "f_mm", f"{context}.intrinsics"), f"{context}.intrinsics.f_mm"),
             s_u=_number(_require(optics, "s_u_mm", f"{context}.intrinsics"), f"{context}.intrinsics.s_u_mm"),
@@ -452,18 +423,13 @@ def scene_from_config(doc: dict, context: str = "scene") -> Scene:
             width=_integer(_require(optics, "width_px", f"{context}.intrinsics"), f"{context}.intrinsics.width_px"),
             height=_integer(_require(optics, "height_px", f"{context}.intrinsics"), f"{context}.intrinsics.height_px"),
             d_a=_number(_require(optics, "d_a_mm", f"{context}.intrinsics"), f"{context}.intrinsics.d_a_mm"),
-            d_s=_number(optics.get("d_s_mm"), f"{context}.intrinsics.d_s_mm", allow_null_inf=True),
+            d_s=_number(optics.get("d_s_mm"), f"{context}.intrinsics.d_s_mm", null_is_inf=True),
         )
         params = CoverageParams(
             thold=_number(_require(cov, "thold", f"{context}.coverage"), f"{context}.coverage.thold"),
             delta=_number(_require(cov, "delta_px", f"{context}.coverage"), f"{context}.coverage.delta_px"),
             n=_integer(_require(cov, "n", f"{context}.coverage"), f"{context}.coverage.n"),
         )
-        pdf_spec = doc.get("pdf", "uniform")
-        if isinstance(pdf_spec, dict):
-            pdf_spec = np.asarray(_require(pdf_spec, "weights", f"{context}.pdf"), dtype=float)
-        rel_spec = doc.get("rel", "uniform")
-        rel = None if rel_spec == "uniform" else np.asarray(_require(rel_spec, "values", f"{context}.rel"), dtype=float)
         cells = OrientationGrid.from_steps(yaw_step, pitch_step)
         return make_scene(
             room_cm,
@@ -475,18 +441,14 @@ def scene_from_config(doc: dict, context: str = "scene") -> Scene:
             nu_default=_number(cov.get("nu_cm", 10.0), f"{context}.coverage.nu_cm"),
             n_yaw=cells.n_yaw,
             n_pitch=cells.n_pitch,
-            pdf=pdf_spec,
+            pdf=pdf,
             rel=rel,
             wall_names=walls,
         )
-    except ValueError as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise SchemaError(f"{context}: {exc}") from exc
 
 
 def load_scene(path) -> Scene:
-    return scene_from_config(load_json(path, "scene"), context=f"scene {path}")
+    return scene_from_config(_load_json(path, "scene"), context=f"scene {path}")
 
 
 def deployment_to_json(deployment: Deployment) -> dict:
@@ -515,9 +477,7 @@ def deployment_from_json(doc: dict, context: str = "deployment") -> Deployment:
     landmarks = []
     for i, entry in enumerate(entries):
         where = f"{context}.landmarks[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{where}: expected an object")
-        try:
+        with _schema_errors(where):
             landmarks.append(
                 Landmark(
                     position=[_number(_require(entry, k, where), f"{where}.{k}") for k in ("x", "y", "z")],
@@ -527,15 +487,11 @@ def deployment_from_json(doc: dict, context: str = "deployment") -> Deployment:
                     nu=_number(_require(entry, "nu", where), f"{where}.nu"),
                 )
             )
-        except ValueError as exc:
-            if isinstance(exc, SchemaError):
-                raise
-            raise SchemaError(f"{where}: {exc}") from exc
     return Deployment(landmarks)
 
 
 def load_deployment(path) -> Deployment:
-    return deployment_from_json(load_json(path, "deployment"), context=f"deployment {path}")
+    return deployment_from_json(_load_json(path, "deployment"), context=f"deployment {path}")
 
 
 def save_deployment(path, deployment: Deployment):

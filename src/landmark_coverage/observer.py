@@ -20,8 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverage import strengths_grid
-from .deployment import Scene, _integer, _number
-from .errors import SchemaError, TrajectoryOutOfRegionError
+from .deployment import Scene
+from .errors import (
+    SchemaError,
+    TrajectoryOutOfRegionError,
+    check_schema as _check_schema,
+    integer as _integer,
+    load_json as _load_json,
+    number as _number,
+    numbers as _numbers,
+    require as _require,
+    schema_errors as _schema_errors,
+)
 from .geometry import (
     Deployment,
     Pose6,
@@ -309,94 +319,57 @@ def random_walk_trajectory(
 
 
 def _pose_from_json(doc: dict, context: str) -> np.ndarray:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{context}: expected an object")
-    if "position" not in doc:
-        raise SchemaError(f"{context}: missing required key 'position'")
-    position = doc["position"]
-    if not isinstance(position, list) or len(position) != 3:
-        raise SchemaError(f"{context}: 'position' must be an [x, y, z] array")
-    try:
+    with _schema_errors(context):
         pose = Pose6(
-            [float(v) for v in position],
-            yaw=float(doc.get("yaw", 0.0)),
-            pitch=float(doc.get("pitch", 0.0)),
-            roll=float(doc.get("roll", 0.0)),
+            _numbers(_require(doc, "position", context), f"{context}.position", length=3),
+            yaw=_number(doc.get("yaw", 0.0), f"{context}.yaw"),
+            pitch=_number(doc.get("pitch", 0.0), f"{context}.pitch"),
+            roll=_number(doc.get("roll", 0.0), f"{context}.roll"),
         )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{context}: {exc}") from exc
     return pose_to_se3(pose)
 
 
 def trajectory_from_json(doc: dict, scene: Scene, context: str = "trajectory"):
     """(TrajectorySpec, initial estimate or None) from a parsed document."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{context}: top level must be an object")
-    if doc.get("schema") != 1:
-        raise SchemaError(f"{context}: unsupported schema version {doc.get('schema')!r}")
+    _check_schema(doc, context)
     x_hat0 = None
     if "initial_estimate" in doc:
         x_hat0 = _pose_from_json(doc["initial_estimate"], f"{context}.initial_estimate")
     if "random_walk" in doc:
         spec = doc["random_walk"]
-        if not isinstance(spec, dict):
-            raise SchemaError(f"{context}.random_walk: expected an object")
-        for key in ("duration_s", "seed"):
-            if key not in spec:
-                raise SchemaError(f"{context}.random_walk: missing required key '{key}'")
-        seed = _integer(spec["seed"], f"{context}.random_walk.seed")
-        dt = _number(spec.get("dt_s", 0.01), f"{context}.random_walk.dt_s", positive=True)
-        try:
+        where = f"{context}.random_walk"
+        duration = _number(_require(spec, "duration_s", where), f"{where}.duration_s")
+        seed = _integer(_require(spec, "seed", where), f"{where}.seed")
+        initial = _pose_from_json(spec["initial"], f"{where}.initial") if "initial" in spec else None
+        with _schema_errors(where):
             walk = random_walk_trajectory(
                 scene,
-                duration=float(spec["duration_s"]),
+                duration=duration,
                 seed=seed,
-                segment_duration=float(spec.get("segment_duration_s", 0.5)),
-                lin_speed=float(spec.get("lin_speed_cm_s", 30.0)),
-                ang_speed=float(spec.get("ang_speed_rad_s", 0.6)),
-                initial=_pose_from_json(spec["initial"], f"{context}.random_walk.initial")
-                if "initial" in spec
-                else None,
-                margin=float(spec.get("margin_cm", 0.0)),
-                dt=dt,
+                segment_duration=_number(spec.get("segment_duration_s", 0.5), f"{where}.segment_duration_s"),
+                lin_speed=_number(spec.get("lin_speed_cm_s", 30.0), f"{where}.lin_speed_cm_s"),
+                ang_speed=_number(spec.get("ang_speed_rad_s", 0.6), f"{where}.ang_speed_rad_s"),
+                initial=initial,
+                margin=_number(spec.get("margin_cm", 0.0), f"{where}.margin_cm"),
+                dt=_number(spec.get("dt_s", 0.01), f"{where}.dt_s", positive=True),
             )
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{context}.random_walk: {exc}") from exc
         return walk, x_hat0
     if "initial" not in doc or "segments" not in doc:
         raise SchemaError(f"{context}: requires 'initial' and 'segments' (or 'random_walk')")
     initial = _pose_from_json(doc["initial"], f"{context}.initial")
     raw = doc["segments"]
-    if not isinstance(raw, list) or not raw:
-        raise SchemaError(f"{context}: 'segments' must be a non-empty array")
+    if not isinstance(raw, list):
+        raise SchemaError(f"{context}: 'segments' must be an array")
     segments = []
     for i, entry in enumerate(raw):
         where = f"{context}.segments[{i}]"
-        if not isinstance(entry, dict) or "duration_s" not in entry:
-            raise SchemaError(f"{where}: expected an object with 'duration_s'")
-        omega = entry.get("omega_rad_s", [0.0, 0.0, 0.0])
-        vel = entry.get("velocity_cm_s", [0.0, 0.0, 0.0])
-        if not isinstance(omega, list) or len(omega) != 3:
-            raise SchemaError(f"{where}: 'omega_rad_s' must be a 3-array")
-        if not isinstance(vel, list) or len(vel) != 3:
-            raise SchemaError(f"{where}: 'velocity_cm_s' must be a 3-array")
-        try:
-            segments.append(
-                (
-                    float(entry["duration_s"]),
-                    twist([float(w) for w in omega], [float(v) for v in vel]),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
-    try:
-        spec = TrajectorySpec(initial=initial, segments=segments)
-    except ValueError as exc:
-        raise SchemaError(f"{context}: {exc}") from exc
-    return spec, x_hat0
+        duration = _number(_require(entry, "duration_s", where), f"{where}.duration_s", positive=True)
+        omega = _numbers(entry.get("omega_rad_s", [0.0, 0.0, 0.0]), f"{where}.omega_rad_s", length=3)
+        velocity = _numbers(entry.get("velocity_cm_s", [0.0, 0.0, 0.0]), f"{where}.velocity_cm_s", length=3)
+        segments.append((duration, twist(omega, velocity)))
+    with _schema_errors(context):
+        return TrajectorySpec(initial=initial, segments=segments), x_hat0
 
 
 def load_trajectory(path, scene: Scene):
-    from .deployment import load_json
-
-    return trajectory_from_json(load_json(path, "trajectory"), scene, context=f"trajectory {path}")
+    return trajectory_from_json(_load_json(path, "trajectory"), scene, context=f"trajectory {path}")

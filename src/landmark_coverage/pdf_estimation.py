@@ -17,8 +17,15 @@ import numpy as np
 from scipy import stats
 
 from .coverage import OrientationGrid, OrientationPdf
-from .deployment import _integer
-from .errors import SchemaError
+from .errors import (
+    SCHEMA_VERSION,
+    SchemaError,
+    check_schema as _check_schema,
+    integer as _integer,
+    numbers as _numbers,
+    require as _require,
+    schema_errors as _schema_errors,
+)
 
 _HALF_PI = math.pi / 2
 _MIN_EXPECTED = 5.0
@@ -251,17 +258,15 @@ def load_samples_csv(path) -> AngleSamples:
         raise SchemaError(f"samples {path}: malformed numeric row: {exc}") from exc
     if data.shape[1] != 3:
         raise SchemaError(f"samples {path}: expected 3 columns, got {data.shape[1]}")
-    try:
+    with _schema_errors(f"samples {path}"):
         return AngleSamples(data[:, 0], data[:, 1], data[:, 2])
-    except ValueError as exc:
-        raise SchemaError(f"samples {path}: {exc}") from exc
 
 
 def pdf_to_json(pdf: OrientationPdf, n_yaw: int, n_pitch: int) -> dict:
     if pdf.weights.size != n_yaw * n_pitch:
         raise ValueError("weight count does not match the grid shape")
     return {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "n_yaw": int(n_yaw),
         "n_pitch": int(n_pitch),
         "weights": [float(w) for w in pdf.weights],
@@ -269,20 +274,11 @@ def pdf_to_json(pdf: OrientationPdf, n_yaw: int, n_pitch: int) -> dict:
 
 
 def pdf_from_json(doc: dict, context: str = "pdf") -> tuple[OrientationPdf, int, int]:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{context}: top level must be an object")
-    if doc.get("schema") != 1:
-        raise SchemaError(f"{context}: unsupported schema version {doc.get('schema')!r}")
-    for key in ("n_yaw", "n_pitch", "weights"):
-        if key not in doc:
-            raise SchemaError(f"{context}: missing required key '{key}'")
-    n_yaw = _integer(doc["n_yaw"], f"{context}.n_yaw")
-    n_pitch = _integer(doc["n_pitch"], f"{context}.n_pitch")
-    weights = doc["weights"]
-    if not isinstance(weights, list) or len(weights) != n_yaw * n_pitch:
+    _check_schema(doc, context)
+    n_yaw = _integer(_require(doc, "n_yaw", context), f"{context}.n_yaw", positive=True)
+    n_pitch = _integer(_require(doc, "n_pitch", context), f"{context}.n_pitch", positive=True)
+    weights = _numbers(_require(doc, "weights", context), f"{context}.weights")
+    if weights.size != n_yaw * n_pitch:
         raise SchemaError(f"{context}: 'weights' must be an array of n_yaw * n_pitch numbers")
-    try:
-        pdf = OrientationPdf(np.asarray(weights, dtype=float))
-    except ValueError as exc:
-        raise SchemaError(f"{context}: {exc}") from exc
-    return pdf, n_yaw, n_pitch
+    with _schema_errors(context):
+        return OrientationPdf(weights), n_yaw, n_pitch

@@ -1,5 +1,6 @@
 """End-to-end command line checks: outputs, determinism, exit codes."""
 
+import importlib.util
 import json
 import math
 import os
@@ -268,14 +269,24 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
 
 
 def _edit(doc, path, value):
-    """A deep copy of ``doc`` with the dotted ``path`` set to ``value``."""
+    """A deep copy of ``doc`` with the dotted ``path`` set to ``value``.
+
+    Numeric parts of the path index arrays; a tuple of paths sets each to
+    the matching entry of a tuple of values.
+    """
     doc = json.loads(json.dumps(doc))
-    *parents, last = path.split(".")
-    node = doc
-    for key in parents:
-        node = node[key]
-    node[last] = value
+    edits = zip(path, value) if isinstance(path, tuple) else [(path, value)]
+    for dotted, new_value in edits:
+        *parents, last = [int(key) if key.isdigit() else key for key in dotted.split(".")]
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = new_value
     return doc
+
+
+DESK_POINTS = 48
+DESK_CELLS = 72
 
 
 MALFORMED_INPUTS = [
@@ -292,6 +303,26 @@ MALFORMED_INPUTS = [
     ("trajectory", "random_walk.dt_s", 0, "dt_s"),
     ("trajectory", "random_walk.seed", 1.5, "seed"),
     ("trajectory", "random_walk.seed", True, "seed"),
+    ("scene", "rel", {"values": [{}] + [1.0] * (DESK_POINTS - 1)}, "rel.values[0]"),
+    ("scene", "rel", {"values": [None] + [1.0] * (DESK_POINTS - 1)}, "rel.values[0]"),
+    ("scene", "rel", {"values": ["2"] + [1.0] * (DESK_POINTS - 1)}, "rel.values[0]"),
+    ("scene", "rel", {"values": [True] + [1.0] * (DESK_POINTS - 1)}, "rel.values[0]"),
+    ("scene", "pdf", {"weights": {}}, "pdf.weights"),
+    ("scene", "pdf", {"weights": [None] + [1.0 / DESK_CELLS] * (DESK_CELLS - 1)}, "pdf.weights[0]"),
+    pytest.param("scene", "room.length_cm", 10**400, "room.length_cm",
+                 id="scene-room.length_cm-401_digits-room.length_cm"),
+    # Both negative, so the grid product still matches the 72 weights.
+    ("pdf", ("n_yaw", "n_pitch"), (-12, -6), "n_yaw"),
+    ("pdf", "weights", [None] * DESK_CELLS, "weights[0]"),
+    ("pdf", "weights", [str(1.0 / DESK_CELLS)] * DESK_CELLS, "weights[0]"),
+    ("trajectory", "random_walk.duration_s", "1", "duration_s"),
+    ("trajectory", "random_walk.lin_speed_cm_s", True, "lin_speed_cm_s"),
+    ("trajectory", "random_walk.margin_cm", math.nan, "margin_cm"),
+    ("trajectory", "schema", True, "schema"),
+    ("segments", "initial.yaw", "0.5", "initial.yaw"),
+    ("segments", "initial.position", ["375", 250.0, 300.0], "initial.position[0]"),
+    ("segments", "segments.0.duration_s", "0.1", "segments[0].duration_s"),
+    ("segments", "segments.0.omega_rad_s", ["0", 0, "0.1"], "segments[0].omega_rad_s[0]"),
 ]
 
 
@@ -304,6 +335,11 @@ def test_malformed_field_exits_2_naming_it(tmp_path, capsys, target, path, value
         "trajectory": {
             "schema": 1,
             "random_walk": {"duration_s": 0.1, "seed": 0, "dt_s": 0.01},
+        },
+        "segments": {
+            "schema": 1,
+            "initial": {"position": [375.0, 250.0, 300.0]},
+            "segments": [{"duration_s": 0.1}],
         },
         "deployment": {
             "schema": 1,
@@ -322,12 +358,39 @@ def test_malformed_field_exits_2_naming_it(tmp_path, capsys, target, path, value
         "pdf": ["analyze", "--deployment", str(paths["deployment"]), "--pdf", str(paths["pdf"])],
         "trajectory": ["simulate", "--deployment", str(paths["deployment"]),
                        "--trajectory", str(paths["trajectory"])],
+        "segments": ["simulate", "--deployment", str(paths["deployment"]),
+                     "--trajectory", str(paths["segments"])],
     }[target]
     code = main(argv + common)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and field in err.splitlines()[0]
     assert not out.exists()
+
+
+def test_inline_scene_density_matches_uniform(tmp_path, capsys):
+    dep_dir = tmp_path / "dep"
+    run_ok(["generate", "--scene", DESK, "--count", "6", "--out-dir", str(dep_dir)], capsys)
+    doc = json.loads((CONFIG_DIR / "desk_room.json").read_text(encoding="utf-8"))
+    doc["pdf"] = {"weights": [1.0 / DESK_CELLS] * DESK_CELLS}
+    inline = tmp_path / "inline.json"
+    inline.write_text(json.dumps(doc))
+    plain, weighted = tmp_path / "plain", tmp_path / "weighted"
+    base = ["analyze", "--deployment", str(dep_dir / "deployment.json")]
+    run_ok(base + ["--scene", DESK, "--out-dir", str(plain)], capsys)
+    run_ok(base + ["--scene", str(inline), "--out-dir", str(weighted)], capsys)
+    for name in ("coverage.csv", "metrics.json"):
+        assert read_all(plain)[name] == read_all(weighted)[name]
+
+
+def test_cli_walkthrough_demo_runs(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "cli_walkthrough", CONFIG_DIR.parent / "demos" / "cli_walkthrough.py"
+    )
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    demo.main()
+    assert "rerun byte-identical: True" in capsys.readouterr().out
 
 
 def test_analyze_rejects_mismatched_pdf_grid(tmp_path, capsys):

@@ -290,6 +290,12 @@ def test_pdf_validation():
         OrientationPdf(np.zeros((2, 2)))
 
 
+def test_pdf_rejects_nan_weights():
+    # The sum of NaN weights is NaN, which no tolerance compare rejects.
+    with pytest.raises(ValueError, match="non-negative"):
+        OrientationPdf(np.full(4, np.nan))
+
+
 # ---------------------------------------------------------------------------
 # Caps, counts, probabilities
 

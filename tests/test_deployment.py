@@ -103,6 +103,20 @@ def test_make_scene_validation():
         small_scene(nu_default=0.0)
 
 
+def test_make_scene_rejects_nan_rel():
+    rel = np.ones(12)
+    rel[3] = np.nan
+    with pytest.raises(ValueError, match="non-negative"):
+        small_scene(rel=rel)
+
+
+def test_make_scene_accepts_cell_weights():
+    scene = small_scene(pdf=np.full(72, 1.0 / 72.0))
+    assert np.array_equal(scene.pdf.weights, small_scene().pdf.weights)
+    with pytest.raises(ValueError, match="pdf must be"):
+        small_scene(pdf="cosine")
+
+
 def test_make_scene_wall_subset():
     scene = small_scene(wall_names=["x_min", "y_max"])
     assert [w.name for w in scene.walls] == ["x_min", "y_max"]
@@ -350,6 +364,10 @@ def test_scene_config_errors(tmp_path):
 
     with pytest.raises(SchemaError, match="cannot read"):
         dep.load_scene(tmp_path / "missing.json")
+
+    path.write_text('{"schema": ' + "1" * 5000 + "}")
+    with pytest.raises(SchemaError, match="cannot parse"):
+        dep.load_scene(path)
 
 
 def test_infinite_focus_config_null_d_s():
