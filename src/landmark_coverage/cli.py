@@ -76,9 +76,11 @@ class _Stage:
     def commit(self, command: str, parameters: dict, inputs: dict):
         """Write manifest.json listing the staged outputs, then rename all.
 
-        The previous run's manifest goes first and the new one is renamed
-        last, so an interrupted commit never leaves a manifest describing a
-        mixed set of outputs.
+        Every previous output is removed before any rename, the previous
+        manifest first, and the new manifest is renamed last, so an
+        interrupted commit never leaves a manifest describing a mixed set
+        of outputs. No rename meets an existing file, which on some file
+        systems would flush the new data to disk inside the rename.
         """
         manifest = {
             "schema": 1,
@@ -89,10 +91,11 @@ class _Stage:
             "outputs": sorted(self.pending + ["manifest.json"]),
         }
         _write_json(self.path("manifest.json"), manifest)
-        try:
-            os.remove(os.path.join(self.out_dir, "manifest.json"))
-        except FileNotFoundError:
-            pass
+        for name in reversed(self.pending):  # the manifest was staged last
+            try:
+                os.remove(os.path.join(self.out_dir, name))
+            except FileNotFoundError:
+                pass
         for name in self.pending:
             os.replace(
                 os.path.join(self.out_dir, f".tmp.{name}"),
@@ -269,9 +272,6 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    scene = load_scene(args.scene)
-    deployment = load_deployment(args.deployment)
-    trajectory, x_hat0 = load_trajectory(args.trajectory, scene)
     config = ObserverConfig(
         k_i=args.k_i,
         k0=args.k0,
@@ -279,6 +279,9 @@ def _cmd_simulate(args) -> int:
         visibility=args.visibility,
         use_estimate_for_visibility=args.use_estimate_visibility,
     )
+    scene = load_scene(args.scene)
+    deployment = load_deployment(args.deployment)
+    trajectory, x_hat0 = load_trajectory(args.trajectory, scene, config.dt)
     trace = simulate(scene, deployment, trajectory, config, x_hat0=x_hat0)
 
     with _Stage(args.out_dir) as stage:

@@ -120,10 +120,11 @@ class Scene:
         lo = self.center - self.reachable / 2.0
         return lo, lo + self.reachable
 
-    def contains_reachable(self, position) -> bool:
+    def contains_reachable(self, position) -> np.ndarray:
+        """Whether each position of a (..., 3) array lies in the reachable box."""
         lo, hi = self.reachable_bounds()
         p = np.asarray(position, dtype=float)
-        return bool(np.all(p >= lo) and np.all(p <= hi))
+        return np.all((p >= lo) & (p <= hi), axis=-1)
 
     def with_coverage(self, n=None, thold_p=None, thold=None, delta=None) -> "Scene":
         """A copy sharing all arrays, with coverage settings overridden."""

@@ -355,18 +355,30 @@ def project_to_rotation(R: np.ndarray) -> np.ndarray:
 _ORTHO_DRIFT_TOL = 1e-9
 
 
-def se3_step(X: np.ndarray, U: np.ndarray, dt: float) -> np.ndarray:
-    """Advance a rigid transform by a constant body twist over ``dt``.
+def se3_path(X: np.ndarray, U: np.ndarray, dt: float, steps: int) -> np.ndarray:
+    """The poses after each of ``steps`` steps of a constant body twist.
 
-    Re-orthonormalizes the rotation block when numerical drift exceeds a
-    small threshold, keeping long integrations on the group.
+    Returns shape (steps, 4, 4); entry i is ``X`` advanced by ``(i + 1)·dt``.
+    The exponential ``expm(U·dt)`` is taken once and every step multiplies
+    the previous pose by it, re-orthonormalizing the rotation block when
+    numerical drift exceeds a small threshold, which keeps long
+    integrations on the group.
     """
-    Y = X @ expm(U * dt)
-    Y[3, :] = (0.0, 0.0, 0.0, 1.0)
-    R = Y[:3, :3]
-    if np.abs(R.T @ R - np.eye(3)).max() > _ORTHO_DRIFT_TOL:
-        Y[:3, :3] = project_to_rotation(R)
-    return Y
+    E = expm(U * dt)
+    out = np.empty((steps, 4, 4))
+    for i in range(steps):
+        Y = X @ E
+        Y[3, :] = (0.0, 0.0, 0.0, 1.0)
+        R = Y[:3, :3]
+        if np.abs(R.T @ R - np.eye(3)).max() > _ORTHO_DRIFT_TOL:
+            Y[:3, :3] = project_to_rotation(R)
+        out[i] = X = Y
+    return out
+
+
+def se3_step(X: np.ndarray, U: np.ndarray, dt: float) -> np.ndarray:
+    """Advance a rigid transform by a constant body twist over ``dt``."""
+    return se3_path(X, U, dt, 1)[0]
 
 
 def pose_to_se3(pose: Pose6) -> np.ndarray:

@@ -35,9 +35,11 @@ from .errors import (
 from .geometry import (
     Deployment,
     Pose6,
+    frobenius_error,
     is_rigid_transform,
     pose_to_se3,
     se3_inverse,
+    se3_path,
     se3_step,
     twist,
 )
@@ -114,6 +116,11 @@ def observer_step(x_hat, x, u, c_vis, config: ObserverConfig) -> np.ndarray:
     return se3_step(x_hat, u - correction, config.dt)
 
 
+def _segment_steps(duration: float, dt: float) -> int:
+    """Steps of size ``dt`` that a segment of ``duration`` takes, at least one."""
+    return max(1, round(duration / dt))
+
+
 @dataclass(eq=False)
 class TrajectorySpec:
     """Piecewise-constant body twists applied from an initial pose."""
@@ -138,11 +145,22 @@ class TrajectorySpec:
     def duration(self) -> float:
         return math.fsum(d for d, _ in self.segments)
 
-    def step_twists(self, dt: float) -> list[np.ndarray]:
-        steps = []
+    def sample(self, dt: float) -> tuple[list[np.ndarray], np.ndarray]:
+        """The per-step twists and every true pose at step size ``dt``.
+
+        Each segment takes ``round(duration / dt)`` steps of its twist, at
+        least one, integrated by ``se3_path`` from the previous segment's
+        end pose. The poses have shape (steps + 1, 4, 4), the initial pose first.
+        """
+        twists = []
+        paths = [self.initial[None]]
+        x = self.initial
         for duration, u in self.segments:
-            steps.extend([u] * max(1, round(duration / dt)))
-        return steps
+            n_steps = _segment_steps(duration, dt)
+            twists.extend([u] * n_steps)
+            paths.append(se3_path(x, u, dt, n_steps))
+            x = paths[-1][-1]
+        return twists, np.concatenate(paths)
 
 
 @dataclass(eq=False)
@@ -180,39 +198,37 @@ def simulate(
     config: ObserverConfig,
     x_hat0=None,
 ) -> ObserverTrace:
-    """Integrate the true pose and the observer estimate along a trajectory.
+    """Run the observer estimate along a trajectory's true poses.
 
-    Every sampled camera position must stay inside the reachable region;
-    leaving it raises TrajectoryOutOfRegionError.
+    The true path is sampled once at ``config.dt``. Every sampled camera
+    position must stay inside the reachable region; the first one outside
+    raises TrajectoryOutOfRegionError.
     """
     plates = Deployment.of(deployment)
     k = len(plates)
     c_h = np.vstack([plates.positions.T, np.ones(k)])
     n = scene.params.n
-    x = np.array(trajectory.initial, dtype=float)
     x_hat = np.array(trajectory.initial if x_hat0 is None else x_hat0, dtype=float)
     if not is_rigid_transform(x_hat, tol=1e-8):
         raise ValueError("initial estimate must be a rigid transform")
-    steps = trajectory.step_twists(config.dt)
-    count = len(steps) + 1
-
+    twists, xs = trajectory.sample(config.dt)
+    count = len(xs)
     t = np.arange(count) * config.dt
-    xs = np.empty((count, 4, 4))
+    inside = scene.contains_reachable(xs[:, :3, 3])
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise TrajectoryOutOfRegionError(
+            f"camera position {xs[i, :3, 3].tolist()} left the reachable region at t={t[i]:.4f}"
+        )
+
     x_hats = np.empty((count, 4, 4))
     er = np.empty(count)
     visible = np.zeros((count, k), dtype=bool)
     qualified = np.zeros(count, dtype=bool)
 
-    for i in range(count):
-        position = x[:3, 3]
-        if not scene.contains_reachable(position):
-            raise TrajectoryOutOfRegionError(
-                f"camera position {position.tolist()} left the reachable region at t={t[i]:.4f}"
-            )
-        xs[i] = x
+    for i, x in enumerate(xs):
         x_hats[i] = x_hat
-        diff = x_hat - x
-        er[i] = float(np.sum(diff * diff))
+        er[i] = frobenius_error(x_hat, x)
         if config.visibility == "ideal":
             mask = np.ones(k, dtype=bool)
         else:
@@ -222,10 +238,8 @@ def simulate(
             )
         visible[i] = mask
         qualified[i] = int(mask.sum()) >= n
-        if i < len(steps):
-            u = steps[i]
-            x_hat = observer_step(x_hat, x, u, c_h[:, mask], config)
-            x = se3_step(x, u, config.dt)
+        if i < len(twists):
+            x_hat = observer_step(x_hat, x, twists[i], c_h[:, mask], config)
 
     return ObserverTrace(t=t, x=xs, x_hat=x_hats, er=er, visible=visible, qualified=qualified)
 
@@ -243,8 +257,9 @@ def random_walk_trajectory(
 ) -> TrajectorySpec:
     """A containment-checked random walk through the reachable region.
 
-    Candidate segments are rejected until their integrated positions stay
-    at least margin inside the region; after repeated rejections the segment
+    Candidate segments are rejected until their positions, integrated at
+    step size ``dt`` as ``TrajectorySpec.sample(dt)`` does, stay at least
+    margin inside the region; after repeated rejections the segment
     steers straight toward the region center, which always stays inside.
     When no initial pose is given the walk starts at the region center with
     a seed-drawn orientation, so a batch of seeds samples the same yaw and
@@ -268,20 +283,18 @@ def random_walk_trajectory(
         raise ValueError("margin leaves no room inside the reachable region")
 
     def segment_ok(x, u, n_steps):
-        cur = x
-        for _ in range(n_steps):
-            cur = se3_step(cur, u, dt)
-            p = cur[:3, 3]
-            if np.any(p < lo) or np.any(p > hi):
-                return None
-        return cur
+        path = se3_path(x, u, dt, n_steps)
+        p = path[:, :3, 3]
+        if np.any(p < lo) or np.any(p > hi):
+            return None
+        return path[-1]
 
     segments = []
     x = x0
     elapsed = 0.0
     while elapsed < duration - 1e-9:
         seg = min(segment_duration, duration - elapsed)
-        n_steps = max(1, round(seg / dt))
+        n_steps = _segment_steps(seg, dt)
         chosen = None
         for _ in range(40):
             axis = rng.normal(size=3)
@@ -329,8 +342,12 @@ def _pose_from_json(doc: dict, context: str) -> np.ndarray:
     return pose_to_se3(pose)
 
 
-def trajectory_from_json(doc: dict, scene: Scene, context: str = "trajectory"):
-    """(TrajectorySpec, initial estimate or None) from a parsed document."""
+def trajectory_from_json(doc: dict, scene: Scene, dt: float, context: str = "trajectory"):
+    """(TrajectorySpec, initial estimate or None) from a parsed document.
+
+    A random walk is generated at the simulation step ``dt``; its optional
+    ``dt_s`` must equal it.
+    """
     _check_schema(doc, context)
     x_hat0 = None
     if "initial_estimate" in doc:
@@ -341,6 +358,10 @@ def trajectory_from_json(doc: dict, scene: Scene, context: str = "trajectory"):
         duration = _number(_require(spec, "duration_s", where), f"{where}.duration_s")
         seed = _integer(_require(spec, "seed", where), f"{where}.seed")
         initial = _pose_from_json(spec["initial"], f"{where}.initial") if "initial" in spec else None
+        if "dt_s" in spec:
+            dt_s = _number(spec["dt_s"], f"{where}.dt_s", positive=True)
+            if dt_s != dt:
+                raise SchemaError(f"{where}.dt_s: {dt_s!r} differs from the simulation step {dt!r}")
         with _schema_errors(where):
             walk = random_walk_trajectory(
                 scene,
@@ -351,7 +372,7 @@ def trajectory_from_json(doc: dict, scene: Scene, context: str = "trajectory"):
                 ang_speed=_number(spec.get("ang_speed_rad_s", 0.6), f"{where}.ang_speed_rad_s"),
                 initial=initial,
                 margin=_number(spec.get("margin_cm", 0.0), f"{where}.margin_cm"),
-                dt=_number(spec.get("dt_s", 0.01), f"{where}.dt_s", positive=True),
+                dt=dt,
             )
         return walk, x_hat0
     if "initial" not in doc or "segments" not in doc:
@@ -371,5 +392,5 @@ def trajectory_from_json(doc: dict, scene: Scene, context: str = "trajectory"):
         return TrajectorySpec(initial=initial, segments=segments), x_hat0
 
 
-def load_trajectory(path, scene: Scene):
-    return trajectory_from_json(_load_json(path, "trajectory"), scene, context=f"trajectory {path}")
+def load_trajectory(path, scene: Scene, dt: float):
+    return trajectory_from_json(_load_json(path, "trajectory"), scene, dt, context=f"trajectory {path}")

@@ -4,6 +4,8 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -49,6 +51,48 @@ def test_interrupted_commit_leaves_no_manifest(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(os, "replace", replace_failing_second)
     with pytest.raises(OSError, match="mid-commit"):
+        main(analyze + ["--n", "1"])
+    capsys.readouterr()
+    assert not (out / "manifest.json").exists()
+    assert_clean(out)
+
+
+def test_commit_never_renames_onto_an_existing_file(tmp_path, capsys, monkeypatch):
+    plates, out = tmp_path / "plates", tmp_path / "report"
+    run_ok(["generate", "--scene", DESK, "--count", "6", "--out-dir", str(plates)], capsys)
+    analyze = ["analyze", "--scene", DESK, "--deployment", str(plates / "deployment.json"),
+               "--out-dir", str(out)]
+    real_replace = os.replace
+    targets = []
+
+    def recording_replace(src, dst):
+        targets.append((os.path.basename(dst), os.path.exists(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    run_ok(analyze, capsys)
+    first = read_all(out)
+    run_ok(analyze, capsys)
+    assert targets == 2 * [("coverage.csv", False), ("metrics.json", False), ("manifest.json", False)]
+    assert read_all(out) == first
+    assert_clean(out)
+
+
+def test_crash_removing_an_old_output_leaves_no_manifest(tmp_path, capsys, monkeypatch):
+    plates, out = tmp_path / "plates", tmp_path / "report"
+    run_ok(["generate", "--scene", DESK, "--count", "6", "--out-dir", str(plates)], capsys)
+    analyze = ["analyze", "--scene", DESK, "--deployment", str(plates / "deployment.json"),
+               "--out-dir", str(out)]
+    run_ok(analyze + ["--n", "2"], capsys)
+    real_remove = os.remove
+
+    def remove_failing_on_outputs(path):
+        if os.path.basename(path) == "coverage.csv":
+            raise OSError("simulated crash removing an old output")
+        real_remove(path)
+
+    monkeypatch.setattr(os, "remove", remove_failing_on_outputs)
+    with pytest.raises(OSError, match="old output"):
         main(analyze + ["--n", "1"])
     capsys.readouterr()
     assert not (out / "manifest.json").exists()
@@ -251,6 +295,26 @@ def test_simulate_out_of_region_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_random_walk_is_checked_at_the_simulation_step(tmp_path, capsys):
+    dep_dir = tmp_path / "dep"
+    run_ok(["generate", "--scene", DESK, "--count", "4", "--out-dir", str(dep_dir)], capsys)
+    walk = {"duration_s": 20, "seed": 3, "lin_speed_cm_s": 80, "ang_speed_rad_s": 1.0}
+    argv = ["simulate", "--scene", DESK, "--deployment", str(dep_dir / "deployment.json"),
+            "--dt", "0.3", "--visibility", "ideal"]
+    trajectory = tmp_path / "walk.json"
+    trajectory.write_text(json.dumps({"schema": 1, "random_walk": walk}))
+    # generated at --dt, the walk stays inside when simulated at that step
+    run_ok(argv + ["--trajectory", str(trajectory), "--out-dir", str(tmp_path / "ok")], capsys)
+
+    trajectory.write_text(json.dumps({"schema": 1, "random_walk": dict(walk, dt_s=0.01)}))
+    out = tmp_path / "out"
+    code = main(argv + ["--trajectory", str(trajectory), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "random_walk.dt_s" in err
+    assert not out.exists()
+
+
 def test_bad_inputs_exit_2(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{ not json")
@@ -323,6 +387,8 @@ MALFORMED_INPUTS = [
     ("segments", "initial.position", ["375", 250.0, 300.0], "initial.position[0]"),
     ("segments", "segments.0.duration_s", "0.1", "segments[0].duration_s"),
     ("segments", "segments.0.omega_rad_s", ["0", 0, "0.1"], "segments[0].omega_rad_s[0]"),
+    # the walk is generated at --dt (0.01 here), so a second step size is an error
+    ("trajectory", "random_walk.dt_s", 0.02, "dt_s"),
 ]
 
 
@@ -381,6 +447,21 @@ def test_inline_scene_density_matches_uniform(tmp_path, capsys):
     run_ok(base + ["--scene", str(inline), "--out-dir", str(weighted)], capsys)
     for name in ("coverage.csv", "metrics.json"):
         assert read_all(plain)[name] == read_all(weighted)[name]
+
+
+@pytest.mark.parametrize(
+    "demo", ["observer_walkthrough.py", "visibility_anatomy.py", "estimate_density.py"]
+)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    src = str(CONFIG_DIR.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(CONFIG_DIR.parent / "demos" / demo)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout
 
 
 def test_cli_walkthrough_demo_runs(capsys):

@@ -86,6 +86,17 @@ def test_make_scene_grid_points():
     assert scene.grid.n_cells == 72
 
 
+def test_contains_reachable_takes_position_arrays():
+    scene = small_scene()
+    lo, hi = scene.reachable_bounds()
+    positions = np.array([scene.center, lo, hi, lo - [0.1, 0.0, 0.0], hi + [0.0, 0.0, 0.1],
+                          [np.nan, 100.0, 100.0]])
+    inside = scene.contains_reachable(positions)
+    assert inside.dtype == bool and inside.tolist() == [True, True, True, False, False, False]
+    assert scene.contains_reachable(positions.reshape(2, 3, 3)).shape == (2, 3)
+    assert scene.contains_reachable(np.empty((0, 3))).shape == (0,)
+
+
 def test_make_scene_validation():
     with pytest.raises(ValueError):
         small_scene(reachable_cm=(400.0, 100.0, 100.0))  # larger than the room

@@ -26,6 +26,7 @@ from landmark_coverage.geometry import (
     rotation_from_angles,
     se3_inverse,
     se3_matrix,
+    se3_path,
     se3_step,
     twist,
     world_to_local,
@@ -338,6 +339,21 @@ def test_se3_step_stays_on_the_group():
     for _ in range(500):
         x = se3_step(x, u, 0.02)
     assert is_rigid_transform(x, tol=1e-8)
+
+
+def test_se3_path_is_a_chain_of_se3_steps_bitwise():
+    # rotation drift of about 6e-9 makes the first step re-orthonormalize
+    x0 = pose_to_se3(Pose6(np.array([1.0, 1.0, 1.0]), yaw=0.2))
+    x0[:3, :3] *= 1.0 + 3e-9
+    u = twist([0.3, -0.2, 0.5], [1.0, 0.0, -0.5])
+    path = se3_path(x0, u, 0.02, 40)
+    assert path.shape == (40, 4, 4)
+    x = x0
+    for pose in path:
+        x = se3_step(x, u, 0.02)
+        assert np.array_equal(pose, x)
+    assert is_rigid_transform(path[0], tol=1e-12)
+    assert se3_path(x0, u, 0.02, 0).shape == (0, 4, 4)
 
 
 def test_se3_step_zero_twist_is_identity():

@@ -14,6 +14,7 @@ from landmark_coverage.geometry import (
     frobenius_error,
     is_twist,
     pose_to_se3,
+    se3_step,
     twist,
 )
 
@@ -102,8 +103,10 @@ def test_trajectory_spec_step_twists():
     u = twist([0.0, 0.0, 0.1], [1.0, 0.0, 0.0])
     spec = obs.TrajectorySpec(initial=x0, segments=[(0.5, u), (0.25, 2 * u)])
     assert math.isclose(spec.duration, 0.75, rel_tol=1e-12)
-    steps = spec.step_twists(0.01)
+    steps, poses = spec.sample(0.01)
     assert len(steps) == 75
+    assert poses.shape == (76, 4, 4)
+    assert np.array_equal(poses[0], x0)
     assert np.array_equal(steps[0], u)
     assert np.array_equal(steps[-1], 2 * u)
     with pytest.raises(ValueError):
@@ -112,6 +115,52 @@ def test_trajectory_spec_step_twists():
         obs.TrajectorySpec(initial=x0, segments=[(0.0, u)])
     with pytest.raises(ValueError):
         obs.TrajectorySpec(initial=np.diag([2.0, 1.0, 1.0, 1.0]), segments=[(1.0, u)])
+
+
+def test_trajectory_sample_is_a_chain_of_se3_steps_bitwise():
+    x0 = pose_to_se3(Pose6([4.0, 4.0, 3.0], yaw=0.2, pitch=-0.3))
+    u1 = twist([0.3, -0.2, 0.5], [1.0, 0.0, -0.5])
+    u2 = twist([0.0, 0.7, -0.1], [0.0, 2.0, 0.3])
+    # the last segment is shorter than one step and still takes one
+    spec = obs.TrajectorySpec(initial=x0, segments=[(0.5, u1), (0.37, u2), (0.004, u1)])
+    twists, poses = spec.sample(0.01)
+    assert len(twists) == 50 + 37 + 1
+    assert poses.shape == (len(twists) + 1, 4, 4)
+    x = x0
+    assert np.array_equal(poses[0], x)
+    for u, pose in zip(twists, poses[1:]):
+        x = se3_step(x, u, 0.01)
+        assert np.array_equal(pose, x)
+
+
+def test_walk_segment_ends_are_the_sampled_poses(monkeypatch):
+    scene = build_tiny_scene()
+    dt, margin = 0.02, 0.2
+    calls = []
+    se3_path = obs.se3_path
+
+    def recording(x, u, dt, steps):
+        path = se3_path(x, u, dt, steps)
+        calls.append((np.array(x), u, path[-1].copy()))
+        return path
+
+    monkeypatch.setattr(obs, "se3_path", recording)
+    walk = obs.random_walk_trajectory(
+        scene, duration=3.0, seed=4, segment_duration=0.25,
+        lin_speed=8.0, ang_speed=1.0, margin=margin, dt=dt,
+    )
+    monkeypatch.undo()
+    assert len(calls) > len(walk.segments)  # some candidates were rejected
+    _, poses = walk.sample(dt)
+    end = 0
+    for duration, u in walk.segments:
+        start, end = end, end + max(1, round(duration / dt))
+        checked = [last for x, v, last in calls
+                   if np.array_equal(x, poses[start]) and np.array_equal(v, u)]
+        assert checked and all(np.array_equal(last, poses[end]) for last in checked)
+    lo, hi = scene.reachable_bounds()
+    assert np.all(poses[:, :3, 3] >= lo + margin)
+    assert np.all(poses[:, :3, 3] <= hi - margin)
 
 
 def test_pose_strengths_matches_scalar_loop():
@@ -238,8 +287,8 @@ def test_simulate_camera_model_without_plates():
     spec = obs.TrajectorySpec(initial=x0, segments=[(0.05, np.zeros((4, 4)))])
     cfg = obs.ObserverConfig(k_i=1e-5, dt=0.01, visibility="camera-model")
     trace = obs.simulate(scene, Deployment([]), spec, cfg)
-    steps = len(spec.step_twists(cfg.dt))
-    assert trace.visible.shape == (steps + 1, 0)
+    steps, _ = spec.sample(cfg.dt)
+    assert trace.visible.shape == (len(steps) + 1, 0)
     assert not trace.qualified.any()
 
 
@@ -318,7 +367,7 @@ def test_trajectory_json_piecewise(tiny_scene):
         ],
         "initial_estimate": {"position": [4.0, 4.0, 3.0], "yaw": 0.3},
     }
-    spec, x_hat0 = obs.trajectory_from_json(doc, tiny_scene)
+    spec, x_hat0 = obs.trajectory_from_json(doc, tiny_scene, 0.01)
     assert len(spec.segments) == 2
     assert np.array_equal(spec.initial, pose_to_se3(Pose6([4.0, 4.0, 3.0], yaw=0.2)))
     assert np.array_equal(x_hat0, pose_to_se3(Pose6([4.0, 4.0, 3.0], yaw=0.3)))
@@ -337,7 +386,7 @@ def test_trajectory_json_random_walk(tiny_scene):
             "margin_cm": 0.2,
         },
     }
-    spec, x_hat0 = obs.trajectory_from_json(doc, tiny_scene)
+    spec, x_hat0 = obs.trajectory_from_json(doc, tiny_scene, 0.01)
     assert x_hat0 is None
     direct = obs.random_walk_trajectory(
         tiny_scene, duration=1.0, seed=3, segment_duration=0.25,
@@ -350,21 +399,21 @@ def test_trajectory_json_random_walk(tiny_scene):
 
 def test_trajectory_json_errors(tiny_scene):
     with pytest.raises(SchemaError, match="schema version"):
-        obs.trajectory_from_json({"schema": 2}, tiny_scene)
+        obs.trajectory_from_json({"schema": 2}, tiny_scene, 0.01)
     with pytest.raises(SchemaError, match="random_walk"):
-        obs.trajectory_from_json({"schema": 1, "random_walk": {"seed": 1}}, tiny_scene)
+        obs.trajectory_from_json({"schema": 1, "random_walk": {"seed": 1}}, tiny_scene, 0.01)
     with pytest.raises(SchemaError, match="requires 'initial'"):
-        obs.trajectory_from_json({"schema": 1}, tiny_scene)
+        obs.trajectory_from_json({"schema": 1}, tiny_scene, 0.01)
     doc = {
         "schema": 1,
         "initial": {"position": [4.0, 4.0, 3.0]},
         "segments": [{"duration_s": 0.5, "omega_rad_s": [0.0, 0.0]}],
     }
     with pytest.raises(SchemaError, match="3-array"):
-        obs.trajectory_from_json(doc, tiny_scene)
+        obs.trajectory_from_json(doc, tiny_scene, 0.01)
     doc = {"schema": 1, "initial": {"yaw": 0.1}, "segments": [{"duration_s": 0.5}]}
     with pytest.raises(SchemaError, match="position"):
-        obs.trajectory_from_json(doc, tiny_scene)
+        obs.trajectory_from_json(doc, tiny_scene, 0.01)
 
 
 def test_trace_ratio_properties():
