@@ -144,6 +144,7 @@ def _cmd_analyze(args) -> int:
     threads = _resolve_threads(args.threads)
     scene = _scene_with_overrides(args)
     deployment = load_deployment(args.deployment)
+    scene.check_evaluation_size(len(deployment))
     coverage = evaluate_coverage(scene, deployment, threads=threads)
     met = metrics(coverage)
 
@@ -211,6 +212,7 @@ def _cmd_optimize(args) -> int:
         raise ValueError("either --count or --initial is required")
     if count < 1:
         raise ValueError("landmark count must be at least 1")
+    scene.check_evaluation_size(count)
 
     length = GENES_PER_LANDMARK * count
     lo, hi = default_segment_bounds(length)

@@ -18,6 +18,7 @@ ordering, and returns the thresholded mask bit for bit.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,6 +28,7 @@ from .geometry import (
     CameraIntrinsics,
     Deployment,
     Landmark,
+    MM_PER_CM,
     Pose6,
     cm_to_mm,
     landmark_normal,
@@ -312,6 +314,30 @@ class CapSet:
         return self.masks.sum(axis=0)
 
 
+# glibc raises its mmap threshold to the size of a freed mmapped block of up
+# to 32 MiB, and its trim threshold to twice that. Allocating and freeing one
+# untouched 8 MiB block here keeps the kernel's smaller temporaries on the
+# heap, rather than handed back to the OS and faulted in again on every
+# call; importing scipy used to do this by accident. Untouched pages add no
+# resident memory.
+np.empty(1 << 20)
+
+_buffers = threading.local()
+
+
+def _float_blocks(shape: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's two (B, G, K) float blocks, reallocated when the shape changes.
+
+    Reusing them spares every call the allocation and page faults of two
+    blocks that can exceed the allocator's mmap threshold. Callers must
+    never return a view of them.
+    """
+    blocks = getattr(_buffers, "blocks", None)
+    if blocks is None or blocks[0].shape != shape:
+        blocks = _buffers.blocks = (np.empty(shape), np.empty(shape))
+    return blocks
+
+
 def strengths_grid(
     points: np.ndarray,
     rotations: np.ndarray,
@@ -339,21 +365,19 @@ def strengths_grid(
     dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
     ranges = np.sqrt((dx * dx + dy * dy) + dz * dz)  # (B, K)
     r = rotations[None, :, 2, :, None]  # optical-axis rows, (1, G, 3, 1)
-    # The (B, G, K) float terms are summed and divided in place, so at most
-    # two are alive at once: freeing a larger peak every call makes the
-    # allocator hand the pages back and fault them in again on the next.
-    z = r[:, :, 0] * dx[:, None, :]
-    z += r[:, :, 1] * dy[:, None, :]
-    z += r[:, :, 2] * dz[:, None, :]
+    z, scratch = _float_blocks((d.shape[0], r.shape[1], d.shape[1]))
+    np.multiply(r[:, :, 0], dx[:, None, :], z)
+    z += np.multiply(r[:, :, 1], dy[:, None, :], scratch)
+    z += np.multiply(r[:, :, 2], dz[:, None, :], scratch)
 
     visible = (z > 0) & (z >= (ranges * intrinsics.fov_cos)[:, None, :])
-    z = cm_to_mm(z)
+    np.multiply(MM_PER_CM, z, z)  # cm_to_mm in place
     near, far = focus_depths(intrinsics, delta)
     visible &= (z >= near) & (z <= far)
     if thold > 0:
-        resolution = z * max(intrinsics.s_u, intrinsics.s_v)
+        resolution = np.multiply(z, max(intrinsics.s_u, intrinsics.s_v), scratch)
         with np.errstate(divide="ignore"):
-            np.divide(intrinsics.magnification, resolution, out=resolution)
+            np.divide(intrinsics.magnification, resolution, resolution)
         visible &= resolution >= thold
     visible &= _occlusion_grid(d, ranges, plates)[:, None, :]
     return visible

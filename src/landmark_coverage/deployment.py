@@ -43,6 +43,14 @@ WALL_NAMES = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")
 # peak memory flat when sweeping large grids.
 _CHUNK_ELEMENTS = 2_000_000
 
+# Size caps checked before any array is built, so that a mistyped count
+# exits 2 instead of getting the process killed for memory or running for
+# days. The packaged configs use at most 1040 positions and 288 cells; the
+# Table 3 analysis with 90 plates is 27M gate evaluations (about 0.2 s).
+MAX_POSITIONS = 1_000_000
+MAX_CELLS = 1_000_000
+MAX_GATE_EVALUATIONS = 10**10
+
 
 @dataclass(eq=False)
 class Wall:
@@ -137,6 +145,16 @@ class Scene:
         return replace(
             self, params=params, thold_p=self.thold_p if thold_p is None else thold_p
         )
+
+    def check_evaluation_size(self, plates: int) -> None:
+        """Raise ValueError when positions x cells x plates exceeds MAX_GATE_EVALUATIONS."""
+        count = self.n_points * self.grid.n_cells * plates
+        if count > MAX_GATE_EVALUATIONS:
+            raise ValueError(
+                f"grid.nx x grid.ny x grid.nz positions ({self.n_points}) x orientation cells "
+                f"({self.grid.n_cells}) x plates ({plates}) is {count} gate evaluations, "
+                f"above the cap of {MAX_GATE_EVALUATIONS}"
+            )
 
 
 def make_scene(
@@ -399,10 +417,23 @@ def scene_from_config(doc: dict, context: str = "scene") -> Scene:
 
     room_cm = [_number(_require(room, k, f"{context}.room"), f"{context}.room.{k}") for k in ("length_cm", "width_cm", "height_cm")]
     reach_cm = [_number(_require(reach, k, f"{context}.reachable"), f"{context}.reachable.{k}") for k in ("length_cm", "width_cm", "height_cm")]
-    shape = [_integer(_require(grid, k, f"{context}.grid"), f"{context}.grid.{k}") for k in ("nx", "ny", "nz")]
+    shape = [_integer(_require(grid, k, f"{context}.grid"), f"{context}.grid.{k}", positive=True) for k in ("nx", "ny", "nz")]
+    if math.prod(shape) > MAX_POSITIONS:
+        raise SchemaError(
+            f"{context}.grid: grid.nx x grid.ny x grid.nz = {' x '.join(map(str, shape))} "
+            f"positions, above the cap of {MAX_POSITIONS}"
+        )
 
     yaw_step = _number(orientation.get("yaw_step_rad", math.pi / 12), f"{context}.orientation.yaw_step_rad", positive=True)
     pitch_step = _number(orientation.get("pitch_step_rad", math.pi / 12), f"{context}.orientation.pitch_step_rad", positive=True)
+    # The cell counts OrientationGrid.from_steps rounds to, bounded per axis
+    # first so that rounding never meets an overflowed step ratio.
+    n_yaw, n_pitch = 2.0 * math.pi / yaw_step, math.pi / pitch_step
+    if not (n_yaw <= MAX_CELLS and n_pitch <= MAX_CELLS and round(n_yaw) * round(n_pitch) <= MAX_CELLS):
+        raise SchemaError(
+            f"{context}.orientation: yaw_step_rad {yaw_step!r} and pitch_step_rad {pitch_step!r} "
+            f"give more than {MAX_CELLS} orientation cells"
+        )
 
     pdf = doc.get("pdf", "uniform")
     if not isinstance(pdf, str):

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,9 +36,12 @@ _AXIS_PERMUTATION = np.array(
 )
 
 
+MM_PER_CM = 10.0
+
+
 def cm_to_mm(value):
     """Convert world lengths (cm) to optical lengths (mm)."""
-    return 10.0 * value
+    return MM_PER_CM * value
 
 
 def as_vec3(value) -> np.ndarray:
@@ -354,6 +356,10 @@ def project_to_rotation(R: np.ndarray) -> np.ndarray:
 
 _ORTHO_DRIFT_TOL = 1e-9
 
+# scipy.linalg.expm, imported by the first se3_path call: importing scipy
+# takes longer than most commands run, and only simulate needs it.
+_expm = None
+
 
 def se3_path(X: np.ndarray, U: np.ndarray, dt: float, steps: int) -> np.ndarray:
     """The poses after each of ``steps`` steps of a constant body twist.
@@ -364,7 +370,10 @@ def se3_path(X: np.ndarray, U: np.ndarray, dt: float, steps: int) -> np.ndarray:
     numerical drift exceeds a small threshold, which keeps long
     integrations on the group.
     """
-    E = expm(U * dt)
+    global _expm
+    if _expm is None:
+        from scipy.linalg import expm as _expm
+    E = _expm(U * dt)
     out = np.empty((steps, 4, 4))
     for i in range(steps):
         Y = X @ E

@@ -121,6 +121,17 @@ def _segment_steps(duration: float, dt: float) -> int:
     return max(1, round(duration / dt))
 
 
+def _check_whole_steps(duration: float, dt: float, context: str) -> None:
+    """Reject a duration that is not a whole number of ``dt`` steps.
+
+    ``sample`` would otherwise stretch or shrink it to the nearest step.
+    """
+    ratio = duration / dt
+    n = round(ratio) if math.isfinite(ratio) else 0
+    if n < 1 or abs(ratio - n) > 1e-9 * n:
+        raise SchemaError(f"{context}: {duration!r} s is not a whole number of {dt!r} s steps")
+
+
 @dataclass(eq=False)
 class TrajectorySpec:
     """Piecewise-constant body twists applied from an initial pose."""
@@ -346,7 +357,9 @@ def trajectory_from_json(doc: dict, scene: Scene, dt: float, context: str = "tra
     """(TrajectorySpec, initial estimate or None) from a parsed document.
 
     A random walk is generated at the simulation step ``dt``; its optional
-    ``dt_s`` must equal it.
+    ``dt_s`` must equal it. Every segment ``duration_s``, and a walk's
+    ``duration_s`` and ``segment_duration_s``, must be a whole number of
+    ``dt`` steps.
     """
     _check_schema(doc, context)
     x_hat0 = None
@@ -355,19 +368,22 @@ def trajectory_from_json(doc: dict, scene: Scene, dt: float, context: str = "tra
     if "random_walk" in doc:
         spec = doc["random_walk"]
         where = f"{context}.random_walk"
-        duration = _number(_require(spec, "duration_s", where), f"{where}.duration_s")
+        duration = _number(_require(spec, "duration_s", where), f"{where}.duration_s", positive=True)
+        segment = _number(spec.get("segment_duration_s", 0.5), f"{where}.segment_duration_s", positive=True)
         seed = _integer(_require(spec, "seed", where), f"{where}.seed")
         initial = _pose_from_json(spec["initial"], f"{where}.initial") if "initial" in spec else None
         if "dt_s" in spec:
             dt_s = _number(spec["dt_s"], f"{where}.dt_s", positive=True)
             if dt_s != dt:
                 raise SchemaError(f"{where}.dt_s: {dt_s!r} differs from the simulation step {dt!r}")
+        _check_whole_steps(duration, dt, f"{where}.duration_s")
+        _check_whole_steps(segment, dt, f"{where}.segment_duration_s")
         with _schema_errors(where):
             walk = random_walk_trajectory(
                 scene,
                 duration=duration,
                 seed=seed,
-                segment_duration=_number(spec.get("segment_duration_s", 0.5), f"{where}.segment_duration_s"),
+                segment_duration=segment,
                 lin_speed=_number(spec.get("lin_speed_cm_s", 30.0), f"{where}.lin_speed_cm_s"),
                 ang_speed=_number(spec.get("ang_speed_rad_s", 0.6), f"{where}.ang_speed_rad_s"),
                 initial=initial,
@@ -385,6 +401,7 @@ def trajectory_from_json(doc: dict, scene: Scene, dt: float, context: str = "tra
     for i, entry in enumerate(raw):
         where = f"{context}.segments[{i}]"
         duration = _number(_require(entry, "duration_s", where), f"{where}.duration_s", positive=True)
+        _check_whole_steps(duration, dt, f"{where}.duration_s")
         omega = _numbers(entry.get("omega_rad_s", [0.0, 0.0, 0.0]), f"{where}.omega_rad_s", length=3)
         velocity = _numbers(entry.get("velocity_cm_s", [0.0, 0.0, 0.0]), f"{where}.velocity_cm_s", length=3)
         segments.append((duration, twist(omega, velocity)))

@@ -14,7 +14,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import stats
 
 from .coverage import OrientationGrid, OrientationPdf
 from .errors import (
@@ -138,6 +137,8 @@ def independence_test(
     Bins are halved until every expected cell count reaches 5; if that never
     happens the sample is too small and the test raises.
     """
+    from scipy import stats  # on first use: importing scipy costs more than most runs
+
     alpha = np.asarray(alpha, dtype=float).ravel()
     beta = np.asarray(beta, dtype=float).ravel()
     bx, by = bins
@@ -165,6 +166,8 @@ def independence_test(
 
 def fit_uniform(pdf: DiscretePdf1D) -> tuple[float, float]:
     """(uniform density, goodness-of-fit p-value) for a 1-D histogram."""
+    from scipy import stats
+
     counts = pdf.masses * pdf.n_samples
     result = stats.chisquare(counts)
     density = 1.0 / (pdf.edges[-1] - pdf.edges[0])

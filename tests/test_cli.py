@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import CONFIG_DIR
+from landmark_coverage import deployment as deployment_module
 from landmark_coverage.cli import main
 
 DESK = str(CONFIG_DIR / "desk_room.json")
@@ -298,7 +299,8 @@ def test_simulate_out_of_region_exits_3(tmp_path, capsys):
 def test_random_walk_is_checked_at_the_simulation_step(tmp_path, capsys):
     dep_dir = tmp_path / "dep"
     run_ok(["generate", "--scene", DESK, "--count", "4", "--out-dir", str(dep_dir)], capsys)
-    walk = {"duration_s": 20, "seed": 3, "lin_speed_cm_s": 80, "ang_speed_rad_s": 1.0}
+    walk = {"duration_s": 19.8, "segment_duration_s": 0.6, "seed": 3, "lin_speed_cm_s": 80,
+            "ang_speed_rad_s": 1.0}
     argv = ["simulate", "--scene", DESK, "--deployment", str(dep_dir / "deployment.json"),
             "--dt", "0.3", "--visibility", "ideal"]
     trajectory = tmp_path / "walk.json"
@@ -389,11 +391,22 @@ MALFORMED_INPUTS = [
     ("segments", "segments.0.omega_rad_s", ["0", 0, "0.1"], "segments[0].omega_rad_s[0]"),
     # the walk is generated at --dt (0.01 here), so a second step size is an error
     ("trajectory", "random_walk.dt_s", 0.02, "dt_s"),
+    # sizes above the caps exit before any array is built
+    ("scene", "grid.nx", 10**9, "grid.nx"),
+    ("scene", "orientation.yaw_step_rad", 1e-9, "yaw_step_rad"),
+    ("scene", "orientation.pitch_step_rad", 5e-324, "pitch_step_rad"),
+    # "@0.3" simulates at --dt 0.3: durations must be whole steps of it
+    ("segments@0.3", "segments.0.duration_s", 2.0, "segments[0].duration_s"),
+    ("trajectory@0.3", ("random_walk.dt_s", "random_walk.duration_s", "random_walk.segment_duration_s"),
+     (0.3, 2.1, 0.7), "segment_duration_s"),
+    ("trajectory@0.3", ("random_walk.dt_s", "random_walk.duration_s", "random_walk.segment_duration_s"),
+     (0.3, 2.0, 0.6), "random_walk.duration_s"),
 ]
 
 
 @pytest.mark.parametrize("target, path, value, field", MALFORMED_INPUTS)
 def test_malformed_field_exits_2_naming_it(tmp_path, capsys, target, path, value, field):
+    target, _, dt = target.partition("@")
     docs = {
         "scene": json.loads((CONFIG_DIR / "desk_room.json").read_text(encoding="utf-8")),
         # 12.7 truncated to 12 would match these 72 weights and the 12 x 6 desk grid.
@@ -427,6 +440,8 @@ def test_malformed_field_exits_2_naming_it(tmp_path, capsys, target, path, value
         "segments": ["simulate", "--deployment", str(paths["deployment"]),
                      "--trajectory", str(paths["segments"])],
     }[target]
+    if dt:
+        argv += ["--dt", dt]
     code = main(argv + common)
     err = capsys.readouterr().err
     assert code == 2
@@ -449,19 +464,73 @@ def test_inline_scene_density_matches_uniform(tmp_path, capsys):
         assert read_all(plain)[name] == read_all(weighted)[name]
 
 
-@pytest.mark.parametrize(
-    "demo", ["observer_walkthrough.py", "visibility_anatomy.py", "estimate_density.py"]
-)
-def test_demo_runs(demo):
+def test_oversized_evaluation_exits_2_before_building(tmp_path, capsys, monkeypatch):
+    dep_dir = tmp_path / "dep"
+    run_ok(["generate", "--scene", DESK, "--count", "6", "--out-dir", str(dep_dir)], capsys)
+    analyze = ["analyze", "--scene", DESK, "--deployment", str(dep_dir / "deployment.json")]
+    gates = DESK_POINTS * DESK_CELLS * 6
+    monkeypatch.setattr(deployment_module, "MAX_GATE_EVALUATIONS", gates)
+    run_ok(analyze + ["--out-dir", str(tmp_path / "at-cap")], capsys)
+    monkeypatch.setattr(deployment_module, "MAX_GATE_EVALUATIONS", gates - 1)
+    out = tmp_path / "out"
+    assert main(analyze + ["--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "grid.nx" in err and "plates (6)" in err
+    assert not out.exists()
+
+    monkeypatch.undo()
+    code = main(["optimize", "--scene", DESK, "--count", str(10**8), "--iterations", "1",
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert "grid.nx" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _python(argv, timeout=120):
+    """Run a fresh interpreter with the package importable; its stdout."""
     env = dict(os.environ)
     src = str(CONFIG_DIR.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, str(CONFIG_DIR.parent / "demos" / demo)],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=timeout,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout
+    return done.stdout
+
+
+def test_importing_the_package_loads_no_scipy():
+    # A fresh interpreter, since this one may have imported scipy already.
+    loaded = _python(["-c", (
+        "import sys, landmark_coverage, landmark_coverage.cli\n"
+        "print(*[m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )])
+    assert loaded.split() == []
+
+
+def test_se3_path_loads_scipy_linalg_only():
+    loaded = _python(["-c", (
+        "import sys, numpy as np\n"
+        "from landmark_coverage import geometry\n"
+        "geometry.se3_path(np.eye(4), np.zeros((4, 4)), 0.01, 2)\n"
+        "print('scipy.linalg' in sys.modules, 'scipy.stats' in sys.modules)"
+    )])
+    assert loaded.split() == ["True", "False"]
+
+
+@pytest.mark.parametrize(
+    "demo", ["observer_walkthrough.py", "visibility_anatomy.py", "estimate_density.py"]
+)
+def test_demo_runs(demo):
+    assert _python([str(CONFIG_DIR.parent / "demos" / demo)])
+
+
+def test_sweep_and_search_demos_run(tmp_path):
+    demos = CONFIG_DIR.parent / "demos"
+    assert _python([str(demos / "coverage_sweep.py")])
+    champion = tmp_path / "champion.json"
+    assert _python([str(demos / "optimize_desk.py"), "--seeds", "0", "--iterations", "3",
+                    "--out", str(champion)])
+    assert champion.exists()
 
 
 def test_cli_walkthrough_demo_runs(capsys):

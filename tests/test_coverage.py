@@ -1,6 +1,8 @@
 """Visibility criteria, cap sets, and the batched strength kernel."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -416,6 +418,47 @@ def test_kernel_matches_scalar_criteria_bitwise():
                 assert batch[k] == (coverage_strength(k, edge, poses(b, g), intr, delta) > 0)
                 decisions.add((fov_criterion(edge[k], poses(b, g), intr) == 1, bool(batch[k])))
     assert {(True, True), (False, False)} <= decisions
+
+
+def test_kernel_masks_are_fresh_across_calls_and_threads():
+    rng = np.random.default_rng(23)
+    rotations = OrientationGrid.from_cells(6, 3).rotations()
+    plates = [
+        Landmark(
+            rng.uniform(0.0, 400.0, 3),
+            rho=rng.uniform(-math.pi, math.pi),
+            eta=rng.uniform(-math.pi / 2, math.pi / 2),
+            nu=10.0,
+        )
+        for _ in range(6)
+    ]
+    points = rng.uniform(50.0, 350.0, (24, 3))
+
+    def call(start, b, g, k):
+        return strengths_grid(points[start : start + b], rotations[:g], plates[:k], TABLE3, 4.0, 0.2)
+
+    first = call(0, 12, 18, 6)
+    kept = first.copy()
+    assert kept.any() and not kept.all()
+    for args in ((12, 12, 18, 6), (0, 5, 18, 6), (3, 12, 7, 3), (12, 12, 18, 6)):
+        assert not np.array_equal(call(*args), kept)
+    assert np.array_equal(first, kept)
+
+    # More threads than cores, on shared and on distinct shapes and inputs.
+    tasks = [(0, 12, 18, 6), (12, 12, 18, 6), (0, 5, 18, 6), (3, 12, 7, 3), (20, 3, 2, 1)]
+    expected = [call(*args) for args in tasks]
+
+    def repeat(i):
+        return all(np.array_equal(call(*tasks[i]), expected[i]) for _ in range(50))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(tasks)) as pool:
+            futures = [pool.submit(repeat, i) for i in range(len(tasks))]
+            assert all(f.result(timeout=60) for f in futures)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_kernel_zero_landmarks():
