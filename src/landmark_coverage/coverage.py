@@ -356,15 +356,34 @@ def strengths_grid(
     coinciding with a landmark is never measurable instead of the scalar
     path's error.
     """
+    return axis_strengths(points, rotations[None, :, 2, :], landmarks, intrinsics, delta, thold)
+
+
+def axis_strengths(
+    points: np.ndarray,
+    axes: np.ndarray,
+    landmarks: Deployment | Sequence[Landmark],
+    intrinsics: CameraIntrinsics,
+    delta: float,
+    thold: float = 0.0,
+) -> np.ndarray:
+    """Measurable mask for positions looking along given optical axes.
+
+    ``axes`` holds optical-axis rows (the third row of a world-to-camera
+    rotation), broadcastable as (B or 1, G, 3): one set of G rows shared by
+    all B positions, as ``strengths_grid`` passes, or one row per position,
+    (B, 1, 3), for a stack of poses.  Otherwise as ``strengths_grid``, whose
+    (B, G, K) mask this is, bit for bit.
+    """
     points = np.asarray(points, dtype=float)
     plates = Deployment.of(landmarks)
     if len(plates) == 0:
-        return np.zeros((points.shape[0], rotations.shape[0], 0), dtype=bool)
+        return np.zeros((points.shape[0], axes.shape[1], 0), dtype=bool)
 
     d = plates.positions[None, :, :] - points[:, None, :]  # (B, K, 3) landmark - camera
     dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
     ranges = np.sqrt((dx * dx + dy * dy) + dz * dz)  # (B, K)
-    r = rotations[None, :, 2, :, None]  # optical-axis rows, (1, G, 3, 1)
+    r = axes[..., None]  # (B or 1, G, 3, 1)
     z, scratch = _float_blocks((d.shape[0], r.shape[1], d.shape[1]))
     np.multiply(r[:, :, 0], dx[:, None, :], z)
     z += np.multiply(r[:, :, 1], dy[:, None, :], scratch)

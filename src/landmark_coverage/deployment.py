@@ -47,9 +47,13 @@ _CHUNK_ELEMENTS = 2_000_000
 # exits 2 instead of getting the process killed for memory or running for
 # days. The packaged configs use at most 1040 positions and 288 cells; the
 # Table 3 analysis with 90 plates is 27M gate evaluations (about 0.2 s).
+# A simulation keeps several arrays per step, 30 s at 0.01 s being 3000
+# steps; the packaged configs deploy at most 90 plates.
 MAX_POSITIONS = 1_000_000
 MAX_CELLS = 1_000_000
 MAX_GATE_EVALUATIONS = 10**10
+MAX_STEPS = 1_000_000
+MAX_PLATES = 10_000
 
 
 @dataclass(eq=False)
@@ -350,14 +354,18 @@ def _near_square_layout(count: int, aspect: float) -> tuple[int, int]:
     return rows, cols
 
 
+def _check_plate_count(count: int) -> None:
+    if not 1 <= count <= MAX_PLATES:
+        raise ValueError(f"count must be from 1 to {MAX_PLATES} plates, got {count}")
+
+
 def generate_uniform(scene: Scene, count: int) -> Deployment:
     """Evenly spread landmarks over the active walls, facing inward.
 
     Wall quotas follow wall areas (remainders go to the largest walls) and
     each wall gets a near-square grid of plates at cell centers.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    _check_plate_count(count)
     quotas = _wall_quotas(scene.walls, count)
     landmarks = []
     for wall, quota in zip(scene.walls, quotas):
@@ -381,8 +389,7 @@ def generate_uniform(scene: Scene, count: int) -> Deployment:
 
 def generate_random(scene: Scene, count: int, seed: int) -> Deployment:
     """Landmarks uniform over the active wall surfaces with random facing."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    _check_plate_count(count)
     rng = np.random.default_rng(seed)
     areas = np.array([w.area for w in scene.walls])
     probs = areas / areas.sum()

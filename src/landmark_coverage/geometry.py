@@ -355,6 +355,8 @@ def project_to_rotation(R: np.ndarray) -> np.ndarray:
 
 
 _ORTHO_DRIFT_TOL = 1e-9
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
 
 # scipy.linalg.expm, imported by the first se3_path call: importing scipy
 # takes longer than most commands run, and only simulate needs it.
@@ -379,7 +381,7 @@ def se3_path(X: np.ndarray, U: np.ndarray, dt: float, steps: int) -> np.ndarray:
         Y = X @ E
         Y[3, :] = (0.0, 0.0, 0.0, 1.0)
         R = Y[:3, :3]
-        if np.abs(R.T @ R - np.eye(3)).max() > _ORTHO_DRIFT_TOL:
+        if np.abs(R.T @ R - _EYE3).max() > _ORTHO_DRIFT_TOL:
             Y[:3, :3] = project_to_rotation(R)
         out[i] = X = Y
     return out

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import strengths_grid
-from .deployment import Scene
+from .coverage import axis_strengths
+from .deployment import MAX_STEPS, Scene
 from .errors import (
     SchemaError,
     TrajectoryOutOfRegionError,
@@ -121,8 +121,8 @@ def _segment_steps(duration: float, dt: float) -> int:
     return max(1, round(duration / dt))
 
 
-def _check_whole_steps(duration: float, dt: float, context: str) -> None:
-    """Reject a duration that is not a whole number of ``dt`` steps.
+def _check_whole_steps(duration: float, dt: float, context: str) -> int:
+    """The number of ``dt`` steps in ``duration``, which must be whole.
 
     ``sample`` would otherwise stretch or shrink it to the nearest step.
     """
@@ -130,6 +130,16 @@ def _check_whole_steps(duration: float, dt: float, context: str) -> None:
     n = round(ratio) if math.isfinite(ratio) else 0
     if n < 1 or abs(ratio - n) > 1e-9 * n:
         raise SchemaError(f"{context}: {duration!r} s is not a whole number of {dt!r} s steps")
+    return n
+
+
+def _check_total_steps(total: int, dt: float, context: str) -> None:
+    """Reject a trajectory of more than MAX_STEPS steps before it is sampled."""
+    if total > MAX_STEPS:
+        raise SchemaError(
+            f"{context}: the trajectory takes {total} steps of {dt!r} s, "
+            f"above the cap of {MAX_STEPS}"
+        )
 
 
 @dataclass(eq=False)
@@ -194,12 +204,36 @@ class ObserverTrace:
         return float(self.er[-1])
 
 
+# Cap on poses x plates x plates per kernel call. The occlusion pass builds
+# several (poses, K, K) float temporaries, so a whole path in one call would
+# grow peak memory with the path's length; 16 poses of 24 plates fit.
+_POSE_BLOCK_PAIRS = 16 * 24 * 24
+
+
 def pose_strengths(x, landmarks, intrinsics, delta: float, thold: float = 0.0) -> np.ndarray:
-    """Measurable mask of all landmarks seen from the pose X, shape (K,)."""
+    """Measurable mask of all landmarks seen from the pose X, shape (K,).
+
+    ``x`` may also be a stack of poses (N, 4, 4), giving (N, K); each pose
+    looks along its own optical axis, and every row equals the one-pose call
+    bit for bit. The poses go to the kernel in blocks of at least one pose
+    and at most ``_POSE_BLOCK_PAIRS`` poses x plates x plates.
+    """
     x = np.asarray(x, dtype=float)
-    r_c = np.ascontiguousarray(x[:3, :3].T)
-    position = x[:3, 3][None, :]
-    return strengths_grid(position, r_c[None, :, :], landmarks, intrinsics, delta, thold)[0, 0]
+    if x.shape[-2:] != (4, 4) or x.ndim not in (2, 3):
+        raise ValueError(f"expected a (4, 4) pose or an (N, 4, 4) stack, got shape {x.shape}")
+    poses = x.reshape(-1, 4, 4)
+    plates = Deployment.of(landmarks)
+    k = len(plates)
+    positions = poses[:, :3, 3]
+    axes = poses[:, None, :3, 2]  # optical-axis rows of the world-to-camera rotations
+    block = max(1, _POSE_BLOCK_PAIRS // max(1, k * k))
+    out = np.empty((len(poses), k), dtype=bool)
+    for start in range(0, len(poses), block):
+        stop = start + block
+        out[start:stop] = axis_strengths(
+            positions[start:stop], axes[start:stop], plates, intrinsics, delta, thold
+        )[:, 0]
+    return out if x.ndim == 3 else out[0]
 
 
 def simulate(
@@ -213,12 +247,13 @@ def simulate(
 
     The true path is sampled once at ``config.dt``. Every sampled camera
     position must stay inside the reachable region; the first one outside
-    raises TrajectoryOutOfRegionError.
+    raises TrajectoryOutOfRegionError. Camera-model visibility at the true
+    poses is computed for the whole path before the loop; visibility from
+    the estimate depends on the previous step, so it is computed per step.
     """
     plates = Deployment.of(deployment)
     k = len(plates)
     c_h = np.vstack([plates.positions.T, np.ones(k)])
-    n = scene.params.n
     x_hat = np.array(trajectory.initial if x_hat0 is None else x_hat0, dtype=float)
     if not is_rigid_transform(x_hat, tol=1e-8):
         raise ValueError("initial estimate must be a rigid transform")
@@ -232,26 +267,26 @@ def simulate(
             f"camera position {xs[i, :3, 3].tolist()} left the reachable region at t={t[i]:.4f}"
         )
 
+    gates = (plates, scene.intrinsics, scene.params.delta, scene.params.thold)
+    per_step = config.visibility == "camera-model" and config.use_estimate_for_visibility
+    if config.visibility == "ideal":
+        visible = np.ones((count, k), dtype=bool)
+    elif per_step:
+        visible = np.empty((count, k), dtype=bool)
+    else:
+        visible = pose_strengths(xs, *gates)
     x_hats = np.empty((count, 4, 4))
     er = np.empty(count)
-    visible = np.zeros((count, k), dtype=bool)
-    qualified = np.zeros(count, dtype=bool)
 
     for i, x in enumerate(xs):
         x_hats[i] = x_hat
         er[i] = frobenius_error(x_hat, x)
-        if config.visibility == "ideal":
-            mask = np.ones(k, dtype=bool)
-        else:
-            source = x_hat if config.use_estimate_for_visibility else x
-            mask = pose_strengths(
-                source, plates, scene.intrinsics, scene.params.delta, scene.params.thold
-            )
-        visible[i] = mask
-        qualified[i] = int(mask.sum()) >= n
+        if per_step:
+            visible[i] = pose_strengths(x_hat, *gates)
         if i < len(twists):
-            x_hat = observer_step(x_hat, x, twists[i], c_h[:, mask], config)
+            x_hat = observer_step(x_hat, x, twists[i], c_h[:, visible[i]], config)
 
+    qualified = visible.sum(axis=1) >= scene.params.n
     return ObserverTrace(t=t, x=xs, x_hat=x_hats, er=er, visible=visible, qualified=qualified)
 
 
@@ -359,7 +394,7 @@ def trajectory_from_json(doc: dict, scene: Scene, dt: float, context: str = "tra
     A random walk is generated at the simulation step ``dt``; its optional
     ``dt_s`` must equal it. Every segment ``duration_s``, and a walk's
     ``duration_s`` and ``segment_duration_s``, must be a whole number of
-    ``dt`` steps.
+    ``dt`` steps, and the whole trajectory at most MAX_STEPS steps.
     """
     _check_schema(doc, context)
     x_hat0 = None
@@ -376,7 +411,8 @@ def trajectory_from_json(doc: dict, scene: Scene, dt: float, context: str = "tra
             dt_s = _number(spec["dt_s"], f"{where}.dt_s", positive=True)
             if dt_s != dt:
                 raise SchemaError(f"{where}.dt_s: {dt_s!r} differs from the simulation step {dt!r}")
-        _check_whole_steps(duration, dt, f"{where}.duration_s")
+        steps = _check_whole_steps(duration, dt, f"{where}.duration_s")
+        _check_total_steps(steps, dt, f"{where}.duration_s")
         _check_whole_steps(segment, dt, f"{where}.segment_duration_s")
         with _schema_errors(where):
             walk = random_walk_trajectory(
@@ -398,10 +434,12 @@ def trajectory_from_json(doc: dict, scene: Scene, dt: float, context: str = "tra
     if not isinstance(raw, list):
         raise SchemaError(f"{context}: 'segments' must be an array")
     segments = []
+    steps = 0
     for i, entry in enumerate(raw):
         where = f"{context}.segments[{i}]"
         duration = _number(_require(entry, "duration_s", where), f"{where}.duration_s", positive=True)
-        _check_whole_steps(duration, dt, f"{where}.duration_s")
+        steps += _check_whole_steps(duration, dt, f"{where}.duration_s")
+        _check_total_steps(steps, dt, f"{where}.duration_s")
         omega = _numbers(entry.get("omega_rad_s", [0.0, 0.0, 0.0]), f"{where}.omega_rad_s", length=3)
         velocity = _numbers(entry.get("velocity_cm_s", [0.0, 0.0, 0.0]), f"{where}.velocity_cm_s", length=3)
         segments.append((duration, twist(omega, velocity)))

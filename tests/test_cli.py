@@ -12,6 +12,7 @@ import pytest
 
 from conftest import CONFIG_DIR
 from landmark_coverage import deployment as deployment_module
+from landmark_coverage import observer as observer_module
 from landmark_coverage.cli import main
 
 DESK = str(CONFIG_DIR / "desk_room.json")
@@ -401,6 +402,10 @@ MALFORMED_INPUTS = [
      (0.3, 2.1, 0.7), "segment_duration_s"),
     ("trajectory@0.3", ("random_walk.dt_s", "random_walk.duration_s", "random_walk.segment_duration_s"),
      (0.3, 2.0, 0.6), "random_walk.duration_s"),
+    # 10^10 steps of 0.01 s, and 10^9 plates: above the step and plate caps
+    ("segments", "segments.0.duration_s", 1e8, "segments[0].duration_s"),
+    ("trajectory", "random_walk.duration_s", 1e8, "random_walk.duration_s"),
+    ("generate", "--count", 10**9, "count"),
 ]
 
 
@@ -425,7 +430,8 @@ def test_malformed_field_exits_2_naming_it(tmp_path, capsys, target, path, value
             "landmarks": [{"x": 300.0, "y": 0.0, "z": 300.0, "rho": 0.0, "eta": 0.0, "nu": 10.0}],
         },
     }
-    docs[target] = _edit(docs[target], path, value)
+    if target in docs:
+        docs[target] = _edit(docs[target], path, value)
     paths = {}
     for name, doc in docs.items():
         paths[name] = tmp_path / f"{name}.json"
@@ -439,6 +445,7 @@ def test_malformed_field_exits_2_naming_it(tmp_path, capsys, target, path, value
                        "--trajectory", str(paths["trajectory"])],
         "segments": ["simulate", "--deployment", str(paths["deployment"]),
                      "--trajectory", str(paths["segments"])],
+        "generate": ["generate", path, str(value)],
     }[target]
     if dt:
         argv += ["--dt", dt]
@@ -484,6 +491,36 @@ def test_oversized_evaluation_exits_2_before_building(tmp_path, capsys, monkeypa
     assert code == 2
     assert "grid.nx" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_step_and_plate_caps_hold_at_the_boundary(tmp_path, capsys, monkeypatch):
+    plates = tmp_path / "plates"
+    generate = ["generate", "--scene", DESK, "--count", "6"]
+    monkeypatch.setattr(deployment_module, "MAX_PLATES", 6)
+    run_ok(generate + ["--out-dir", str(plates)], capsys)
+    monkeypatch.setattr(deployment_module, "MAX_PLATES", 5)
+    out = tmp_path / "out"
+    assert main(generate + ["--kind", "random", "--out-dir", str(out)]) == 2
+    assert "count" in capsys.readouterr().err
+    assert not out.exists()
+
+    trajectory = tmp_path / "trajectory.json"
+    simulate = ["simulate", "--scene", DESK, "--deployment", str(plates / "deployment.json"),
+                "--trajectory", str(trajectory)]
+    # two segments of 5 steps of 0.01 s, then a walk of 10 steps
+    for doc, field in (
+        ({"schema": 1, "initial": {"position": [375.0, 250.0, 300.0]},
+          "segments": [{"duration_s": 0.05}, {"duration_s": 0.05}]}, "segments[1].duration_s"),
+        ({"schema": 1, "random_walk": {"duration_s": 0.1, "seed": 0}}, "random_walk.duration_s"),
+    ):
+        trajectory.write_text(json.dumps(doc))
+        monkeypatch.setattr(observer_module, "MAX_STEPS", 10)
+        run_ok(simulate + ["--out-dir", str(tmp_path / "at-cap")], capsys)
+        monkeypatch.setattr(observer_module, "MAX_STEPS", 9)
+        assert main(simulate + ["--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err and "10 steps" in err
+        assert not out.exists()
 
 
 def _python(argv, timeout=120):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 from scipy.linalg import expm
 
 import landmark_coverage.observer as obs
@@ -179,6 +180,148 @@ def test_pose_strengths_matches_scalar_loop():
         mask = obs.pose_strengths(x, deployment, scene.intrinsics, scene.params.delta, thold)
         assert mask.dtype == bool
         assert mask.tolist() == [s > 0 and s >= thold for s in strengths]
+
+
+def pose_with_axis(position, axis):
+    """A pose at ``position`` whose optical axis (third rotation column) is ``axis``."""
+    a = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    e1 = np.cross(a, [0.0, 0.0, 1.0] if abs(a[2]) < 0.9 else [1.0, 0.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    x = np.eye(4)
+    x[:3, :3] = np.column_stack([e1, np.cross(a, e1), a])
+    x[:3, 3] = position
+    return x
+
+
+def edge_poses(scene, deployment):
+    """Two poses seeing plate 0 1e-9 rad inside and outside the FOV cone, and
+    one pose standing on plate 1."""
+    plates = deployment.positions
+    position = scene.center + [3.0, -2.0, 1.0]
+    u = (plates[0] - position) / np.linalg.norm(plates[0] - position)
+    w = np.cross(u, [0.0, 0.0, 1.0])
+    w /= np.linalg.norm(w)
+    half = math.acos(scene.intrinsics.fov_cos)
+    edges = [
+        pose_with_axis(position, math.cos(angle) * u + math.sin(angle) * np.cross(w, u))
+        for angle in (half - 1e-9, half + 1e-9)
+    ]
+    return edges + [pose_with_axis(plates[1], -u)]
+
+
+@pytest.mark.parametrize("count_from_block", [-1, 0, 1, None])
+def test_pose_stack_matches_one_pose_calls_bitwise(count_from_block):
+    from landmark_coverage.coverage import coverage_strength
+
+    scene, deployment = room_scene_and_plates()
+    k = len(deployment)
+    block = obs._POSE_BLOCK_PAIRS // (k * k)
+    count = 1 if count_from_block is None else block + count_from_block
+    rng = np.random.default_rng(count)
+    poses = [
+        Pose6(scene.center + rng.uniform(-60.0, 60.0, 3), yaw=float(rng.uniform(-3.1, 3.1)),
+              pitch=float(rng.uniform(-1.5, 1.5)), roll=float(rng.uniform(-3.1, 3.1)))
+        for _ in range(count)
+    ]
+    stack = np.array([pose_to_se3(pose) for pose in poses])
+    if count > 3:
+        stack[-3:] = edge_poses(scene, deployment)
+    gates = (scene.intrinsics, scene.params.delta, scene.params.thold)
+
+    masks = obs.pose_strengths(stack, deployment, *gates)
+    assert masks.shape == (count, k) and masks.dtype == bool
+    for x, mask in zip(stack, masks):
+        assert np.array_equal(mask, obs.pose_strengths(x, deployment, *gates))
+    if count > 3:
+        assert 0 < masks.sum() < masks.size
+        inside, outside, on_plate = masks[-3:]
+        assert inside[0] and not outside[0]
+        assert not on_plate[1]
+    thold = scene.params.thold
+    for pose, mask in list(zip(poses, masks))[:3]:
+        strengths = [
+            coverage_strength(j, deployment.landmarks, pose, scene.intrinsics, scene.params.delta)
+            for j in range(k)
+        ]
+        assert mask.tolist() == [s > 0 and s >= thold for s in strengths]
+
+    empty = obs.pose_strengths(stack, Deployment([]), *gates)
+    assert empty.shape == (count, 0) and empty.dtype == bool
+
+
+def test_pose_strengths_rejects_other_shapes():
+    scene, deployment = room_scene_and_plates()
+    gates = (scene.intrinsics, scene.params.delta)
+    for shape in ((4,), (3, 4), (2, 3, 4, 4)):
+        with pytest.raises(ValueError, match="pose"):
+            obs.pose_strengths(np.zeros(shape), deployment, *gates)
+
+
+def test_simulate_kernel_calls_stay_within_the_block_cap(monkeypatch):
+    scene, deployment = room_scene_and_plates()
+    calls = []
+    kernel = obs.axis_strengths
+
+    def spy(points, axes, landmarks, *args):
+        calls.append((len(points), len(landmarks)))
+        return kernel(points, axes, landmarks, *args)
+
+    monkeypatch.setattr(obs, "axis_strengths", spy)
+    x0 = pose_to_se3(Pose6(scene.center, yaw=0.3))
+    spec = obs.TrajectorySpec(initial=x0, segments=[(10.0, twist([0.0, 0.0, 0.4], [0.0, 0.0, 0.0]))])
+    cfg = obs.ObserverConfig(k_i=1e-5, dt=0.01, visibility="camera-model")
+    trace = obs.simulate(scene, deployment, spec, cfg)
+    k = len(deployment)
+    block = obs._POSE_BLOCK_PAIRS // (k * k)
+    assert trace.t.size == 1001 and block < 1001
+    assert len(calls) == -(-1001 // block)
+    assert sum(b for b, _ in calls) == 1001
+    assert all(1 <= b and b * plates * plates <= obs._POSE_BLOCK_PAIRS for b, plates in calls)
+
+    # more plates than one pose's share of the cap: still one pose per call
+    import landmark_coverage.deployment as dep
+
+    many = dep.generate_uniform(scene, 100)
+    assert 100 * 100 > obs._POSE_BLOCK_PAIRS
+    calls.clear()
+    obs.pose_strengths(trace.x[:5], many, scene.intrinsics, scene.params.delta, scene.params.thold)
+    assert calls == [(1, 100)] * 5
+
+
+@pytest.mark.parametrize(
+    "visibility, from_estimate",
+    [("camera-model", False), ("camera-model", True), ("ideal", False)],
+)
+def test_simulate_matches_the_per_step_loop_bitwise(visibility, from_estimate):
+    scene, deployment = room_scene_and_plates()
+    walk = obs.random_walk_trajectory(
+        scene, duration=2.0, seed=5, segment_duration=0.25, lin_speed=20.0, ang_speed=1.5,
+    )
+    x_hat = walk.initial @ expm(twist([0.05, -0.04, 0.03], [2.0, -1.0, 1.5]))
+    cfg = obs.ObserverConfig(
+        k_i=2e-5, dt=0.01, visibility=visibility, use_estimate_for_visibility=from_estimate
+    )
+    trace = obs.simulate(scene, deployment, walk, cfg, x_hat0=x_hat)
+
+    # the observer loop with one visibility call per step
+    k = len(deployment)
+    c_h = np.vstack([deployment.positions.T, np.ones(k)])
+    gates = (deployment, scene.intrinsics, scene.params.delta, scene.params.thold)
+    twists, xs = walk.sample(cfg.dt)
+    assert np.array_equal(trace.x, xs)
+    for i, x in enumerate(xs):
+        assert np.array_equal(trace.x_hat[i], x_hat)
+        assert trace.er[i] == frobenius_error(x_hat, x)
+        if visibility == "ideal":
+            mask = np.ones(k, dtype=bool)
+        else:
+            mask = obs.pose_strengths(x_hat if from_estimate else x, *gates)
+        assert np.array_equal(trace.visible[i], mask)
+        assert trace.qualified[i] == (int(mask.sum()) >= scene.params.n)
+        if i < len(twists):
+            x_hat = obs.observer_step(x_hat, x, twists[i], c_h[:, mask], cfg)
+    if visibility == "camera-model":
+        assert 0 < trace.visible.sum() < trace.visible.size
 
 
 def test_simulate_static_ideal_converges(tiny_scene, tiny_deployment):
@@ -427,3 +570,112 @@ def test_trace_ratio_properties():
     )
     assert trace.qualified_time_ratio == 0.5
     assert trace.final_error == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed trajectory documents
+
+BAD_NUMBERS = [None, "0.1", True, [], {}, math.inf, -math.inf, math.nan, 10**400]
+# besides non-numbers: not positive, not whole 0.01 s steps, or above the step cap
+BAD_DURATIONS = BAD_NUMBERS + [0, -0.5, 0.015, 1e8, 1e300]
+
+
+def _value(good, bad):
+    return st.one_of(good, good, good, st.sampled_from(bad))
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False)
+
+
+def _vector(bound):
+    good = st.lists(_floats(-bound, bound), min_size=3, max_size=3)
+    return _value(good, [[0.0, 0.0], ["0", 0, 0], [0.0, 0.0, math.nan], "0", None])
+
+
+def _pose(center):
+    """A pose within 20 cm of ``center``, or a malformed one."""
+    position = st.lists(_floats(-20.0, 20.0), min_size=3, max_size=3).map(
+        lambda offset: [float(c + o) for c, o in zip(center, offset)]
+    )
+    return st.fixed_dictionaries(
+        {"position": _value(position, [None, [1.0, 2.0], ["1", 2.0, 3.0], [math.nan, 0.0, 0.0]])},
+        optional={name: _value(_floats(-4.0, 4.0), BAD_NUMBERS) for name in ("yaw", "pitch", "roll")},
+    )
+
+
+def trajectory_documents(center):
+    """Segment and random-walk documents, each field well formed or not.
+
+    Well-formed documents stay at most 20 + 0.4 s x 100 cm/s = 60 cm from
+    the desk center, inside the reachable region, so simulate exits 0 on
+    them; a random walk keeps to the region by construction.
+    """
+    duration = _value(st.sampled_from([0.01, 0.05, 0.1]), BAD_DURATIONS)
+    segment = st.fixed_dictionaries(
+        {"duration_s": duration},
+        optional={"omega_rad_s": _vector(2.0), "velocity_cm_s": _vector(100.0 / math.sqrt(3.0))},
+    )
+    segments = st.fixed_dictionaries(
+        {"schema": _value(st.just(1), [2, "1", True, None]),
+         "initial": _pose(center),
+         "segments": _value(st.lists(segment, min_size=1, max_size=4), [[], {}, None])},
+        optional={"initial_estimate": _pose(center)},
+    )
+    walk = st.fixed_dictionaries(
+        {"duration_s": _value(st.sampled_from([0.05, 0.1, 0.3]), BAD_DURATIONS),
+         "seed": _value(st.integers(-3, 2**40), [None, 1.5, "1", True])},
+        optional={
+            "segment_duration_s": _value(st.sampled_from([0.05, 0.1, 0.25]), BAD_DURATIONS),
+            "lin_speed_cm_s": _value(_floats(0.0, 200.0), BAD_NUMBERS),
+            "ang_speed_rad_s": _value(_floats(0.0, 4.0), BAD_NUMBERS),
+            "margin_cm": _value(_floats(0.0, 50.0), BAD_NUMBERS + [1000.0]),
+            "dt_s": _value(st.just(0.01), BAD_NUMBERS + [0.02]),
+            "initial": _pose(center),
+        },
+    )
+    walks = st.fixed_dictionaries({"schema": st.just(1), "random_walk": walk})
+    return st.one_of(segments, walks)
+
+
+@pytest.fixture(scope="module")
+def desk_inputs(tmp_path_factory):
+    import landmark_coverage.deployment as dep
+
+    from conftest import CONFIG_DIR
+
+    scene_path = CONFIG_DIR / "desk_room.json"
+    scene = dep.load_scene(scene_path)
+    deployment_path = tmp_path_factory.mktemp("desk") / "deployment.json"
+    dep.save_deployment(deployment_path, dep.generate_uniform(scene, 6))
+    return scene, scene_path, deployment_path
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@seed(20221)
+@given(data=st.data())
+def test_fuzzed_trajectories_load_or_fail_as_schema_errors(desk_inputs, data):
+    import contextlib
+    import io
+    import json
+    import tempfile
+
+    from landmark_coverage.cli import main
+
+    scene, scene_path, deployment_path = desk_inputs
+    doc = data.draw(trajectory_documents([float(c) for c in scene.center]))
+    try:
+        obs.trajectory_from_json(doc, scene, 0.01)
+        loads = True
+    except (SchemaError, ValueError):  # SchemaError is a ValueError; both exit 2
+        loads = False
+
+    with tempfile.TemporaryDirectory() as work:
+        path = f"{work}/trajectory.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        argv = ["simulate", "--scene", str(scene_path), "--deployment", str(deployment_path),
+                "--trajectory", path, "--k-i", "2e-5", "--out-dir", f"{work}/out"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code == (0 if loads else 2)
