@@ -18,7 +18,6 @@ ordering, and returns the thresholded mask bit for bit.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -316,26 +315,12 @@ class CapSet:
 
 # glibc raises its mmap threshold to the size of a freed mmapped block of up
 # to 32 MiB, and its trim threshold to twice that. Allocating and freeing one
-# untouched 8 MiB block here keeps the kernel's smaller temporaries on the
+# untouched 8 MiB block here keeps the kernel's float temporaries on the
 # heap, rather than handed back to the OS and faulted in again on every
 # call; importing scipy used to do this by accident. Untouched pages add no
-# resident memory.
+# resident memory. deployment._CHUNK_ELEMENTS sizes its blocks to stay under
+# these thresholds.
 np.empty(1 << 20)
-
-_buffers = threading.local()
-
-
-def _float_blocks(shape: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """This thread's two (B, G, K) float blocks, reallocated when the shape changes.
-
-    Reusing them spares every call the allocation and page faults of two
-    blocks that can exceed the allocator's mmap threshold. Callers must
-    never return a view of them.
-    """
-    blocks = getattr(_buffers, "blocks", None)
-    if blocks is None or blocks[0].shape != shape:
-        blocks = _buffers.blocks = (np.empty(shape), np.empty(shape))
-    return blocks
 
 
 def strengths_grid(
@@ -384,7 +369,7 @@ def axis_strengths(
     dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
     ranges = np.sqrt((dx * dx + dy * dy) + dz * dz)  # (B, K)
     r = axes[..., None]  # (B or 1, G, 3, 1)
-    z, scratch = _float_blocks((d.shape[0], r.shape[1], d.shape[1]))
+    z, scratch = np.empty((2, d.shape[0], r.shape[1], d.shape[1]))
     np.multiply(r[:, :, 0], dx[:, None, :], z)
     z += np.multiply(r[:, :, 1], dy[:, None, :], scratch)
     z += np.multiply(r[:, :, 2], dz[:, None, :], scratch)

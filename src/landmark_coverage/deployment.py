@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -39,21 +39,28 @@ from .geometry import CameraIntrinsics, Deployment, Landmark, as_vec3, normal_to
 
 WALL_NAMES = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")
 
-# Cap on elements of a (positions, cells, landmarks) strength block; keeps
-# peak memory flat when sweeping large grids.
-_CHUNK_ELEMENTS = 2_000_000
+# Cap on elements of a (positions, cells, landmarks) strength block, or of a
+# (positions, landmarks, landmarks) occlusion block when there are more
+# plates than cells; keeps peak memory flat when sweeping large grids.
+# 2^18 float64 elements are 2 MiB per block, so one kernel call's
+# temporaries stay under the 8 MiB mmap threshold and the 16 MiB trim
+# threshold that the import block in coverage sets, and are reused from the
+# heap rather than faulted in anew.
+_CHUNK_ELEMENTS = 262_144
 
 # Size caps checked before any array is built, so that a mistyped count
 # exits 2 instead of getting the process killed for memory or running for
 # days. The packaged configs use at most 1040 positions and 288 cells; the
 # Table 3 analysis with 90 plates is 27M gate evaluations (about 0.2 s).
 # A simulation keeps several arrays per step, 30 s at 0.01 s being 3000
-# steps; the packaged configs deploy at most 90 plates.
+# steps; the packaged configs deploy at most 90 plates. One position's
+# (1, K, K) occlusion pass costs about 40 B per plate pair, some 700 MB at
+# 4096 plates.
 MAX_POSITIONS = 1_000_000
 MAX_CELLS = 1_000_000
 MAX_GATE_EVALUATIONS = 10**10
 MAX_STEPS = 1_000_000
-MAX_PLATES = 10_000
+MAX_PLATES = 4096
 
 
 @dataclass(eq=False)
@@ -246,18 +253,22 @@ def make_scene(
 
 @dataclass(eq=False)
 class CoverageMap:
-    """n-fold coverage probability and qualification per reachable position."""
+    """n-fold coverage probability per reachable position, and whether it qualifies.
+
+    ``qualified`` is derived, ``p_n >= thold_p``: the one place it is decided.
+    """
 
     points: np.ndarray
     p_n: np.ndarray
-    qualified: np.ndarray
     rel: np.ndarray
     n: int
     thold_p: float
+    qualified: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if np.any(self.p_n < 0) or np.any(self.p_n > 1 + 1e-9):
             raise ValueError("coverage probabilities must lie in [0, 1]")
+        self.qualified = self.p_n >= self.thold_p
 
     @property
     def cost(self) -> float:
@@ -265,14 +276,7 @@ class CoverageMap:
         return math.fsum(self.rel[self.qualified].tolist())
 
     def with_threshold(self, thold_p: float) -> "CoverageMap":
-        return CoverageMap(
-            points=self.points,
-            p_n=self.p_n,
-            qualified=self.p_n >= thold_p,
-            rel=self.rel,
-            n=self.n,
-            thold_p=thold_p,
-        )
+        return replace(self, thold_p=thold_p)
 
 
 @dataclass
@@ -289,8 +293,8 @@ class DeploymentMetrics:
 def evaluate_coverage(scene: Scene, deployment, threads: int = 1) -> CoverageMap:
     """n-fold coverage probability at every reachable grid position."""
     plates = Deployment.of(deployment)
-    per_point = scene.grid.n_cells * max(1, len(plates))
-    chunk = max(1, _CHUNK_ELEMENTS // per_point)
+    k = max(1, len(plates))
+    chunk = max(1, _CHUNK_ELEMENTS // (max(scene.grid.n_cells, k) * k))
     spans = [scene.points[s : s + chunk] for s in range(0, scene.n_points, chunk)]
 
     def span_probabilities(points):
@@ -303,11 +307,9 @@ def evaluate_coverage(scene: Scene, deployment, threads: int = 1) -> CoverageMap
             parts = list(pool.map(span_probabilities, spans))
     else:
         parts = [span_probabilities(sp) for sp in spans]
-    p_n = np.concatenate(parts)
     return CoverageMap(
         points=scene.points,
-        p_n=p_n,
-        qualified=p_n >= scene.thold_p,
+        p_n=np.concatenate(parts),
         rel=scene.rel,
         n=scene.params.n,
         thold_p=scene.thold_p,
@@ -513,6 +515,8 @@ def deployment_from_json(doc: dict, context: str = "deployment") -> Deployment:
     entries = _require(doc, "landmarks", context)
     if not isinstance(entries, list):
         raise SchemaError(f"{context}: 'landmarks' must be an array")
+    if len(entries) > MAX_PLATES:
+        raise SchemaError(f"{context}.landmarks: {len(entries)} plates, above the cap of {MAX_PLATES}")
     landmarks = []
     for i, entry in enumerate(entries):
         where = f"{context}.landmarks[{i}]"

@@ -240,6 +240,10 @@ class CameraIntrinsics:
             raise ValueError("principal point must lie on the image")
         if not (self.d_s > self.f):
             raise ValueError("focusing distance must exceed the focal length")
+        try:
+            self.fov_cos
+        except OverflowError:
+            raise ValueError("intrinsics: the field-of-view tangent overflows") from None
 
     @property
     def infinite_focus(self) -> bool:

@@ -1,12 +1,18 @@
 """Shared fixtures: packaged room configs, a small unit-scale observer scene,
 and the paired desk-scale search runs reused by several acceptance checks."""
 
+import contextlib
+import copy
+import io
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import landmark_coverage as lc
 from landmark_coverage import ega
+from landmark_coverage.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -98,3 +104,55 @@ def desk_runs(desk_scene):
             best, history = ega.run(desk_scene, params, count=DESK_COUNT, mode=mode)
             runs[mode][seed] = (best, history)
     return runs
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed input documents
+
+# Hostile values for any field: non-numbers, non-finite, zero, negative and
+# extreme numbers, a fractional count, and integers past the size caps and
+# past the float range.
+BAD_VALUES = [None, "1", True, [], {}, math.inf, -math.inf, math.nan, 10**400, 10**9,
+              0, -1, 2.5, 1e-300, 1e300]
+
+
+def _paths(doc, prefix=()):
+    """The key or index path of every value inside a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, documents, max_edits=2):
+    """A document from ``documents`` with up to ``max_edits`` values spoiled.
+
+    Each edit replaces one value, a container or a leaf, with one of
+    ``BAD_VALUES``, or removes an object key.
+    """
+    doc = copy.deepcopy(draw(documents))
+    for _ in range(draw(st.integers(0, max_edits))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        node = doc
+        for step in parents:
+            node = node[step]
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(st.sampled_from(BAD_VALUES))
+    return doc
+
+
+def run_quietly(argv) -> int:
+    """The exit code of one in-process CLI call, its output discarded."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)

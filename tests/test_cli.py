@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 
@@ -406,6 +407,10 @@ MALFORMED_INPUTS = [
     ("segments", "segments.0.duration_s", 1e8, "segments[0].duration_s"),
     ("trajectory", "random_walk.duration_s", 1e8, "random_walk.duration_s"),
     ("generate", "--count", 10**9, "count"),
+    # a field-of-view tangent past the float range
+    ("scene", "intrinsics.f_mm", 1e-300, "intrinsics"),
+    pytest.param("scene", "intrinsics.width_px", 10**400, "intrinsics",
+                 id="scene-intrinsics.width_px-401_digits-intrinsics"),
 ]
 
 
@@ -505,8 +510,19 @@ def test_step_and_plate_caps_hold_at_the_boundary(tmp_path, capsys, monkeypatch)
     assert not out.exists()
 
     trajectory = tmp_path / "trajectory.json"
-    simulate = ["simulate", "--scene", DESK, "--deployment", str(plates / "deployment.json"),
-                "--trajectory", str(trajectory)]
+    trajectory.write_text(json.dumps({"schema": 1, "random_walk": {"duration_s": 0.1, "seed": 0}}))
+    deployment = ["--scene", DESK, "--deployment", str(plates / "deployment.json")]
+    simulate = ["simulate", *deployment, "--trajectory", str(trajectory)]
+    for argv in (["analyze", *deployment], simulate):
+        monkeypatch.setattr(deployment_module, "MAX_PLATES", 6)
+        run_ok(argv + ["--out-dir", str(tmp_path / "at-cap")], capsys)
+        monkeypatch.setattr(deployment_module, "MAX_PLATES", 5)
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and ".landmarks: 6 plates" in err
+        assert not out.exists()
+
+    monkeypatch.setattr(deployment_module, "MAX_PLATES", 6)
     # two segments of 5 steps of 0.01 s, then a walk of 10 steps
     for doc, field in (
         ({"schema": 1, "initial": {"position": [375.0, 250.0, 300.0]},
@@ -552,6 +568,26 @@ def test_se3_path_loads_scipy_linalg_only():
         "print('scipy.linalg' in sys.modules, 'scipy.stats' in sys.modules)"
     )])
     assert loaded.split() == ["True", "False"]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sized to glibc's malloc thresholds")
+@pytest.mark.parametrize("config, plates", [("table3_room", 90), ("desk_room", 200)])
+def test_repeated_coverage_evaluation_reuses_heap_pages(config, plates):
+    # The kernel's float blocks must come back from the heap, not be handed
+    # to the OS and faulted in again: a second evaluation in a fresh
+    # interpreter takes almost no minor page faults. The desk with 200
+    # plates has more plates than cells, so its occlusion pass sets the
+    # block size.
+    faults = _python(["-c", (
+        "import resource, landmark_coverage as lc\n"
+        f"scene = lc.load_scene({str(CONFIG_DIR / f'{config}.json')!r})\n"
+        f"plates = lc.generate_random(scene, {plates}, seed=0)\n"
+        "lc.evaluate_coverage(scene, plates)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "lc.evaluate_coverage(scene, plates)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
+    )])
+    assert int(faults) <= 500
 
 
 @pytest.mark.parametrize(

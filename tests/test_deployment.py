@@ -2,14 +2,19 @@
 
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import landmark_coverage.deployment as dep
 from landmark_coverage.coverage import CoverageParams, coverage_probabilities
 from landmark_coverage.errors import SchemaError
 from landmark_coverage.geometry import CameraIntrinsics, Landmark
+
+from conftest import CONFIG_DIR, mutated, run_quietly
 
 INTRINSICS = CameraIntrinsics(
     f=5.0, s_u=0.0058, s_v=0.0058, o_u=800, o_v=600,
@@ -290,6 +295,22 @@ def test_cost_and_metrics():
     assert np.array_equal(stricter.p_n, cov.p_n)
 
 
+def test_a_position_at_exactly_thold_p_qualifies():
+    scene = small_scene()
+    deployment = dep.generate_uniform(scene, 8)
+    p_n = dep.evaluate_coverage(scene, deployment).p_n
+    i = int(np.flatnonzero((p_n > 0) & (p_n < 1))[0])
+    at = dep.evaluate_coverage(scene.with_coverage(thold_p=float(p_n[i])), deployment)
+    assert at.p_n[i] == at.thold_p and at.qualified[i]
+    assert np.array_equal(at.qualified, p_n >= p_n[i])
+    above = at.with_threshold(float(np.nextafter(p_n[i], 2.0)))
+    assert not above.qualified[i]
+    assert above.with_threshold(at.thold_p).qualified[i]
+    with pytest.raises(TypeError):
+        dep.CoverageMap(points=np.zeros((1, 3)), p_n=np.ones(1), qualified=np.zeros(1, dtype=bool),
+                        rel=np.ones(1), n=1, thold_p=0.5)
+
+
 def test_metrics_validation():
     with pytest.raises(ValueError):
         dep.DeploymentMetrics(qualified_ratio=0.5, average_cp=0.9, maximum_cp=0.5)
@@ -300,7 +321,6 @@ def test_coverage_map_rejects_bad_probabilities():
         dep.CoverageMap(
             points=np.zeros((2, 3)),
             p_n=np.array([0.5, 1.5]),
-            qualified=np.zeros(2, dtype=bool),
             rel=np.ones(2),
             n=1,
             thold_p=0.5,
@@ -427,3 +447,103 @@ def test_deployment_json_mu_defaults_to_zero():
     loaded = dep.deployment_from_json({"schema": 1, "landmarks": [entry]})
     assert loaded.landmarks[0].mu == 0.0
     assert loaded.landmarks[0].nu == 8.0
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed scene and deployment files
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False)
+
+
+def _extents(lo, hi):
+    return st.fixed_dictionaries({k: _floats(lo, hi) for k in ("length_cm", "width_cm", "height_cm")})
+
+
+def scene_documents():
+    """Well-formed desk-like scenes of at most 27 positions and 288 cells."""
+    intrinsics = json.loads((CONFIG_DIR / "desk_room.json").read_text())["intrinsics"]
+    step = st.sampled_from([math.pi / 6, math.pi / 3, 1.0])
+    return st.fixed_dictionaries(
+        {
+            "schema": st.just(1),
+            "room": _extents(400.0, 800.0),
+            "reachable": _extents(100.0, 350.0),
+            "grid": st.fixed_dictionaries({k: st.integers(1, 3) for k in ("nx", "ny", "nz")}),
+            "intrinsics": st.just(intrinsics),
+            "coverage": st.fixed_dictionaries(
+                {"thold": _floats(0.0, 0.5), "delta_px": _floats(1.0, 8.0),
+                 "n": st.integers(0, 3), "thold_p": _floats(0.0, 1.0)},
+                optional={"nu_cm": _floats(1.0, 20.0)},
+            ),
+        },
+        optional={
+            "orientation": st.fixed_dictionaries(
+                {}, optional={"yaw_step_rad": step, "pitch_step_rad": step}
+            ),
+            "pdf": st.sampled_from(["uniform", "solid-angle"]),
+            "rel": st.just("uniform"),
+            "walls": st.lists(st.sampled_from(dep.WALL_NAMES), min_size=1, unique=True),
+        },
+    )
+
+
+def deployment_documents():
+    """Well-formed deployments of one to four plates inside the desk room."""
+    angle = st.floats(-math.pi, math.pi, exclude_max=True)
+    plate = st.fixed_dictionaries(
+        {"x": _floats(0.0, 750.0), "y": _floats(0.0, 500.0), "z": _floats(0.0, 600.0),
+         "rho": angle, "eta": _floats(-math.pi / 2, math.pi / 2), "nu": _floats(1.0, 20.0)},
+        optional={"mu": angle},
+    )
+    return st.fixed_dictionaries(
+        {"schema": st.just(1), "landmarks": st.lists(plate, min_size=1, max_size=4)}
+    )
+
+
+@pytest.fixture(scope="module")
+def desk_plates(tmp_path_factory):
+    path = tmp_path_factory.mktemp("desk") / "deployment.json"
+    dep.save_deployment(path, dep.generate_uniform(dep.load_scene(CONFIG_DIR / "desk_room.json"), 6))
+    return path
+
+
+def _write_json(work, doc):
+    path = os.path.join(work, "input.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@seed(20223)
+@given(doc=mutated(scene_documents()))
+def test_fuzzed_scenes_load_or_fail_as_schema_errors(desk_plates, doc):
+    try:
+        dep.scene_from_config(doc)
+        loads = True
+    except ValueError:  # SchemaError is a ValueError; both exit 2
+        loads = False
+    with tempfile.TemporaryDirectory() as work:
+        scene = _write_json(work, doc)
+        generate = run_quietly(["generate", "--scene", scene, "--count", "3",
+                                "--out-dir", f"{work}/plates"])
+        analyze = run_quietly(["analyze", "--scene", scene, "--deployment", str(desk_plates),
+                               "--out-dir", f"{work}/out"])
+    assert generate == analyze == (0 if loads else 2)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@seed(20224)
+@given(doc=mutated(deployment_documents()))
+def test_fuzzed_deployments_load_or_fail_as_schema_errors(doc):
+    try:
+        dep.deployment_from_json(doc)
+        loads = True
+    except ValueError:
+        loads = False
+    with tempfile.TemporaryDirectory() as work:
+        code = run_quietly(["analyze", "--scene", str(CONFIG_DIR / "desk_room.json"),
+                            "--deployment", _write_json(work, doc), "--out-dir", f"{work}/out"])
+    assert code == (0 if loads else 2)

@@ -19,7 +19,7 @@ from landmark_coverage.geometry import (
     twist,
 )
 
-from conftest import build_tiny_deployment, build_tiny_scene
+from conftest import build_tiny_deployment, build_tiny_scene, run_quietly
 
 
 def random_transform(rng, angle=0.5, shift=1.0):
@@ -655,12 +655,8 @@ def desk_inputs(tmp_path_factory):
 @seed(20221)
 @given(data=st.data())
 def test_fuzzed_trajectories_load_or_fail_as_schema_errors(desk_inputs, data):
-    import contextlib
-    import io
     import json
     import tempfile
-
-    from landmark_coverage.cli import main
 
     scene, scene_path, deployment_path = desk_inputs
     doc = data.draw(trajectory_documents([float(c) for c in scene.center]))
@@ -676,6 +672,5 @@ def test_fuzzed_trajectories_load_or_fail_as_schema_errors(desk_inputs, data):
             json.dump(doc, fh)
         argv = ["simulate", "--scene", str(scene_path), "--deployment", str(deployment_path),
                 "--trajectory", path, "--k-i", "2e-5", "--out-dir", f"{work}/out"]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
+        code = run_quietly(argv)
     assert code == (0 if loads else 2)

@@ -1,12 +1,19 @@
 """Orientation-density estimation: thinning, tests, and the adoption rule."""
 
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
+import landmark_coverage.deployment as dep
 import landmark_coverage.pdf_estimation as pdfmod
 from landmark_coverage.errors import SchemaError
+
+from conftest import CONFIG_DIR, mutated, run_quietly
 
 
 def uniform_trace(n, seed, dt=0.01):
@@ -221,3 +228,100 @@ def test_pdf_json_round_trip():
     unnorm["weights"] = [0.5] * 18
     with pytest.raises(SchemaError, match="sum to 1"):
         pdfmod.pdf_from_json(unnorm)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed density and sample files
+
+
+@pytest.fixture(scope="module")
+def coarse_desk(tmp_path_factory):
+    """The desk on a 4 x 2 orientation grid, and six uniform plates."""
+    work = tmp_path_factory.mktemp("coarse")
+    doc = json.loads((CONFIG_DIR / "desk_room.json").read_text())
+    doc["orientation"] = {"yaw_step_rad": math.pi / 2, "pitch_step_rad": math.pi / 2}
+    (work / "scene.json").write_text(json.dumps(doc))
+    scene = dep.load_scene(work / "scene.json")
+    dep.save_deployment(work / "deployment.json", dep.generate_uniform(scene, 6))
+    return work
+
+
+def pdf_documents():
+    """Well-formed densities on a 4 x 2 grid, or on another grid."""
+    shape = st.sampled_from([(4, 2), (4, 2), (2, 4), (8, 1)])
+    counts = st.lists(st.integers(1, 4), min_size=8, max_size=8)
+    return st.builds(
+        lambda s, c: {"schema": 1, "n_yaw": s[0], "n_pitch": s[1], "weights": [x / sum(c) for x in c]},
+        shape, counts,
+    )
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@seed(20225)
+@given(doc=mutated(pdf_documents()))
+def test_fuzzed_pdfs_load_or_fail_as_schema_errors(coarse_desk, doc):
+    try:
+        _, n_yaw, n_pitch = pdfmod.pdf_from_json(doc)
+        matches = (n_yaw, n_pitch) == (4, 2)
+    except ValueError:  # SchemaError is a ValueError; both exit 2
+        matches = False
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "pdf.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code = run_quietly(["analyze", "--scene", str(coarse_desk / "scene.json"),
+                            "--deployment", str(coarse_desk / "deployment.json"),
+                            "--pdf", path, "--out-dir", f"{work}/out"])
+    assert code == (0 if matches else 2)
+
+
+BAD_CELLS = ["", " ", "x", "nan", "inf", "-inf", "1e400", "0x10", "1;2", "4", "-4", "\udcff"]
+
+
+@st.composite
+def samples_files(draw):
+    """A t,alpha,beta CSV of a random trace of up to 200 samples, perhaps spoiled.
+
+    Each spoiling edit replaces a cell (or the header) with one of
+    ``BAD_CELLS``, drops or adds a column, or swaps two rows; the text is
+    then encoded as UTF-8 with a lone surrogate written as an invalid byte.
+    """
+    n = draw(st.integers(0, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = [c.tolist() for c in (np.cumsum(rng.uniform(1e-3, 1.0, n)),
+                                    rng.uniform(-math.pi, math.pi, n),
+                                    rng.uniform(-math.pi / 2, math.pi / 2, n))]
+    rows = [["t", "alpha", "beta"]] + [[repr(v) for v in row] for row in zip(*columns)]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(["cell", "drop", "add", "swap"]))
+        if edit == "cell":
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(BAD_CELLS))
+        elif edit == "drop" and rows[i]:
+            rows[i].pop()
+        elif edit == "add":
+            rows[i].append("0.5")
+        elif edit == "swap":
+            j = draw(st.integers(0, len(rows) - 1))
+            rows[i], rows[j] = rows[j], rows[i]
+    text = "".join(",".join(row) + "\n" for row in rows)
+    return text.encode("utf-8", errors="surrogateescape")
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@seed(20226)
+@given(data=samples_files())
+def test_fuzzed_samples_load_or_fail_as_schema_errors(data):
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "samples.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            pdfmod.load_samples_csv(path)
+            loads = True
+        except ValueError:
+            loads = False
+        code = run_quietly(["estimate-pdf", "--samples", path, "--n-yaw", "4", "--n-pitch", "2",
+                            "--mean-gap", "1e-9", "--out-dir", f"{work}/out"])
+    # a loaded trace may still be too short to estimate from, which also exits 2
+    assert code in ((0, 2) if loads else (2,))
