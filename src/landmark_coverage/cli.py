@@ -25,6 +25,7 @@ import sys
 
 from . import __version__
 from .deployment import (
+    _check_plate_count,
     evaluate_coverage,
     generate_random,
     generate_uniform,
@@ -196,7 +197,7 @@ def _cmd_generate(args) -> int:
             {"kind": args.kind, "count": args.count, "seed": args.seed},
             {"scene": args.scene},
         )
-    print(f"generated {len(deployment.landmarks)} landmarks ({args.kind})")
+    print(f"generated {len(deployment)} landmarks ({args.kind})")
     return 0
 
 
@@ -205,14 +206,13 @@ def _cmd_optimize(args) -> int:
     scene = load_scene(args.scene)
     initial = load_deployment(args.initial) if args.initial else None
     if initial is not None:
-        count = len(initial.landmarks)
+        count = len(initial)
     elif args.count is not None:
         count = args.count
     else:
         raise ValueError("either --count or --initial is required")
-    if count < 1:
-        raise ValueError("landmark count must be at least 1")
     scene.check_evaluation_size(count)
+    _check_plate_count(count)
 
     length = GENES_PER_LANDMARK * count
     lo, hi = default_segment_bounds(length)

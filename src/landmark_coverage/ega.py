@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace as _dc_replace
 import numpy as np
 
 from .deployment import Deployment, Scene, cost
-from .geometry import Landmark
 
 logger = logging.getLogger(__name__)
 
@@ -41,6 +40,8 @@ class GeneSpace:
     draw_hi: np.ndarray = field(init=False)
     clamp_lo: np.ndarray = field(init=False)
     clamp_hi: np.ndarray = field(init=False)
+    _walls: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _nu: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.count < 1:
@@ -63,6 +64,13 @@ class GeneSpace:
         self.draw_hi = np.tile(np.asarray(draw_hi), self.count)
         self.clamp_lo = self.draw_lo.copy()
         self.clamp_hi = np.tile(np.asarray(clamp_hi), self.count)
+        walls = self.scene.walls
+        # Per-wall tables: origin, u_dir, v_dir (W, 3) and u_len, v_len (W,).
+        self._walls = tuple(
+            np.array([getattr(w, name) for w in walls], dtype=float)
+            for name in ("origin", "u_dir", "v_dir", "u_len", "v_len")
+        )
+        self._nu = np.full(self.count, float(self.scene.nu_default))
 
     @property
     def length(self) -> int:
@@ -87,22 +95,23 @@ class GeneSpace:
         repaired = int(np.count_nonzero(clipped != raw))
         if repaired:
             logger.debug("clamped %d out-of-range genes", repaired)
-        landmarks = []
-        for i in range(self.count):
-            g = clipped[GENES_PER_LANDMARK * i : GENES_PER_LANDMARK * (i + 1)]
-            if self.encoding == "wall":
-                idx = min(int(g[0]), len(self.scene.walls) - 1)
-                position = self.scene.walls[idx].point(g[1], g[2])
-            else:
-                position = g[:3]
-            landmarks.append(
-                Landmark(position, rho=g[3], eta=g[4], mu=0.0, nu=self.scene.nu_default)
+        g = clipped.reshape(self.count, GENES_PER_LANDMARK)
+        if self.encoding == "wall":
+            origin, u_dir, v_dir, u_len, v_len = self._walls
+            idx = np.minimum(g[:, 0].astype(np.intp), len(origin) - 1)
+            # Wall.point's operation order, so positions match it bit for bit.
+            positions = (
+                origin[idx]
+                + (g[:, 1] * u_len[idx])[:, None] * u_dir[idx]
+                + (g[:, 2] * v_len[idx])[:, None] * v_dir[idx]
             )
-        return Deployment(landmarks)
+        else:
+            positions = g[:, :3]
+        return Deployment.from_arrays(positions, g[:, 3], g[:, 4], self._nu)
 
     def encode(self, deployment: Deployment) -> np.ndarray:
         genes = np.empty(self.length)
-        if len(deployment.landmarks) != self.count:
+        if len(deployment) != self.count:
             raise ValueError("deployment size does not match the gene space")
         for i, lm in enumerate(deployment.landmarks):
             block = genes[GENES_PER_LANDMARK * i : GENES_PER_LANDMARK * (i + 1)]
@@ -255,7 +264,7 @@ def run(
     if mode == "sga":
         params = _dc_replace(params, q=0)
     if initial is not None:
-        count = len(initial.landmarks)
+        count = len(initial)
     if count is None:
         raise ValueError("either a landmark count or an initial deployment is required")
     space = GeneSpace(scene, count, encoding)

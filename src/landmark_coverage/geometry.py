@@ -19,7 +19,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,39 +156,91 @@ class Landmark:
             raise ValueError(f"nu must be a positive finite diameter, got {self.nu}")
 
 
+def _facing_normal(rho: float, eta: float) -> tuple[float, float, float]:
+    # The one normal expression: libm's cos/sin, which numpy's SIMD
+    # versions are not guaranteed to match bit for bit.
+    cr, sr = math.cos(rho), math.sin(rho)
+    ce, se = math.cos(eta), math.sin(eta)
+    return (-sr * ce, cr * ce, -se)
+
+
 def landmark_normal(landmark: Landmark) -> np.ndarray:
     """Unit facing normal of a plate with yaw ``rho`` and pitch ``eta``."""
-    cr, sr = math.cos(landmark.rho), math.sin(landmark.rho)
-    ce, se = math.cos(landmark.eta), math.sin(landmark.eta)
-    return np.array([-sr * ce, cr * ce, -se])
+    return np.array(_facing_normal(landmark.rho, landmark.eta))
 
 
-@dataclass(eq=False)
 class Deployment:
-    """An ordered tuple of plate landmarks plus their plate arrays.
+    """An ordered set of plate landmarks, stored as read-only plate arrays.
 
-    ``positions`` (K, 3), ``normals`` (K, 3) and ``nu`` (K,) are derived
-    once from the landmarks and are read-only; the normals come from
-    ``landmark_normal`` so the batched kernel sees exactly the values the
-    scalar criteria use.
+    ``positions`` (K, 3), ``normals`` (K, 3) and ``nu`` (K,) are the
+    storage. ``Deployment(landmarks)`` derives them from a Landmark sequence;
+    ``Deployment.from_arrays`` takes them from plate angles directly, and
+    the ``landmarks`` tuple is then built only when something asks for it.
+    Either way the normals come from the scalar expression that
+    ``landmark_normal`` uses, so the batched kernel sees exactly the values
+    the scalar criteria use.
     """
 
-    landmarks: tuple[Landmark, ...]
-    positions: np.ndarray = field(init=False, repr=False)
-    normals: np.ndarray = field(init=False, repr=False)
-    nu: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.landmarks = tuple(self.landmarks)
-        k = len(self.landmarks)
-        self.positions = _read_only(np.array([lm.position for lm in self.landmarks]).reshape(k, 3))
-        self.normals = _read_only(
-            np.array([landmark_normal(lm) for lm in self.landmarks]).reshape(k, 3)
+    def __init__(self, landmarks):
+        self._landmarks = tuple(landmarks)
+        self._angles = None
+        k = len(self._landmarks)
+        self._store(
+            np.array([lm.position for lm in self._landmarks]).reshape(k, 3),
+            [(lm.rho, lm.eta) for lm in self._landmarks],
+            np.array([lm.nu for lm in self._landmarks], dtype=float),
         )
-        self.nu = _read_only(np.array([lm.nu for lm in self.landmarks], dtype=float))
+
+    @classmethod
+    def from_arrays(cls, positions, rho, eta, nu) -> "Deployment":
+        """Plates at ``positions`` (K, 3) with facing angles and diameters (K,).
+
+        Plate roll is zero. The values are checked once, with the messages
+        ``Landmark`` gives, and copied.
+        """
+        positions = np.array(positions, dtype=float)
+        rho, eta, nu = (np.array(a, dtype=float) for a in (rho, eta, nu))
+        if not (positions.ndim == 2 and positions.shape[1] == 3
+                and rho.shape == eta.shape == nu.shape == positions.shape[:1]):
+            raise ValueError(
+                f"plate arrays must be positions (K, 3) and rho, eta, nu (K,), got "
+                f"{positions.shape}, {rho.shape}, {eta.shape}, {nu.shape}"
+            )
+        if not np.isfinite(positions).all():
+            raise ValueError("vector components must be finite")
+        checks = (
+            (rho, (rho >= -math.pi) & (rho < math.pi), "rho {} outside [-pi, pi)"),
+            (eta, (eta >= -math.pi / 2) & (eta <= math.pi / 2), "eta {} outside [-pi/2, pi/2]"),
+            (nu, (nu > 0) & np.isfinite(nu), "nu must be a positive finite diameter, got {}"),
+        )
+        for values, ok, message in checks:
+            if not ok.all():
+                raise ValueError(message.format(float(values[~ok][0])))
+        plates = cls.__new__(cls)
+        plates._landmarks = None
+        plates._angles = list(zip(rho.tolist(), eta.tolist()))
+        plates._store(positions, plates._angles, nu)
+        return plates
+
+    def _store(self, positions: np.ndarray, angles, nu: np.ndarray):
+        self.positions = _read_only(positions)
+        self.normals = _read_only(
+            np.array([_facing_normal(rho, eta) for rho, eta in angles]).reshape(len(angles), 3)
+        )
+        self.nu = _read_only(nu)
+
+    @property
+    def landmarks(self) -> tuple[Landmark, ...]:
+        """The plates as Landmark objects, built on first use."""
+        if self._landmarks is None:
+            self._landmarks = tuple(
+                Landmark(position, rho=rho, eta=eta, mu=0.0, nu=nu)
+                for position, (rho, eta), nu in zip(self.positions, self._angles, self.nu.tolist())
+            )
+        return self._landmarks
 
     def __len__(self) -> int:
-        return len(self.landmarks)
+        return self.positions.shape[0]
 
     @classmethod
     def of(cls, plates) -> "Deployment":

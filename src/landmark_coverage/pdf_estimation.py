@@ -254,11 +254,17 @@ def load_samples_csv(path) -> AngleSamples:
                 raise SchemaError(
                     f"samples {path}: header must be 't,alpha,beta', got {header.strip()!r}"
                 )
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            # np.loadtxt skips lines that are empty once a '#' comment is cut,
+            # and warns when no line is left; such a file has no sample rows.
+            rows = [line for line in fh if line.split("#", 1)[0].rstrip("\r\n")]
+            if rows:
+                data = np.loadtxt(rows, delimiter=",", ndmin=2)
     except OSError as exc:
         raise SchemaError(f"samples {path}: cannot read: {exc}") from exc
     except ValueError as exc:
         raise SchemaError(f"samples {path}: malformed numeric row: {exc}") from exc
+    if not rows:
+        raise SchemaError(f"samples {path}: no sample rows after the 't,alpha,beta' header")
     if data.shape[1] != 3:
         raise SchemaError(f"samples {path}: expected 3 columns, got {data.shape[1]}")
     with _schema_errors(f"samples {path}"):

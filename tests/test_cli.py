@@ -407,6 +407,9 @@ MALFORMED_INPUTS = [
     ("segments", "segments.0.duration_s", 1e8, "segments[0].duration_s"),
     ("trajectory", "random_walk.duration_s", 1e8, "random_walk.duration_s"),
     ("generate", "--count", 10**9, "count"),
+    # 6000 desk plates stay under the gate-evaluation cap but not the plate cap
+    ("optimize", "--count", 6000, "count"),
+    ("optimize", "--count", 0, "count"),
     # a field-of-view tangent past the float range
     ("scene", "intrinsics.f_mm", 1e-300, "intrinsics"),
     pytest.param("scene", "intrinsics.width_px", 10**400, "intrinsics",
@@ -451,6 +454,7 @@ def test_malformed_field_exits_2_naming_it(tmp_path, capsys, target, path, value
         "segments": ["simulate", "--deployment", str(paths["deployment"]),
                      "--trajectory", str(paths["segments"])],
         "generate": ["generate", path, str(value)],
+        "optimize": ["optimize", path, str(value), "--m", "1", "--q", "0", "--iterations", "0"],
     }[target]
     if dt:
         argv += ["--dt", dt]

@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import landmark_coverage.coverage as coverage_module
 from landmark_coverage.coverage import (
     CapSet,
     CoverageParams,
@@ -24,6 +25,7 @@ from landmark_coverage.coverage import (
     resolution_criterion,
     strengths_grid,
 )
+from landmark_coverage.deployment import generate_uniform
 from landmark_coverage.geometry import CameraIntrinsics, Deployment, Landmark, Pose6
 
 TABLE3 = CameraIntrinsics(
@@ -341,6 +343,34 @@ def test_coverage_probabilities_batch():
     for b in range(2):
         caps = coverage_caps(points[b], landmarks, grid, TABLE3, params)
         assert p[b] == nple_probability(caps, OrientationPdf.uniform(grid))
+
+
+@pytest.mark.parametrize("n_yaw, n_pitch", [(3, 1), (7, 1), (7, 7), (12, 6), (24, 12), (40, 25)])
+def test_uniform_reduction_equals_fsum_for_every_count(monkeypatch, n_yaw, n_pitch):
+    grid = OrientationGrid.from_cells(n_yaw, n_pitch)
+    g = grid.n_cells
+    pdf = OrientationPdf.uniform(grid)
+    params = CoverageParams(thold=0.0, delta=4.0, n=2)
+    rng = np.random.default_rng(g)
+    # row c reaches n plates in c shuffled cells and stays below n elsewhere
+    covered = rng.permuted(np.arange(g)[None, :] < np.arange(g + 1)[:, None], axis=1)
+    counts = np.where(covered, rng.integers(2, 5, covered.shape), rng.integers(0, 2, covered.shape))
+    monkeypatch.setattr(coverage_module, "cell_counts", lambda *args: counts)
+    p = coverage_probabilities(np.zeros((g + 1, 3)), [], grid, pdf, TABLE3, params)
+    want = np.array([math.fsum(pdf.weights[row].tolist()) for row in covered])
+    assert p.dtype == want.dtype and p.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["solid-angle", "uniform"])
+def test_coverage_probabilities_match_scalar_reduction_bitwise(desk_scene, kind):
+    grid = desk_scene.grid
+    pdf = OrientationPdf.solid_angle(grid) if kind == "solid-angle" else OrientationPdf.uniform(grid)
+    plates = generate_uniform(desk_scene, 24)
+    args = (desk_scene.intrinsics, desk_scene.params)
+    p = coverage_probabilities(desk_scene.points, plates, grid, pdf, *args)
+    assert 0.0 < p.min() < p.max() < 1.0
+    for b, point in enumerate(desk_scene.points):
+        assert p[b] == nple_probability(coverage_caps(point, plates, grid, *args), pdf)
 
 
 def test_capset_validation():

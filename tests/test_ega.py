@@ -1,6 +1,7 @@
 """Gene coding, population mechanics, and search determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import landmark_coverage.deployment as dep
 import landmark_coverage.ega as ega
 from landmark_coverage.coverage import CoverageParams
-from landmark_coverage.geometry import CameraIntrinsics, Landmark
+from landmark_coverage.geometry import CameraIntrinsics, Landmark, landmark_normal
 
 INTRINSICS = CameraIntrinsics(
     f=5.0, s_u=0.0058, s_v=0.0058, o_u=800, o_v=600,
@@ -223,3 +224,90 @@ def test_threaded_fitness_matches_serial():
     assert [(h.best, h.mean, h.worst) for h in hist1] == [
         (h.best, h.mean, h.worst) for h in hist4
     ]
+
+
+def landmark_decode(space, genes):
+    """The chromosome decode built plate by plate from Landmark objects."""
+    clipped = np.clip(np.asarray(genes, dtype=float).ravel(), space.clamp_lo, space.clamp_hi)
+    landmarks = []
+    for g in clipped.reshape(space.count, ega.GENES_PER_LANDMARK):
+        if space.encoding == "wall":
+            idx = min(int(g[0]), len(space.scene.walls) - 1)
+            position = space.scene.walls[idx].point(g[1], g[2])
+        else:
+            position = g[:3]
+        landmarks.append(Landmark(position, rho=g[3], eta=g[4], mu=0.0, nu=space.scene.nu_default))
+    return dep.Deployment(landmarks)
+
+
+def slanted_walls(rng, count):
+    """Walls with skew, non-unit edge vectors, where the order of Wall.point's
+    products and sums shows in the last bits of a position."""
+    walls = []
+    for i in range(count):
+        u_dir, v_dir = rng.normal(size=3), rng.normal(size=3)
+        normal = np.cross(u_dir, v_dir)
+        walls.append(dep.Wall(f"slant{i}", rng.uniform(-50.0, 50.0, 3), u_dir, v_dir,
+                              rng.uniform(10.0, 300.0), rng.uniform(10.0, 300.0),
+                              normal / np.linalg.norm(normal)))
+    return walls
+
+
+def edge_chromosomes(space, rng):
+    """Chromosomes whose genes sit on, or past, the clamp bounds."""
+    n_w = len(space.scene.walls)
+    lo, hi = space.clamp_lo[: ega.GENES_PER_LANDMARK], space.clamp_hi[: ega.GENES_PER_LANDMARK]
+    edges = [
+        [math.nextafter(float(n_w), 0.0), 0.0, 1.0, math.nextafter(math.pi, 0.0), math.pi / 2],
+        [0.0, 1.0, 0.0, -math.pi, -math.pi / 2],
+        lo, hi, lo - 1.0, hi + 1.0, [1e9, -1e9, 1e9, 1e9, -1e9],
+    ]
+    rows = []
+    for _ in range(20):
+        picks = rng.integers(0, len(edges), (space.count, ega.GENES_PER_LANDMARK))
+        rows.append(np.array([[edges[p][j] for j, p in enumerate(row)] for row in picks]).ravel())
+    return rows
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("encoding", ["wall", "free"])
+def test_decode_matches_landmark_built_deployment_bitwise(monkeypatch, encoding):
+    rng = np.random.default_rng(17)
+    base = search_scene()
+    scene = replace(base, walls=base.walls + slanted_walls(rng, 3))
+    space = ega.GeneSpace(scene, count=7, encoding=encoding)
+    # A numpy whose vector sin/cos differ from libm by an ulp, as SIMD builds
+    # may: plate normals must still come from the scalar libm expression.
+    for name in ("sin", "cos"):
+        exact = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda x, *a, _f=exact, **k: np.nextafter(_f(x, *a, **k), np.inf))
+    rows = [space.random(rng) for _ in range(200)] + edge_chromosomes(space, rng)
+    for genes in rows:
+        got, want = space.decode(genes), landmark_decode(space, genes)
+        for name in ("positions", "normals", "nu"):
+            assert_same_bits(getattr(got, name), getattr(want, name))
+            assert not getattr(got, name).flags.writeable
+        assert_same_bits(got.normals, np.array([landmark_normal(lm) for lm in want.landmarks]))
+        assert len(got.landmarks) == len(want.landmarks) == space.count
+        for a, b in zip(got.landmarks, want.landmarks):
+            assert_same_bits(a.position, b.position)
+            assert (a.rho, a.eta, a.mu, a.nu) == (b.rho, b.eta, b.mu, b.nu)
+
+
+def test_search_builds_no_landmark(desk_scene, monkeypatch):
+    built = []
+    check = Landmark.__post_init__
+
+    def spy(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(Landmark, "__post_init__", spy)
+    params = ega.EgaParams(m=10, q=3, upsilon_min=13, upsilon_max=40, iterations=5, seed=2)
+    best, history = ega.run(desk_scene, params, count=12)
+    assert built == [] and len(history) == 6
+    assert len(best.landmarks) == 12  # built on demand, once
+    assert len(built) == 12 and best.landmarks is best.landmarks

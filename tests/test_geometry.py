@@ -1,6 +1,7 @@
 """Frame conventions, rotations, rigid transforms, and camera primitives."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -239,6 +240,57 @@ def test_plates_are_immutable():
     for array in (plates.normals, plates.nu):
         assert not array.flags.writeable
     assert plates.positions[0, 0] == lm.position[0] == 10.0
+
+
+def test_array_deployment_matches_landmarks_and_builds_them_on_demand():
+    landmarks = random_landmarks(np.random.default_rng(8), 5)
+    source = np.array([lm.position for lm in landmarks])
+    plates = Deployment.from_arrays(
+        source, [lm.rho for lm in landmarks], [lm.eta for lm in landmarks],
+        [lm.nu for lm in landmarks],
+    )
+    source[0, 0] = -1.0  # the deployment keeps its own copy
+    reference = Deployment([replace(lm, mu=0.0) for lm in landmarks])
+    assert len(plates) == 5
+    for name in ("positions", "normals", "nu"):
+        assert getattr(plates, name).tobytes() == getattr(reference, name).tobytes()
+        assert not getattr(plates, name).flags.writeable
+    for a, b in zip(plates.landmarks, reference.landmarks):
+        assert a.position.tobytes() == b.position.tobytes()
+        assert (a.rho, a.eta, a.mu, a.nu) == (b.rho, b.eta, 0.0, b.nu)
+    assert plates.landmarks is plates.landmarks
+    empty = Deployment.from_arrays(np.zeros((0, 3)), [], [], [])
+    assert len(empty) == 0 and empty.normals.shape == (0, 3) and empty.landmarks == ()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("rho", math.pi, "rho 3.14159"),
+    ("rho", -4.0, "rho -4.0 outside"),
+    ("rho", math.nan, "rho nan"),
+    ("eta", math.nextafter(math.pi / 2, 2.0), "eta 1.57"),
+    ("eta", -2.0, "eta -2.0 outside"),
+    ("nu", 0.0, "nu must be a positive finite diameter, got 0.0"),
+    ("nu", math.inf, "got inf"),
+    ("nu", math.nan, "got nan"),
+    ("positions", math.inf, "finite"),
+    ("positions", math.nan, "finite"),
+])
+def test_array_deployment_rejects_what_landmark_rejects(field, value, message):
+    arrays = {"positions": np.ones((3, 3)), "rho": np.zeros(3), "eta": np.zeros(3),
+              "nu": np.full(3, 10.0)}
+    arrays[field][-1] = value
+    with pytest.raises(ValueError, match=message):
+        Deployment.from_arrays(**arrays)
+    one = {name: a[-1] for name, a in arrays.items()}
+    with pytest.raises(ValueError, match=message):
+        Landmark(one["positions"], rho=one["rho"], eta=one["eta"], nu=one["nu"])
+
+
+def test_array_deployment_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="plate arrays"):
+        Deployment.from_arrays(np.zeros((2, 3)), [0.0], [0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="plate arrays"):
+        Deployment.from_arrays(np.zeros(3), [0.0], [0.0], [1.0])
 
 
 def test_intrinsics_magnification():

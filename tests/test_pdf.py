@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 import landmark_coverage.deployment as dep
 import landmark_coverage.pdf_estimation as pdfmod
+from landmark_coverage.cli import main
 from landmark_coverage.errors import SchemaError
 
 from conftest import CONFIG_DIR, mutated, run_quietly
@@ -203,6 +205,22 @@ def test_load_samples_csv(tmp_path):
     out_of_range.write_text("t,alpha,beta\n0.0,0.0,3.0\n")
     with pytest.raises(SchemaError, match="pitch"):
         pdfmod.load_samples_csv(out_of_range)
+
+
+@pytest.mark.parametrize("text", [b"t,alpha,beta\n", b"t,alpha,beta", b"t,alpha,beta\n\n\r\n# none\n"])
+def test_samples_without_rows_exit_2_without_a_warning(tmp_path, capsys, text):
+    path = tmp_path / "samples.csv"
+    path.write_bytes(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SchemaError, match="no sample rows"):
+            pdfmod.load_samples_csv(path)
+        code = main(["estimate-pdf", "--samples", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: samples {path}: no sample rows after the 't,alpha,beta' header\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_pdf_json_round_trip():
