@@ -255,14 +255,7 @@ def _cmd_optimize(args) -> int:
                 "mode": args.mode,
                 "encoding": args.encoding,
                 "count": count,
-                "m": params.m,
-                "q": params.q,
-                "upsilon_min": params.upsilon_min,
-                "upsilon_max": params.upsilon_max,
-                "psi": params.psi,
-                "iterations": params.iterations,
-                "seed": params.seed,
-                "plateau": params.plateau,
+                **dataclasses.asdict(params),
             },
             {"scene": args.scene, "initial": args.initial},
         )
@@ -313,13 +306,7 @@ def _cmd_simulate(args) -> int:
         )
         stage.commit(
             "simulate",
-            {
-                "k_i": config.k_i,
-                "k0": config.k0,
-                "dt": config.dt,
-                "visibility": config.visibility,
-                "use_estimate_for_visibility": config.use_estimate_for_visibility,
-            },
+            dataclasses.asdict(config),
             {"scene": args.scene, "deployment": args.deployment, "trajectory": args.trajectory},
         )
     print(

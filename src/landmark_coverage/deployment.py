@@ -291,7 +291,13 @@ class DeploymentMetrics:
 
 
 def evaluate_coverage(scene: Scene, deployment, threads: int = 1) -> CoverageMap:
-    """n-fold coverage probability at every reachable grid position."""
+    """n-fold coverage probability at every reachable grid position.
+
+    The positions are split into spans of at most _CHUNK_ELEMENTS kernel
+    elements; threads > 1 evaluates the spans on that many worker threads.
+    This is the package's only thread pool, and the result does not depend
+    on it.
+    """
     plates = Deployment.of(deployment)
     k = max(1, len(plates))
     chunk = max(1, _CHUNK_ELEMENTS // (max(scene.grid.n_cells, k) * k))

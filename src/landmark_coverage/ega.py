@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace as _dc_replace
 
 import numpy as np
@@ -208,7 +207,11 @@ def _next_generation(
 
 
 class _Memo:
-    """Cost cache keyed by chromosome bytes; evaluations are pure."""
+    """Cost cache keyed by chromosome bytes; evaluations are pure.
+
+    threads is handed to every cost call, where it sets the worker threads
+    for that evaluation's position spans.
+    """
 
     def __init__(self, scene: Scene, space: GeneSpace, threads: int):
         self.scene = scene
@@ -216,24 +219,11 @@ class _Memo:
         self.threads = threads
         self.table: dict[bytes, float] = {}
 
-    def _evaluate(self, row: np.ndarray) -> float:
-        return cost(self.scene, self.space.decode(row))
-
     def fitnesses(self, genes: np.ndarray) -> np.ndarray:
         keys = [row.tobytes() for row in genes]
-        missing: dict[bytes, np.ndarray] = {}
         for key, row in zip(keys, genes):
-            if key not in self.table and key not in missing:
-                missing[key] = row
-        if missing:
-            rows = list(missing.values())
-            if self.threads > 1 and len(rows) > 1:
-                with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                    values = list(pool.map(self._evaluate, rows))
-            else:
-                values = [self._evaluate(row) for row in rows]
-            for key, value in zip(missing.keys(), values):
-                self.table[key] = value
+            if key not in self.table:
+                self.table[key] = cost(self.scene, self.space.decode(row), threads=self.threads)
         return np.array([self.table[key] for key in keys])
 
 
@@ -258,6 +248,8 @@ def run(
     mode 'sga' runs the same loop with the replacement count forced to zero.
     When an initial deployment is given it seeds the first chromosome and
     fixes the landmark count. history[0] describes the initial population.
+    threads sets the worker threads for the position spans of each coverage
+    evaluation; the search itself runs serially, so results do not depend on it.
     """
     if mode not in ("ega", "sga"):
         raise ValueError("mode must be 'ega' or 'sga'")

@@ -249,22 +249,19 @@ def load_samples_csv(path) -> AngleSamples:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline()
-            columns = [c.strip() for c in header.strip().split(",")]
-            if columns != ["t", "alpha", "beta"]:
-                raise SchemaError(
-                    f"samples {path}: header must be 't,alpha,beta', got {header.strip()!r}"
-                )
             # np.loadtxt skips lines that are empty once a '#' comment is cut,
             # and warns when no line is left; such a file has no sample rows.
             rows = [line for line in fh if line.split("#", 1)[0].rstrip("\r\n")]
-            if rows:
-                data = np.loadtxt(rows, delimiter=",", ndmin=2)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: text that is not UTF-8, a NUL in the path
         raise SchemaError(f"samples {path}: cannot read: {exc}") from exc
-    except ValueError as exc:
-        raise SchemaError(f"samples {path}: malformed numeric row: {exc}") from exc
+    if [c.strip() for c in header.strip().split(",")] != ["t", "alpha", "beta"]:
+        raise SchemaError(f"samples {path}: header must be 't,alpha,beta', got {header.strip()!r}")
     if not rows:
         raise SchemaError(f"samples {path}: no sample rows after the 't,alpha,beta' header")
+    try:
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise SchemaError(f"samples {path}: malformed numeric row: {exc}") from exc
     if data.shape[1] != 3:
         raise SchemaError(f"samples {path}: expected 3 columns, got {data.shape[1]}")
     with _schema_errors(f"samples {path}"):

@@ -1,6 +1,7 @@
 """Gene coding, population mechanics, and search determinism."""
 
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -311,3 +312,29 @@ def test_search_builds_no_landmark(desk_scene, monkeypatch):
     assert built == [] and len(history) == 6
     assert len(best.landmarks) == 12  # built on demand, once
     assert len(built) == 12 and best.landmarks is best.landmarks
+
+
+def test_search_threads_split_each_evaluation_into_spans(desk_scene, monkeypatch):
+    # The desk fits in one span at the default block size; shrink the blocks
+    # so each of its 48 positions' evaluations splits into three spans.
+    k = 12
+    monkeypatch.setattr(dep, "_CHUNK_ELEMENTS", 16 * max(desk_scene.grid.n_cells, k) * k)
+    spans = []
+    real_probabilities = dep.coverage_probabilities
+
+    def spy(points, *args):
+        spans.append((threading.get_ident(), len(points)))
+        return real_probabilities(points, *args)
+
+    monkeypatch.setattr(dep, "coverage_probabilities", spy)
+    params = ega.EgaParams(m=6, q=2, upsilon_min=13, upsilon_max=40, iterations=3, seed=5)
+    results = {}
+    for threads in (1, 3):
+        spans.clear()
+        results[threads] = ega.run(desk_scene, params, count=k, threads=threads)
+        assert {n for _, n in spans} == {16}
+        workers = {ident for ident, _ in spans} - {threading.main_thread().ident}
+        assert bool(workers) == (threads > 1)
+    (best1, hist1), (best3, hist3) = results[1], results[3]
+    assert [(h.best, h.mean, h.worst) for h in hist1] == [(h.best, h.mean, h.worst) for h in hist3]
+    assert dep.deployment_to_json(best1) == dep.deployment_to_json(best3)

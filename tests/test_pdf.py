@@ -207,6 +207,16 @@ def test_load_samples_csv(tmp_path):
         pdfmod.load_samples_csv(out_of_range)
 
 
+def test_wrong_samples_header_is_reported_once(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("time,yaw,pitch\n0.0,0.0,0.0\n")
+    code = main(["estimate-pdf", "--samples", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: samples {path}: header must be 't,alpha,beta', got 'time,yaw,pitch'\n"
+    assert err.count(str(path)) == 1 and "numeric row" not in err
+
+
 @pytest.mark.parametrize("text", [b"t,alpha,beta\n", b"t,alpha,beta", b"t,alpha,beta\n\n\r\n# none\n"])
 def test_samples_without_rows_exit_2_without_a_warning(tmp_path, capsys, text):
     path = tmp_path / "samples.csv"
