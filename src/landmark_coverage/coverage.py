@@ -10,14 +10,22 @@ orientation density over the cells where at least ``n`` caps overlap gives
 the n-fold coverage probability of a position.
 
 The scalar criteria are the reference semantics.  Every gate bounds the
-plate's camera depth ``z``, so the batched kernel at the bottom computes
-only ``z`` and the plate ranges, with the same expressions and operation
-ordering, and returns the thresholded mask bit for bit.
+plate's camera depth ``z``, and each bound is monotone in ``z``, so the
+batched kernel at the bottom turns near focus, far focus and resolution
+into exact float cuts on ``z`` and tests ``lo <= z <= hi`` per (position,
+cell, plate).  It runs the occlusion pass only on the (position, plate)
+pairs that face the camera and whose window is not empty, and computes
+``z`` only for the unblocked ones, with the scalar path's expressions and
+operation order.  The mask (``strengths_grid``, ``axis_strengths``) and
+the per-cell counts (``cell_counts``) come from that one core and equal
+the scalar criteria bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,7 +35,6 @@ from .geometry import (
     CameraIntrinsics,
     Deployment,
     Landmark,
-    MM_PER_CM,
     Pose6,
     cm_to_mm,
     landmark_normal,
@@ -336,10 +343,9 @@ def strengths_grid(
     ``points`` is (B, 3) in cm, ``rotations`` is (G, 3, 3) world-to-camera,
     ``landmarks`` a Deployment or a Landmark sequence.  Returns a (B, G, K)
     bool array: True where the coverage strength is positive and reaches
-    ``thold``, so ``thold == 0`` keeps the gates alone.  Expressions and
-    operation order mirror the scalar criteria exactly; a camera position
-    coinciding with a landmark is never measurable instead of the scalar
-    path's error.
+    ``thold``, so ``thold == 0`` keeps the gates alone.  The mask equals the
+    scalar criteria's bit for bit; a camera position coinciding with a
+    landmark is never measurable instead of the scalar path's error.
     """
     return axis_strengths(points, rotations[None, :, 2, :], landmarks, intrinsics, delta, thold)
 
@@ -362,58 +368,127 @@ def axis_strengths(
     """
     points = np.asarray(points, dtype=float)
     plates = Deployment.of(landmarks)
-    if len(plates) == 0:
-        return np.zeros((points.shape[0], axes.shape[1], 0), dtype=bool)
-
-    d = plates.positions[None, :, :] - points[:, None, :]  # (B, K, 3) landmark - camera
-    dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
-    ranges = np.sqrt((dx * dx + dy * dy) + dz * dz)  # (B, K)
-    r = axes[..., None]  # (B or 1, G, 3, 1)
-    z, scratch = np.empty((2, d.shape[0], r.shape[1], d.shape[1]))
-    np.multiply(r[:, :, 0], dx[:, None, :], z)
-    z += np.multiply(r[:, :, 1], dy[:, None, :], scratch)
-    z += np.multiply(r[:, :, 2], dz[:, None, :], scratch)
-
-    visible = (z > 0) & (z >= (ranges * intrinsics.fov_cos)[:, None, :])
-    np.multiply(MM_PER_CM, z, z)  # cm_to_mm in place
-    near, far = focus_depths(intrinsics, delta)
-    visible &= (z >= near) & (z <= far)
-    if thold > 0:
-        resolution = np.multiply(z, max(intrinsics.s_u, intrinsics.s_v), scratch)
-        with np.errstate(divide="ignore"):
-            np.divide(intrinsics.magnification, resolution, resolution)
-        visible &= resolution >= thold
-    visible &= _occlusion_grid(d, ranges, plates)[:, None, :]
-    return visible
+    out = np.zeros((points.shape[0], axes.shape[1], len(plates)), dtype=bool)
+    b, k, gate = _live_gates(points, axes, plates, intrinsics, delta, thold)
+    out[b, :, k] = gate.T
+    return out
 
 
-def _occlusion_grid(d: np.ndarray, ranges: np.ndarray, plates: Deployment) -> np.ndarray:
-    """Orientation-independent occlusion pass for every (position, landmark).
+def _bits_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
 
-    ``d`` is landmark - camera with norms ``ranges``; the scalar ``facing > 0``
-    on camera - landmark is exactly ``n . d < 0`` here, as negation is exact.
+
+_INF_BITS = struct.unpack("<q", struct.pack("<d", math.inf))[0]
+
+
+def _last_positive(holds) -> float:
+    """The largest float in (0, inf] where ``holds``, or 0.0 where it holds nowhere.
+
+    ``holds`` must hold on an initial stretch of the positive floats, whose
+    bit patterns order as their values do, so a bisection on the pattern
+    finds the last float where it holds.
     """
-    normals = plates.normals
-    ax, ay, az = d[..., 0], d[..., 1], d[..., 2]
-    facing = (normals[None, :, 0] * ax + normals[None, :, 1] * ay) + normals[None, :, 2] * az
+    good, bad = 0, _INF_BITS + 1  # 0.0 stands for "none"; bad is one past inf
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if holds(_bits_float(mid)):
+            good = mid
+        else:
+            bad = mid
+    return _bits_float(good)
 
-    dots = (
-        (ax[:, :, None] * ax[:, None, :] + ay[:, :, None] * ay[:, None, :])
-        + az[:, :, None] * az[:, None, :]
-    )  # (B, j, k)
-    nj = ranges[:, :, None]
-    nk = ranges[:, None, :]
+
+@functools.lru_cache(maxsize=256)
+def _depth_cuts(
+    near: float, far: float, magnification: float, s: float, thold: float
+) -> tuple[float, float, float]:
+    """Exact float cuts (z_near, z_far, z_res) on a plate's camera depth z in cm.
+
+    For positive z, with the kernel's float expressions: ``cm_to_mm(z) >=
+    near`` exactly when ``z >= z_near``, ``cm_to_mm(z) <= far`` exactly when
+    ``z <= z_far``, and the resolution ``magnification / (cm_to_mm(z) * s)``
+    reaches ``thold`` exactly when ``z <= z_res``.  Each expression is
+    monotone in z, since float rounding is, so each gate is one interval of
+    the float line.  A resolution divided by a product that underflows to 0
+    is infinite, as numpy gives it.  ``z_near`` is positive, so a depth that
+    passes it is positive too.
+    """
+    z_near = math.nextafter(_last_positive(lambda z: cm_to_mm(z) < near), math.inf)
+    z_far = _last_positive(lambda z: cm_to_mm(z) <= far)
+
+    def resolved(z):
+        product = cm_to_mm(z) * s
+        return (magnification / product if product else math.inf) >= thold
+
+    return z_near, z_far, _last_positive(resolved)
+
+
+def _live_gates(
+    points: np.ndarray,
+    axes: np.ndarray,
+    plates: Deployment,
+    intrinsics: CameraIntrinsics,
+    delta: float,
+    thold: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gate core: pair indices ``b``, ``k`` (L,) and their (G, L) mask.
+
+    Every gate bounds the camera depth z = axis . (landmark - camera): z
+    passes when ``lo <= z <= hi``, where ``lo = max(range * fov_cos,
+    z_near)`` per (position, plate) and ``hi = min(z_far, z_res)`` is one
+    scalar from ``_depth_cuts``.  Only the pairs that face the camera and
+    have ``lo <= hi`` go to the occlusion pass, and only the unblocked ones
+    get a z, so the returned pairs are the live ones, in position order.
+    """
+    z_near, z_far, z_res = _depth_cuts(
+        *focus_depths(intrinsics, delta),
+        intrinsics.magnification,
+        max(intrinsics.s_u, intrinsics.s_v),
+        thold,
+    )
+    hi = min(z_far, z_res)
+    # landmark - camera, one (B, K) array per coordinate
+    dx, dy, dz = (plates.positions[None, :, i] - points[:, i, None] for i in range(3))
+    ranges = np.sqrt((dx * dx + dy * dy) + dz * dz)
+    lo = np.maximum(ranges * intrinsics.fov_cos, z_near)
+    # The scalar facing > 0 on camera - landmark is exactly n . d < 0 here,
+    # as negation is exact.
+    n = plates.normals
+    facing = (n[None, :, 0] * dx + n[None, :, 1] * dy) + n[None, :, 2] * dz
+    b, k = np.nonzero((facing < 0) & (lo <= hi))
+
+    # Occlusion: plate j blocks live pair (b, k) when it is nearer along a
+    # sight line that passes within nu_k of it. j == k never blocks, as
+    # nj < nk fails there. One (L, K) block per coordinate column.
+    px, py, pz, nk = (a[b, k] for a in (dx, dy, dz, ranges))
+    nj = ranges[b]
+    dots = dx[b]
+    dots *= px[:, None]
+    scratch = dy[b]
+    scratch *= py[:, None]
+    dots += scratch
+    np.take(dz, b, axis=0, out=scratch)
+    scratch *= pz[:, None]
+    dots += scratch
+    blocked = (dots > 0) & (nj < nk[:, None])
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = dots / (nj * nk)
-    s2 = 1.0 - c * c
-    s2 = np.maximum(s2, 0.0)
-    with np.errstate(invalid="ignore"):
-        perp = nj * np.sqrt(s2)
-    blocked_pair = (dots > 0) & (nj < nk) & (perp <= plates.nu[None, None, :])
-    k_idx = np.arange(len(plates))
-    blocked_pair[:, k_idx, k_idx] = False
-    blocked = blocked_pair.any(axis=1)
-    return (facing < 0) & ~blocked
+        c = np.divide(dots, np.multiply(nj, nk[:, None], out=scratch), out=scratch)
+        s2 = np.subtract(1.0, np.multiply(c, c, out=c), out=c)
+        perp = np.multiply(nj, np.sqrt(np.maximum(s2, 0.0, out=s2), out=s2), out=s2)
+    blocked &= perp <= plates.nu[k][:, None]
+    clear = ~blocked.any(axis=1)
+    b, k, px, py, pz = (a[clear] for a in (b, k, px, py, pz))
+
+    # z = (a0 dx + a1 dy) + a2 dz for the unblocked pairs, (G, L). Axis
+    # component rows are (G, 1) when shared, or gathered per pair.
+    rows = axes[0].T[:, :, None] if axes.shape[0] == 1 else axes[b].transpose(2, 1, 0)
+    z = rows[0] * px
+    scratch = rows[1] * py
+    z += scratch
+    z += np.multiply(rows[2], pz, out=scratch)
+    gate = z >= lo[b, k]
+    gate &= z <= hi
+    return b, k, gate
 
 
 def coverage_caps(
@@ -448,10 +523,22 @@ def cell_counts(
     intrinsics: CameraIntrinsics,
     params: CoverageParams,
 ) -> np.ndarray:
-    """Covered-landmark counts per (position, cell), shape (B, G)."""
-    return strengths_grid(
-        points, grid.rotations(), landmarks, intrinsics, params.delta, params.thold
-    ).sum(axis=2)
+    """Covered-landmark counts per (position, cell), shape (B, G).
+
+    The same gate core as ``strengths_grid``, whose mask summed over plates
+    these counts are, but summed per position over its live pairs only.
+    """
+    points = np.asarray(points, dtype=float)
+    plates = Deployment.of(landmarks)
+    b, _, gate = _live_gates(
+        points, grid.rotations()[None, :, 2, :], plates, intrinsics, params.delta, params.thold
+    )
+    counts = np.zeros((points.shape[0], grid.n_cells), dtype=np.intp)
+    if b.size:
+        first = np.flatnonzero(np.diff(b, prepend=-1))  # each position's first pair
+        dtype = np.uint8 if len(plates) < 256 else np.intp
+        counts[b[first]] = np.add.reduceat(gate.view(np.uint8), first, axis=1, dtype=dtype).T
+    return counts
 
 
 def coverage_probabilities(

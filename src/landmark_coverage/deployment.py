@@ -39,23 +39,25 @@ from .geometry import CameraIntrinsics, Deployment, Landmark, as_vec3, normal_to
 
 WALL_NAMES = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")
 
-# Cap on elements of a (positions, cells, landmarks) strength block, or of a
-# (positions, landmarks, landmarks) occlusion block when there are more
-# plates than cells; keeps peak memory flat when sweeping large grids.
-# 2^18 float64 elements are 2 MiB per block, so one kernel call's
-# temporaries stay under the 8 MiB mmap threshold and the 16 MiB trim
-# threshold that the import block in coverage sets, and are reused from the
-# heap rather than faulted in anew.
+# Cap on positions x max(cells, plates) x plates per kernel call; keeps peak
+# memory flat when sweeping large grids. The gate core's float temporaries
+# are (L, plates) occlusion blocks and one (cells, L) depth block over the L
+# live (position, plate) pairs, and L is at most positions x plates, so no
+# block exceeds 2^18 float64 elements, 2 MiB. One kernel call's temporaries
+# then stay under the 8 MiB mmap threshold and the 16 MiB trim threshold
+# that the import block in coverage sets, and are reused from the heap
+# rather than faulted in anew.
 _CHUNK_ELEMENTS = 262_144
 
 # Size caps checked before any array is built, so that a mistyped count
 # exits 2 instead of getting the process killed for memory or running for
 # days. The packaged configs use at most 1040 positions and 288 cells; the
-# Table 3 analysis with 90 plates is 27M gate evaluations (about 0.2 s).
-# A simulation keeps several arrays per step, 30 s at 0.01 s being 3000
-# steps; the packaged configs deploy at most 90 plates. One position's
-# (1, K, K) occlusion pass costs about 40 B per plate pair, some 700 MB at
-# 4096 plates.
+# Table 3 analysis with 90 plates is 27M gate evaluations, of which the
+# kernel computes a depth only for the live (position, plate) pairs (about
+# 0.08 s on 2 vCPUs). A simulation keeps several arrays per step, 30 s at
+# 0.01 s being 3000 steps; the packaged configs deploy at most 90 plates.
+# One position's occlusion blocks hold up to K x K plate pairs at about
+# 40 B each, some 700 MB at 4096 plates.
 MAX_POSITIONS = 1_000_000
 MAX_CELLS = 1_000_000
 MAX_GATE_EVALUATIONS = 10**10

@@ -205,8 +205,9 @@ class ObserverTrace:
 
 
 # Cap on poses x plates x plates per kernel call. The occlusion pass builds
-# several (poses, K, K) float temporaries, so a whole path in one call would
-# grow peak memory with the path's length; 16 poses of 24 plates fit.
+# several (L, K) float temporaries over up to poses x K live (pose, plate)
+# pairs, so a whole path in one call would grow peak memory with the path's
+# length; 16 poses of 24 plates fit.
 _POSE_BLOCK_PAIRS = 16 * 24 * 24
 
 

@@ -1,11 +1,14 @@
 """Visibility criteria, cap sets, and the batched strength kernel."""
 
+import dataclasses
 import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import landmark_coverage.coverage as coverage_module
 from landmark_coverage.coverage import (
@@ -25,7 +28,7 @@ from landmark_coverage.coverage import (
     resolution_criterion,
     strengths_grid,
 )
-from landmark_coverage.deployment import generate_uniform
+from landmark_coverage.deployment import evaluate_coverage, generate_uniform, make_scene
 from landmark_coverage.geometry import CameraIntrinsics, Deployment, Landmark, Pose6
 
 TABLE3 = CameraIntrinsics(
@@ -448,6 +451,201 @@ def test_kernel_matches_scalar_criteria_bitwise():
                 assert batch[k] == (coverage_strength(k, edge, poses(b, g), intr, delta) > 0)
                 decisions.add((fov_criterion(edge[k], poses(b, g), intr) == 1, bool(batch[k])))
     assert {(True, True), (False, False)} <= decisions
+
+
+def miss_distance(camera, blocker, target):
+    """How far the sight line from ``camera`` to ``target`` passes from ``blocker``.
+
+    The scalar occlusion criterion's expressions, in its order.
+    """
+    wx, wy, wz = (float(camera[i] - target[i]) for i in range(3))
+    ajx, ajy, ajz = (float(blocker[i] - camera[i]) for i in range(3))
+    dot = (ajx * -wx + ajy * -wy) + ajz * -wz
+    nj = math.sqrt((ajx * ajx + ajy * ajy) + ajz * ajz)
+    nk = math.sqrt((wx * wx + wy * wy) + wz * wz)
+    if nj * nk == 0.0:
+        return math.inf
+    c = dot / (nj * nk)
+    return nj * math.sqrt(max(1.0 - c * c, 0.0))
+
+
+def fuzzed_plates(data, scene, intr, delta, thold):
+    """Plates placed where the gates decide, around the scene's positions.
+
+    Each plate is drawn relative to one position and one cell's optical
+    axis: anywhere in front of it, on the FOV cone's edge, a few floats
+    from the near or far focus depth or from the resolution depth of
+    ``thold``, coincident with the position, edge-on to it, or between it
+    and an earlier plate, where it may block that plate; sometimes that
+    plate's diameter is then set to the exact miss distance. An "abeam"
+    pair puts a plate beside the position, at exactly 90 degrees from the
+    sight line to another.
+    """
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    points, rotations = scene.points, scene.grid.rotations()
+    near, far = focus_depths(intr, delta)
+    depths = {"near": near, "far": far}
+    if thold > 0:
+        depths["resolution"] = intr.magnification / (thold * max(intr.s_u, intr.s_v))
+    scale = near / 10.0
+    plates, homes = [], []
+    kinds = ["ahead", "cone", "coincident", "edge-on", "between", "abeam", *sorted(depths)]
+    for _ in range(data.draw(st.integers(1, 7), label="plates")):
+        kind = data.draw(st.sampled_from(kinds), label="kind")
+        b = rng.integers(len(points))
+        point, axis = points[b], rotations[rng.integers(len(rotations)), 2]
+        nu = float(rng.uniform(1.0, 0.2 * scale))
+        if kind in depths and math.isfinite(depths[kind]):
+            depth = depths[kind] / 10.0
+            toward = math.inf if rng.integers(2) else 0.0
+            for _ in range(rng.integers(4)):
+                depth = math.nextafter(depth, toward)
+            plates.append(facing_landmark(point + depth * axis, point, nu))
+        elif kind == "cone":  # within 1e-9 or 1e-16 rad of the cone's edge
+            u = rng.normal(size=3)
+            u -= (u @ axis) * axis
+            u /= np.linalg.norm(u)
+            angle = math.atan(intr.min_fov_tan) + rng.uniform(-1, 1) * 10.0 ** -rng.choice([9, 16])
+            direction = math.cos(angle) * axis + math.sin(angle) * u
+            position = point + rng.uniform(1.0, 5.0) * scale * direction
+            plates.append(facing_landmark(position, point, nu))
+        elif kind == "coincident":
+            plates.append(Landmark(point.copy(), rho=0.0, eta=0.0, nu=nu))
+        elif kind == "edge-on":  # faces +y from the position's own y: facing is exactly 0
+            offset = rng.uniform(-1.5, 1.5, 3) * scale
+            offset[1] = 0.0
+            plates.append(Landmark(point + offset, rho=0.0, eta=0.0, nu=nu))
+        elif kind == "between" and plates:
+            t = rng.integers(len(plates))
+            point, target = points[homes[t]], plates[t].position
+            middle = point + rng.uniform(0.1, 0.9) * (target - point)
+            miss = rng.normal(size=3) * rng.uniform(0.0, 2.0) * nu
+            plates.append(facing_landmark(middle + miss, point, nu))
+            tie = miss_distance(point, plates[-1].position, target)
+            if rng.integers(2) and 0.0 < tie < math.inf:
+                plates[t] = dataclasses.replace(plates[t], nu=tie)
+        elif kind == "abeam":  # zero components make the sight lines' dot product exactly 0
+            target, beside = np.zeros(3), np.zeros(3)
+            i, j = rng.choice(3, 2, replace=False)
+            target[i] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0) * scale
+            beside[j] = rng.uniform(-1.0, 1.0) * nu
+            plates.append(facing_landmark(point + target, point, nu))
+            plates.append(facing_landmark(point + beside, point, nu))
+        else:
+            direction = axis + rng.normal(size=3) * rng.uniform(0.0, 1.0)
+            direction /= np.linalg.norm(direction)
+            position = point + rng.uniform(0.5, 3.0) * scale * direction
+            if rng.integers(2):
+                plates.append(facing_landmark(position, point, nu))
+            else:
+                plates.append(Landmark(position, rho=rng.uniform(-math.pi, math.pi),
+                                       eta=rng.uniform(-math.pi / 2, math.pi / 2), nu=nu))
+        homes += [b] * (len(plates) - len(homes))
+    return plates
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@seed(20231)
+@given(data=st.data())
+def test_fuzzed_coverage_matches_scalar_criteria_bitwise(data):
+    # P_n from evaluate_coverage, and the kernel's counts, against the
+    # scalar coverage_strength and nple_probability, at thresholds of 0, of
+    # the placed resolution depth and of exactly some plate's strength.
+    intr = data.draw(st.sampled_from([TABLE3, FULL_HD]), label="intrinsics")
+    delta = data.draw(st.sampled_from([2.0, 4.0]), label="delta")
+    scale = focus_depths(intr, delta)[0] / 10.0
+    base = make_scene(
+        (4 * scale,) * 3, (2 * scale,) * 3, (1, 1, 1), intrinsics=intr,
+        params=CoverageParams(thold=0.0, delta=delta, n=1), thold_p=0.5,
+        n_yaw=data.draw(st.integers(1, 6), label="n_yaw"),
+        n_pitch=data.draw(st.integers(1, 4), label="n_pitch"),
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="points"))
+    points = rng.uniform(1.5 * scale, 2.5 * scale, (data.draw(st.integers(1, 4), label="B"), 3))
+    scene = dataclasses.replace(base, points=points, rel=np.ones(len(points)))
+    placed = data.draw(st.sampled_from([0.0, 0.2, 0.5]), label="placed thold")
+    plates = fuzzed_plates(data, scene, intr, delta, placed)
+    grid, n_cells, k = scene.grid, scene.grid.n_cells, len(plates)
+
+    strength = np.array([
+        [
+            [
+                coverage_strength(j, plates, Pose6(point, *grid.cell_angles(g)), intr, delta)
+                for j in range(k)
+            ]
+            for g in range(n_cells)
+        ]
+        for point in points
+    ])  # (B, G, K)
+    positive = np.unique(strength[strength > 0])
+    tholds = {0.0, placed}
+    if positive.size:
+        tholds.add(data.draw(st.sampled_from(positive.tolist()), label="thold at a strength"))
+    n = data.draw(st.integers(0, 3), label="n")
+    for thold in sorted(tholds):
+        masks = (strength > 0) & (strength >= thold)
+        counted = scene.with_coverage(thold=thold, n=n)
+        counts = cell_counts(points, plates, grid, intr, counted.params)
+        assert np.array_equal(counts, masks.sum(axis=2))
+        assert np.array_equal(
+            counts, strengths_grid(points, grid.rotations(), plates, intr, delta, thold).sum(axis=2)
+        )
+        for pdf in (OrientationPdf.uniform(grid), OrientationPdf.solid_angle(grid)):
+            got = evaluate_coverage(dataclasses.replace(counted, pdf=pdf), Deployment(plates)).p_n
+            for b in range(len(points)):
+                caps = CapSet(masks=masks[b].T, n=n, nple=masks[b].sum(axis=1) >= n)
+                assert got[b] == nple_probability(caps, pdf)
+
+
+def depth_cuts(intr, thold, delta=4.0):
+    return coverage_module._depth_cuts(
+        *focus_depths(intr, delta), intr.magnification, max(intr.s_u, intr.s_v), thold
+    )
+
+
+@pytest.mark.parametrize("thold", [0.0, 0.2])
+@pytest.mark.parametrize("intr", [TABLE3, FULL_HD], ids=["table3", "full-hd"])
+def test_depth_cuts_are_the_last_floats_that_pass(intr, thold):
+    camera = Pose6(np.zeros(3))  # looks along +y, so a plate at (0, z, 0) has depth exactly z
+
+    def at_depth(z):
+        return Landmark(np.array([0.0, z, 0.0]), rho=0.0, eta=0.0)
+
+    def in_focus(z):
+        return focus_criterion(at_depth(z), camera, intr, 4.0) == 1
+
+    def resolved(z):
+        return resolution_criterion(at_depth(z), camera, intr) >= thold
+
+    z_near, z_far, z_res = depth_cuts(intr, thold)
+    assert in_focus(z_near) and not in_focus(math.nextafter(z_near, 0.0))
+    assert math.isinf(z_far) == intr.infinite_focus
+    assert math.isinf(z_res) == (thold == 0)
+    for cut, holds in ((z_far, in_focus), (z_res, resolved)):
+        if math.isinf(cut):
+            assert holds(1e300)
+        else:
+            assert holds(cut) and not holds(math.nextafter(cut, math.inf))
+
+
+def test_resolution_cut_below_the_near_cut_passes_nothing():
+    z_near, _, z_res = depth_cuts(FULL_HD, 0.5)
+    assert z_res < z_near
+    grid = OrientationGrid.from_cells(12, 6)
+    camera = np.zeros(3)
+    axis, side = grid.rotations()[7, 2], grid.rotations()[7, 0]
+    plates = [  # along one cell's axis, a degree apart, so that none blocks another
+        facing_landmark(depth * (axis + offset * side), camera)
+        for depth, offset in ((1000.0, 0.0), (2000.0, 0.02), (3000.0, -0.02), (4000.0, 0.04))
+    ]
+    points = np.stack([camera, camera - 300.0 * axis])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert strengths_grid(points, grid.rotations(), plates, FULL_HD, 4.0, 0.2).any()
+        assert not strengths_grid(points, grid.rotations(), plates, FULL_HD, 4.0, 0.5).any()
+        params = CoverageParams(thold=0.5, delta=4.0, n=1)
+        counts = cell_counts(points, plates, grid, FULL_HD, params)
+    assert counts.shape == (2, grid.n_cells) and not counts.any()
 
 
 def test_kernel_masks_are_fresh_across_calls_and_threads():
