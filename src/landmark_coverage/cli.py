@@ -25,7 +25,7 @@ import sys
 
 from . import __version__
 from .deployment import (
-    _check_plate_count,
+    check_plate_count,
     evaluate_coverage,
     generate_random,
     generate_uniform,
@@ -212,12 +212,14 @@ def _cmd_optimize(args) -> int:
     else:
         raise ValueError("either --count or --initial is required")
     scene.check_evaluation_size(count)
-    _check_plate_count(count)
+    check_plate_count(count)
 
     length = GENES_PER_LANDMARK * count
     lo, hi = default_segment_bounds(length)
     upsilon_min = args.upsilon_min if args.upsilon_min is not None else lo
     upsilon_max = args.upsilon_max if args.upsilon_max is not None else hi
+    if args.mode == "sga" and args.q:  # it would run, and be recorded, with q = 0
+        raise ValueError(f"--mode sga has no replacement step, so --q must be 0 or left out, got --q {args.q}")
     q = args.q if args.q is not None else (0 if args.mode == "sga" else EgaParams.q)
     params = EgaParams(
         m=args.m,

@@ -63,6 +63,10 @@ class CoverageParams:
 # ---------------------------------------------------------------------------
 # Orientation grid and orientation density
 
+# Cap on orientation cells, checked before a grid or a histogram over it is
+# built; the packaged configs use at most 288.
+MAX_CELLS = 1_000_000
+
 
 @dataclass(eq=False)
 class OrientationGrid:
@@ -95,6 +99,8 @@ class OrientationGrid:
     def from_cells(cls, n_yaw: int, n_pitch: int) -> "OrientationGrid":
         if n_yaw < 1 or n_pitch < 1:
             raise ValueError("cell counts must be at least 1")
+        if n_yaw * n_pitch > MAX_CELLS:
+            raise ValueError(f"n_yaw x n_pitch = {n_yaw} x {n_pitch} cells, above the cap of {MAX_CELLS}")
         yaw = -math.pi + np.arange(n_yaw) * (2.0 * math.pi / n_yaw)
         pitch = -math.pi / 2 + (np.arange(n_pitch) + 0.5) * (math.pi / n_pitch)
         return cls(yaw, pitch)

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .coverage import (
+    MAX_CELLS,
     CoverageParams,
     OrientationGrid,
     OrientationPdf,
@@ -35,7 +36,7 @@ from .errors import (
     require as _require,
     schema_errors as _schema_errors,
 )
-from .geometry import CameraIntrinsics, Deployment, Landmark, as_vec3, normal_to_angles
+from .geometry import CameraIntrinsics, Deployment, as_vec3, normal_to_angles
 
 WALL_NAMES = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")
 
@@ -58,8 +59,8 @@ _CHUNK_ELEMENTS = 262_144
 # 0.01 s being 3000 steps; the packaged configs deploy at most 90 plates.
 # One position's occlusion blocks hold up to K x K plate pairs at about
 # 40 B each, some 700 MB at 4096 plates.
+# MAX_CELLS, the orientation-cell cap, is OrientationGrid.from_cells's.
 MAX_POSITIONS = 1_000_000
-MAX_CELLS = 1_000_000
 MAX_GATE_EVALUATIONS = 10**10
 MAX_STEPS = 1_000_000
 MAX_PLATES = 4096
@@ -129,6 +130,11 @@ class Scene:
     nu_default: float
     walls: list[Wall]
 
+    def __post_init__(self):
+        # the one thold_p check, for make_scene and with_coverage alike
+        if not (0.0 <= self.thold_p <= 1.0):
+            raise ValueError(f"thold_p must lie in [0, 1], got {self.thold_p}")
+
     @property
     def center(self) -> np.ndarray:
         return self.room / 2.0
@@ -190,8 +196,6 @@ def make_scene(
         raise ValueError("room extents must be positive")
     if np.any(reachable <= 0) or np.any(reachable > room):
         raise ValueError("reachable extents must be positive and fit inside the room")
-    if not (0.0 <= thold_p <= 1.0):
-        raise ValueError("thold_p must lie in [0, 1]")
     if not (nu_default > 0):
         raise ValueError("nu_default must be positive")
 
@@ -364,7 +368,8 @@ def _near_square_layout(count: int, aspect: float) -> tuple[int, int]:
     return rows, cols
 
 
-def _check_plate_count(count: int) -> None:
+def check_plate_count(count: int) -> None:
+    """Raise ValueError unless a deployment of ``count`` plates is from 1 to MAX_PLATES."""
     if not 1 <= count <= MAX_PLATES:
         raise ValueError(f"count must be from 1 to {MAX_PLATES} plates, got {count}")
 
@@ -373,45 +378,36 @@ def generate_uniform(scene: Scene, count: int) -> Deployment:
     """Evenly spread landmarks over the active walls, facing inward.
 
     Wall quotas follow wall areas (remainders go to the largest walls) and
-    each wall gets a near-square grid of plates at cell centers.
+    each wall gets a near-square grid of plates at cell centers, filled row
+    by row.
     """
-    _check_plate_count(count)
-    quotas = _wall_quotas(scene.walls, count)
-    landmarks = []
-    for wall, quota in zip(scene.walls, quotas):
-        if quota == 0:
-            continue
+    check_plate_count(count)
+    positions, angles = [], []
+    for wall, quota in zip(scene.walls, _wall_quotas(scene.walls, count)):
         rows, cols = _near_square_layout(quota, wall.u_len / wall.v_len)
-        rho, eta = normal_to_angles(wall.normal)
-        placed = 0
-        for j in range(rows):
-            for i in range(cols):
-                if placed == quota:
-                    break
-                u = (i + 0.5) / cols
-                v = (j + 0.5) / rows
-                landmarks.append(
-                    Landmark(wall.point(u, v), rho=rho, eta=eta, mu=0.0, nu=scene.nu_default)
-                )
-                placed += 1
-    return Deployment(landmarks)
+        positions += [wall.point((n % cols + 0.5) / cols, (n // cols + 0.5) / rows) for n in range(quota)]
+        angles += [normal_to_angles(wall.normal)] * quota
+    return _plates_on_walls(scene, positions, angles)
 
 
 def generate_random(scene: Scene, count: int, seed: int) -> Deployment:
     """Landmarks uniform over the active wall surfaces with random facing."""
-    _check_plate_count(count)
+    check_plate_count(count)
     rng = np.random.default_rng(seed)
     areas = np.array([w.area for w in scene.walls])
     probs = areas / areas.sum()
-    landmarks = []
-    for _ in range(count):
+    positions, angles = [], []
+    for _ in range(count):  # each plate draws its wall, u, v, rho and eta in turn
         wall = scene.walls[int(rng.choice(len(scene.walls), p=probs))]
-        u = float(rng.uniform(0.0, 1.0))
-        v = float(rng.uniform(0.0, 1.0))
-        rho = float(rng.uniform(-math.pi, math.pi))
-        eta = float(rng.uniform(-math.pi / 2, math.pi / 2))
-        landmarks.append(Landmark(wall.point(u, v), rho=rho, eta=eta, mu=0.0, nu=scene.nu_default))
-    return Deployment(landmarks)
+        positions.append(wall.point(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)))
+        angles.append((rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi / 2, math.pi / 2)))
+    return _plates_on_walls(scene, positions, angles)
+
+
+def _plates_on_walls(scene: Scene, positions: list, angles: list) -> Deployment:
+    """Plates of the scene's default radius at wall points with (rho, eta) facings."""
+    rho, eta = np.array(angles).reshape(-1, 2).T
+    return Deployment.from_arrays(np.array(positions), rho, eta, np.full(len(angles), scene.nu_default))
 
 
 # ---------------------------------------------------------------------------
@@ -500,21 +496,14 @@ def load_scene(path) -> Scene:
     return scene_from_config(_load_json(path, "scene"), context=f"scene {path}")
 
 
+_PLATE_KEYS = ("x", "y", "z", "rho", "eta", "mu", "nu")
+
+
 def deployment_to_json(deployment: Deployment) -> dict:
+    columns = (*deployment.positions.T, deployment.rho, deployment.eta, deployment.mu, deployment.nu)
     return {
         "schema": SCHEMA_VERSION,
-        "landmarks": [
-            {
-                "x": float(lm.position[0]),
-                "y": float(lm.position[1]),
-                "z": float(lm.position[2]),
-                "rho": lm.rho,
-                "eta": lm.eta,
-                "mu": lm.mu,
-                "nu": lm.nu,
-            }
-            for lm in deployment.landmarks
-        ],
+        "landmarks": [dict(zip(_PLATE_KEYS, row)) for row in zip(*(c.tolist() for c in columns))],
     }
 
 
@@ -525,20 +514,16 @@ def deployment_from_json(doc: dict, context: str = "deployment") -> Deployment:
         raise SchemaError(f"{context}: 'landmarks' must be an array")
     if len(entries) > MAX_PLATES:
         raise SchemaError(f"{context}.landmarks: {len(entries)} plates, above the cap of {MAX_PLATES}")
-    landmarks = []
+    rows = np.empty((len(entries), len(_PLATE_KEYS)))
     for i, entry in enumerate(entries):
         where = f"{context}.landmarks[{i}]"
-        with _schema_errors(where):
-            landmarks.append(
-                Landmark(
-                    position=[_number(_require(entry, k, where), f"{where}.{k}") for k in ("x", "y", "z")],
-                    rho=_number(_require(entry, "rho", where), f"{where}.rho"),
-                    eta=_number(_require(entry, "eta", where), f"{where}.eta"),
-                    mu=_number(entry.get("mu", 0.0), f"{where}.mu"),
-                    nu=_number(_require(entry, "nu", where), f"{where}.nu"),
-                )
-            )
-    return Deployment(landmarks)
+        # mu is optional; "x" is read first, so entry is an object by then
+        rows[i] = [
+            _number(entry.get(key, 0.0) if key == "mu" else _require(entry, key, where), f"{where}.{key}")
+            for key in _PLATE_KEYS
+        ]
+    with _schema_errors(context):
+        return Deployment.from_arrays(rows[:, :3], rows[:, 3], rows[:, 4], rows[:, 6], mu=rows[:, 5])
 
 
 def load_deployment(path) -> Deployment:

@@ -109,25 +109,23 @@ class GeneSpace:
         return Deployment.from_arrays(positions, g[:, 3], g[:, 4], self._nu)
 
     def encode(self, deployment: Deployment) -> np.ndarray:
-        genes = np.empty(self.length)
         if len(deployment) != self.count:
             raise ValueError("deployment size does not match the gene space")
-        for i, lm in enumerate(deployment.landmarks):
-            block = genes[GENES_PER_LANDMARK * i : GENES_PER_LANDMARK * (i + 1)]
-            if self.encoding == "wall":
+        genes = np.empty((self.count, GENES_PER_LANDMARK))
+        genes[:, 3] = deployment.rho
+        genes[:, 4] = deployment.eta
+        if self.encoding == "free":
+            genes[:, :3] = deployment.positions
+        else:
+            for i, position in enumerate(deployment.positions):
                 for idx, wall in enumerate(self.scene.walls):
-                    uv = wall.locate(lm.position)
+                    uv = wall.locate(position)
                     if uv is not None:
-                        block[:3] = (idx + 0.5, uv[0], uv[1])
+                        genes[i, :3] = (idx + 0.5, *uv)
                         break
                 else:
-                    raise ValueError(
-                        f"landmark {i} does not lie on an active wall"
-                    )
-            else:
-                block[:3] = lm.position
-            block[3] = lm.rho
-            block[4] = lm.eta
+                    raise ValueError(f"landmark {i} does not lie on an active wall")
+        genes = genes.ravel()
         self.clamp_inplace(genes)
         return genes
 

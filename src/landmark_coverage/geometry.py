@@ -127,6 +127,18 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+# The plate field ranges, one (name, test, message) row per field. A test
+# takes a float or an array of them, so Landmark checks its fields and
+# Deployment.from_arrays its plate arrays through this one table. mu comes
+# last, so that from_arrays can leave out a default zero roll.
+_PLATE_FIELDS = (
+    ("rho", lambda v: (v >= -math.pi) & (v < math.pi), "rho {} outside [-pi, pi)"),
+    ("eta", lambda v: (v >= -math.pi / 2) & (v <= math.pi / 2), "eta {} outside [-pi/2, pi/2]"),
+    ("nu", lambda v: (v > 0) & (v < math.inf), "nu must be a positive finite diameter, got {}"),
+    ("mu", lambda v: (v >= -math.pi) & (v < math.pi), "mu {} outside [-pi, pi)"),
+)
+
+
 @dataclass(frozen=True)
 class Landmark:
     """A flat directional plate at ``position`` (cm).
@@ -146,14 +158,10 @@ class Landmark:
 
     def __post_init__(self):
         object.__setattr__(self, "position", _read_only(as_vec3(self.position).copy()))
-        if not (-math.pi <= self.rho < math.pi):
-            raise ValueError(f"rho {self.rho} outside [-pi, pi)")
-        if not (-math.pi / 2 <= self.eta <= math.pi / 2):
-            raise ValueError(f"eta {self.eta} outside [-pi/2, pi/2]")
-        if not (-math.pi <= self.mu < math.pi):
-            raise ValueError(f"mu {self.mu} outside [-pi, pi)")
-        if not (self.nu > 0 and math.isfinite(self.nu)):
-            raise ValueError(f"nu must be a positive finite diameter, got {self.nu}")
+        for name, test, message in _PLATE_FIELDS:
+            value = getattr(self, name)
+            if not test(value):
+                raise ValueError(message.format(value))
 
 
 def _facing_normal(rho: float, eta: float) -> tuple[float, float, float]:
@@ -170,73 +178,67 @@ def landmark_normal(landmark: Landmark) -> np.ndarray:
 
 
 class Deployment:
-    """An ordered set of plate landmarks, stored as read-only plate arrays.
+    """An ordered set of plates, stored as read-only arrays.
 
-    ``positions`` (K, 3), ``normals`` (K, 3) and ``nu`` (K,) are the
-    storage. ``Deployment(landmarks)`` derives them from a Landmark sequence;
-    ``Deployment.from_arrays`` takes them from plate angles directly, and
-    the ``landmarks`` tuple is then built only when something asks for it.
-    Either way the normals come from the scalar expression that
+    ``positions`` (K, 3) and ``rho``, ``eta``, ``mu``, ``nu`` (K,) are the
+    plates; ``normals`` (K, 3) come from the scalar expression that
     ``landmark_normal`` uses, so the batched kernel sees exactly the values
-    the scalar criteria use.
+    the scalar criteria use. ``Deployment(landmarks)`` stacks a Landmark
+    sequence and keeps it; for ``from_arrays`` the ``landmarks`` tuple is
+    built only when something asks for it.
     """
 
     def __init__(self, landmarks):
-        self._landmarks = tuple(landmarks)
-        self._angles = None
-        k = len(self._landmarks)
+        landmarks = tuple(landmarks)
         self._store(
-            np.array([lm.position for lm in self._landmarks]).reshape(k, 3),
-            [(lm.rho, lm.eta) for lm in self._landmarks],
-            np.array([lm.nu for lm in self._landmarks], dtype=float),
+            np.array([lm.position for lm in landmarks]).reshape(len(landmarks), 3),
+            *(np.array([getattr(lm, name) for lm in landmarks], dtype=float)
+              for name in ("rho", "eta", "mu", "nu")),
         )
+        self._landmarks = landmarks
 
     @classmethod
-    def from_arrays(cls, positions, rho, eta, nu) -> "Deployment":
-        """Plates at ``positions`` (K, 3) with facing angles and diameters (K,).
+    def from_arrays(cls, positions, rho, eta, nu, mu=None) -> "Deployment":
+        """Plates at ``positions`` (K, 3) with facing angles, diameters and roll (K,).
 
-        Plate roll is zero. The values are checked once, with the messages
-        ``Landmark`` gives, and copied.
+        ``mu`` defaults to zero roll. The values are copied and checked
+        once, with the messages ``Landmark`` gives, prefixed by the plate
+        as ``landmarks[k]``.
         """
         positions = np.array(positions, dtype=float)
         rho, eta, nu = (np.array(a, dtype=float) for a in (rho, eta, nu))
+        roll = np.zeros(positions.shape[:1]) if mu is None else np.array(mu, dtype=float)
         if not (positions.ndim == 2 and positions.shape[1] == 3
-                and rho.shape == eta.shape == nu.shape == positions.shape[:1]):
-            raise ValueError(
-                f"plate arrays must be positions (K, 3) and rho, eta, nu (K,), got "
-                f"{positions.shape}, {rho.shape}, {eta.shape}, {nu.shape}"
-            )
+                and rho.shape == eta.shape == nu.shape == roll.shape == positions.shape[:1]):
+            shapes = ", ".join(str(a.shape) for a in (positions, rho, eta, nu, roll))
+            raise ValueError(f"plate arrays must be positions (K, 3) and rho, eta, nu, mu (K,), got {shapes}")
         if not np.isfinite(positions).all():
             raise ValueError("vector components must be finite")
-        checks = (
-            (rho, (rho >= -math.pi) & (rho < math.pi), "rho {} outside [-pi, pi)"),
-            (eta, (eta >= -math.pi / 2) & (eta <= math.pi / 2), "eta {} outside [-pi/2, pi/2]"),
-            (nu, (nu > 0) & np.isfinite(nu), "nu must be a positive finite diameter, got {}"),
-        )
-        for values, ok, message in checks:
+        # in _PLATE_FIELDS order; zip stops before mu when it is the default zero
+        fields = (rho, eta, nu) if mu is None else (rho, eta, nu, roll)
+        for (_, test, message), values in zip(_PLATE_FIELDS, fields):
+            ok = test(values)
             if not ok.all():
-                raise ValueError(message.format(float(values[~ok][0])))
+                k = int(np.argmin(ok))
+                raise ValueError(f"landmarks[{k}]: " + message.format(float(values[k])))
         plates = cls.__new__(cls)
+        plates._store(positions, rho, eta, roll, nu)
         plates._landmarks = None
-        plates._angles = list(zip(rho.tolist(), eta.tolist()))
-        plates._store(positions, plates._angles, nu)
         return plates
 
-    def _store(self, positions: np.ndarray, angles, nu: np.ndarray):
-        self.positions = _read_only(positions)
+    def _store(self, positions, rho, eta, mu, nu):
+        self.positions, self.rho, self.eta, self.mu, self.nu = map(_read_only, (positions, rho, eta, mu, nu))
         self.normals = _read_only(
-            np.array([_facing_normal(rho, eta) for rho, eta in angles]).reshape(len(angles), 3)
+            np.array([_facing_normal(r, e) for r, e in zip(rho.tolist(), eta.tolist())])
+            .reshape(len(positions), 3)
         )
-        self.nu = _read_only(nu)
 
     @property
     def landmarks(self) -> tuple[Landmark, ...]:
         """The plates as Landmark objects, built on first use."""
         if self._landmarks is None:
-            self._landmarks = tuple(
-                Landmark(position, rho=rho, eta=eta, mu=0.0, nu=nu)
-                for position, (rho, eta), nu in zip(self.positions, self._angles, self.nu.tolist())
-            )
+            fields = zip(*(a.tolist() for a in (self.rho, self.eta, self.mu, self.nu)))
+            self._landmarks = tuple(Landmark(p, *f) for p, f in zip(self.positions, fields))
         return self._landmarks
 
     def __len__(self) -> int:

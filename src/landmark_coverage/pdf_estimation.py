@@ -202,6 +202,7 @@ def estimate_orientation_pdf(
     p_threshold: float = 0.05,
 ) -> tuple[OrientationPdf, EstimationReport]:
     """Orientation-cell density estimated from a logged yaw/pitch trace."""
+    grid = OrientationGrid.from_cells(n_yaw, n_pitch)  # checks the cell cap first
     if mean_gap is None:
         mean_gap = _default_mean_gap(samples)
     kept = random_interval_resample(samples, seed=seed, mean_gap=mean_gap)
@@ -214,7 +215,6 @@ def estimate_orientation_pdf(
     _, yaw_p = fit_uniform(yaw_pdf)
     _, pitch_p = fit_uniform(pitch_pdf)
     uniform = indep.independent and yaw_p >= p_threshold and pitch_p >= p_threshold
-    grid = OrientationGrid.from_cells(n_yaw, n_pitch)
     if uniform:
         pdf = OrientationPdf.uniform(grid)
     else:

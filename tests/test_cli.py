@@ -15,6 +15,7 @@ from conftest import CONFIG_DIR
 from landmark_coverage import deployment as deployment_module
 from landmark_coverage import observer as observer_module
 from landmark_coverage.cli import main
+from landmark_coverage.geometry import Landmark
 
 DESK = str(CONFIG_DIR / "desk_room.json")
 
@@ -243,6 +244,45 @@ def test_optimize_sga_defaults_to_no_elites(tmp_path, capsys):
     assert manifest["parameters"]["mode"] == "sga"
     assert manifest["parameters"]["q"] == 0
 
+    # sga has no replacement step, so a nonzero --q could only be ignored
+    rejected = tmp_path / "rejected"
+    code = main(["optimize", "--scene", DESK, "--count", "3", "--mode", "sga", "--m", "8",
+                 "--q", "5", "--iterations", "1", "--out-dir", str(rejected)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "--mode sga" in err and "--q 5" in err
+    assert not rejected.exists()
+
+
+def test_cli_commands_build_no_landmark(tmp_path, capsys, monkeypatch):
+    built = []
+    check = Landmark.__post_init__
+
+    def spy(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(Landmark, "__post_init__", spy)
+    uniform, random = tmp_path / "uniform", tmp_path / "random"
+    run_ok(["generate", "--scene", DESK, "--count", "8", "--out-dir", str(uniform)], capsys)
+    run_ok(["generate", "--scene", DESK, "--count", "8", "--kind", "random",
+            "--out-dir", str(random)], capsys)
+    deployment = ["--deployment", str(uniform / "deployment.json")]
+    run_ok(["analyze", "--scene", DESK, *deployment, "--out-dir", str(tmp_path / "a")], capsys)
+    search = ["optimize", "--scene", DESK, "--m", "4", "--q", "1", "--iterations", "2"]
+    for i, extra in enumerate((["--count", "4"], ["--count", "4", "--encoding", "free"],
+                               ["--initial", str(uniform / "deployment.json")])):
+        run_ok(search + extra + ["--out-dir", str(tmp_path / f"o{i}")], capsys)
+    trajectory = tmp_path / "trajectory.json"
+    trajectory.write_text(json.dumps({
+        "schema": 1, "initial": {"position": [375.0, 250.0, 300.0]},
+        "segments": [{"duration_s": 0.05}],
+    }))
+    simulate = ["simulate", "--scene", DESK, *deployment, "--trajectory", str(trajectory)]
+    run_ok(simulate + ["--out-dir", str(tmp_path / "s0")], capsys)
+    run_ok(simulate + ["--use-estimate-visibility", "--out-dir", str(tmp_path / "s1")], capsys)
+    assert built == []
+
 
 def test_simulate_static_trajectory_and_rerun(tmp_path, capsys):
     dep_dir = tmp_path / "dep"
@@ -414,6 +454,16 @@ MALFORMED_INPUTS = [
     ("scene", "intrinsics.f_mm", 1e-300, "intrinsics"),
     pytest.param("scene", "intrinsics.width_px", 10**400, "intrinsics",
                  id="scene-intrinsics.width_px-401_digits-intrinsics"),
+    # a plate field out of range names the plate and the field
+    ("deployment", "landmarks.0.rho", math.pi, "landmarks[0]: rho"),
+    ("deployment", "landmarks.0.eta", 2.0, "landmarks[0]: eta"),
+    ("deployment", "landmarks.0.mu", -3.5, "landmarks[0]: mu"),
+    ("deployment", "landmarks.0.nu", 0.0, "landmarks[0]: nu"),
+    # an override goes through the scene's one thold_p check
+    ("analyze", "--thold-p", "nan", "thold_p"),
+    ("analyze", "--thold-p", "-1", "thold_p"),
+    ("analyze", "--thold-p", "1.5", "thold_p"),
+    ("analyze", "--thold-p", "inf", "thold_p"),
 ]
 
 
@@ -454,6 +504,8 @@ def test_malformed_field_exits_2_naming_it(tmp_path, capsys, target, path, value
         "segments": ["simulate", "--deployment", str(paths["deployment"]),
                      "--trajectory", str(paths["segments"])],
         "generate": ["generate", path, str(value)],
+        "analyze": ["analyze", "--deployment", str(paths["deployment"]), path, str(value)],
+        "deployment": ["analyze", "--deployment", str(paths["deployment"])],
         "optimize": ["optimize", path, str(value), "--m", "1", "--q", "0", "--iterations", "0"],
     }[target]
     if dt:
@@ -677,6 +729,27 @@ def test_estimate_pdf_too_few_samples_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "too few samples" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_yaw, n_pitch", [(2000, 1000), (10**5, 10**5)])
+def test_estimate_pdf_above_the_cell_cap_exits_2_before_any_histogram(
+    tmp_path, capsys, monkeypatch, n_yaw, n_pitch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a histogram was built")
+
+    monkeypatch.setattr(np, "histogram", refuse)
+    monkeypatch.setattr(np, "histogram2d", refuse)
+    samples = tmp_path / "samples.csv"
+    rows = ["t,alpha,beta"] + [f"{i * 0.01},0.1,0.2" for i in range(200)]
+    samples.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    code = main(["estimate-pdf", "--samples", str(samples), "--n-yaw", str(n_yaw),
+                 "--n-pitch", str(n_pitch), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and f"{n_yaw} x {n_pitch}" in err and "1000000" in err
     assert not out.exists()
 
 

@@ -442,6 +442,20 @@ def test_deployment_json_errors():
         dep.deployment_from_json({"schema": 1, "landmarks": [entry]})
 
 
+def test_deployment_file_with_roll_keeps_its_bytes(tmp_path):
+    doc = {"schema": 1, "landmarks": [
+        {"x": 10.0, "y": 0.0, "z": 5.5, "rho": 0.25, "eta": -0.5, "mu": -2.75, "nu": 8.0},
+        {"x": 0.1, "y": 3.0, "z": 1.0, "rho": -3.0, "eta": 1.5, "mu": 1.0000000000000002,
+         "nu": 12.5},
+    ]}
+    source, copy = tmp_path / "source.json", tmp_path / "copy.json"
+    source.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    loaded = dep.load_deployment(source)
+    assert loaded.mu.tolist() == [lm.mu for lm in loaded.landmarks] == [-2.75, 1.0000000000000002]
+    dep.save_deployment(copy, loaded)
+    assert copy.read_bytes() == source.read_bytes()
+
+
 def test_deployment_json_mu_defaults_to_zero():
     entry = {"x": 1.0, "y": 2.0, "z": 3.0, "rho": 0.5, "eta": -0.25, "nu": 8.0}
     loaded = dep.deployment_from_json({"schema": 1, "landmarks": [entry]})

@@ -189,6 +189,7 @@ def random_landmarks(rng, count):
             rng.uniform(0.0, 400.0, 3),
             rho=rng.uniform(-math.pi, math.pi),
             eta=rng.uniform(-math.pi / 2, math.pi / 2),
+            mu=rng.uniform(-math.pi, math.pi),
             nu=rng.uniform(1.0, 20.0),
         )
         for _ in range(count)
@@ -206,7 +207,7 @@ def test_deployment_plate_arrays_match_landmarks_bitwise():
         assert plates.landmarks[k] is lm
         assert np.array_equal(plates.positions[k], lm.position)
         assert np.array_equal(plates.normals[k], landmark_normal(lm))
-        assert plates.nu[k] == lm.nu
+        assert (plates.rho[k], plates.eta[k], plates.mu[k], plates.nu[k]) == (lm.rho, lm.eta, lm.mu, lm.nu)
 
 
 def test_deployment_of_converts_only_sequences():
@@ -222,7 +223,7 @@ def test_empty_deployment_has_empty_plate_arrays():
     plates = Deployment([])
     assert len(plates) == 0
     assert plates.positions.shape == plates.normals.shape == (0, 3)
-    assert plates.nu.shape == (0,)
+    assert plates.rho.shape == plates.eta.shape == plates.mu.shape == plates.nu.shape == (0,)
 
 
 def test_plates_are_immutable():
@@ -237,7 +238,7 @@ def test_plates_are_immutable():
         lm.position[0] = 50.0
     with pytest.raises(ValueError):
         plates.positions[0, 0] = 1.0
-    for array in (plates.normals, plates.nu):
+    for array in (plates.normals, plates.rho, plates.eta, plates.mu, plates.nu):
         assert not array.flags.writeable
     assert plates.positions[0, 0] == lm.position[0] == 10.0
 
@@ -252,7 +253,7 @@ def test_array_deployment_matches_landmarks_and_builds_them_on_demand():
     source[0, 0] = -1.0  # the deployment keeps its own copy
     reference = Deployment([replace(lm, mu=0.0) for lm in landmarks])
     assert len(plates) == 5
-    for name in ("positions", "normals", "nu"):
+    for name in ("positions", "normals", "rho", "eta", "mu", "nu"):
         assert getattr(plates, name).tobytes() == getattr(reference, name).tobytes()
         assert not getattr(plates, name).flags.writeable
     for a, b in zip(plates.landmarks, reference.landmarks):
@@ -261,6 +262,19 @@ def test_array_deployment_matches_landmarks_and_builds_them_on_demand():
     assert plates.landmarks is plates.landmarks
     empty = Deployment.from_arrays(np.zeros((0, 3)), [], [], [])
     assert len(empty) == 0 and empty.normals.shape == (0, 3) and empty.landmarks == ()
+
+
+def test_array_deployment_keeps_a_given_roll():
+    landmarks = random_landmarks(np.random.default_rng(9), 4)
+    plates = Deployment.from_arrays(
+        [lm.position for lm in landmarks], *([getattr(lm, name) for lm in landmarks]
+                                            for name in ("rho", "eta", "nu")),
+        mu=[lm.mu for lm in landmarks],
+    )
+    reference = Deployment(landmarks)
+    for name in ("positions", "normals", "rho", "eta", "mu", "nu"):
+        assert getattr(plates, name).tobytes() == getattr(reference, name).tobytes()
+    assert [lm.mu for lm in plates.landmarks] == [lm.mu for lm in landmarks]
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -272,18 +286,22 @@ def test_array_deployment_matches_landmarks_and_builds_them_on_demand():
     ("nu", 0.0, "nu must be a positive finite diameter, got 0.0"),
     ("nu", math.inf, "got inf"),
     ("nu", math.nan, "got nan"),
+    ("mu", math.pi, "mu 3.14159"),
+    ("mu", -4.0, "mu -4.0 outside"),
+    ("mu", math.nan, "mu nan"),
     ("positions", math.inf, "finite"),
     ("positions", math.nan, "finite"),
 ])
 def test_array_deployment_rejects_what_landmark_rejects(field, value, message):
     arrays = {"positions": np.ones((3, 3)), "rho": np.zeros(3), "eta": np.zeros(3),
-              "nu": np.full(3, 10.0)}
+              "nu": np.full(3, 10.0), "mu": np.zeros(3)}
     arrays[field][-1] = value
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as raised:
         Deployment.from_arrays(**arrays)
+    assert str(raised.value).startswith("landmarks[2]: ") == (field != "positions")
     one = {name: a[-1] for name, a in arrays.items()}
     with pytest.raises(ValueError, match=message):
-        Landmark(one["positions"], rho=one["rho"], eta=one["eta"], nu=one["nu"])
+        Landmark(one["positions"], rho=one["rho"], eta=one["eta"], mu=one["mu"], nu=one["nu"])
 
 
 def test_array_deployment_rejects_mismatched_shapes():
@@ -291,6 +309,8 @@ def test_array_deployment_rejects_mismatched_shapes():
         Deployment.from_arrays(np.zeros((2, 3)), [0.0], [0.0, 0.0], [1.0, 1.0])
     with pytest.raises(ValueError, match="plate arrays"):
         Deployment.from_arrays(np.zeros(3), [0.0], [0.0], [1.0])
+    with pytest.raises(ValueError, match="plate arrays"):
+        Deployment.from_arrays(np.zeros((2, 3)), [0.0] * 2, [0.0] * 2, [1.0] * 2, mu=[0.0])
 
 
 def test_intrinsics_magnification():
