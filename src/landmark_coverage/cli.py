@@ -378,13 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--initial", default=None, help="deployment JSON seeding the search")
     optimize.add_argument("--mode", choices=("ega", "sga"), default="ega")
     optimize.add_argument("--encoding", choices=("wall", "free"), default="wall")
-    optimize.add_argument("--m", type=int, default=30)
+    optimize.add_argument("--m", type=int, default=EgaParams.m)
     optimize.add_argument("--q", type=int, default=None)
     optimize.add_argument("--upsilon-min", dest="upsilon_min", type=int, default=None)
     optimize.add_argument("--upsilon-max", dest="upsilon_max", type=int, default=None)
-    optimize.add_argument("--psi", type=float, default=0.1)
-    optimize.add_argument("--iterations", type=int, default=400)
-    optimize.add_argument("--seed", type=int, default=0)
+    optimize.add_argument("--psi", type=float, default=EgaParams.psi)
+    optimize.add_argument("--iterations", type=int, default=EgaParams.iterations)
+    optimize.add_argument("--seed", type=int, default=EgaParams.seed)
     optimize.add_argument("--plateau", type=int, default=None)
     optimize.add_argument("--threads", type=int, default=1)
     optimize.add_argument("--out-dir", required=True)
@@ -423,9 +423,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

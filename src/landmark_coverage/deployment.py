@@ -29,6 +29,7 @@ from .errors import (
     SCHEMA_VERSION,
     SchemaError,
     check_schema as _check_schema,
+    check_seed as _check_seed,
     integer as _integer,
     load_json as _load_json,
     number as _number,
@@ -202,6 +203,11 @@ def make_scene(
     shape = tuple(int(s) for s in grid_shape)
     if len(shape) != 3 or any(s < 1 for s in shape):
         raise ValueError("grid shape must be three positive counts")
+    if math.prod(shape) > MAX_POSITIONS:
+        raise ValueError(
+            f"grid.nx x grid.ny x grid.nz = {' x '.join(map(str, shape))} "
+            f"positions, above the cap of {MAX_POSITIONS}"
+        )
     lo = room / 2.0 - reachable / 2.0
     spacing = reachable / np.asarray(shape, dtype=float)
     axes = [lo[i] + (np.arange(shape[i]) + 0.5) * spacing[i] for i in range(3)]
@@ -393,7 +399,7 @@ def generate_uniform(scene: Scene, count: int) -> Deployment:
 def generate_random(scene: Scene, count: int, seed: int) -> Deployment:
     """Landmarks uniform over the active wall surfaces with random facing."""
     check_plate_count(count)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     areas = np.array([w.area for w in scene.walls])
     probs = areas / areas.sum()
     positions, angles = [], []
@@ -431,11 +437,6 @@ def scene_from_config(doc: dict, context: str = "scene") -> Scene:
     room_cm = [_number(_require(room, k, f"{context}.room"), f"{context}.room.{k}") for k in ("length_cm", "width_cm", "height_cm")]
     reach_cm = [_number(_require(reach, k, f"{context}.reachable"), f"{context}.reachable.{k}") for k in ("length_cm", "width_cm", "height_cm")]
     shape = [_integer(_require(grid, k, f"{context}.grid"), f"{context}.grid.{k}", positive=True) for k in ("nx", "ny", "nz")]
-    if math.prod(shape) > MAX_POSITIONS:
-        raise SchemaError(
-            f"{context}.grid: grid.nx x grid.ny x grid.nz = {' x '.join(map(str, shape))} "
-            f"positions, above the cap of {MAX_POSITIONS}"
-        )
 
     yaw_step = _number(orientation.get("yaw_step_rad", math.pi / 12), f"{context}.orientation.yaw_step_rad", positive=True)
     pitch_step = _number(orientation.get("pitch_step_rad", math.pi / 12), f"{context}.orientation.pitch_step_rad", positive=True)

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace as _dc_replace
 import numpy as np
 
 from .deployment import Deployment, Scene, cost
+from .errors import check_seed
 
 logger = logging.getLogger(__name__)
 
@@ -158,6 +159,7 @@ class EgaParams:
             raise ValueError("iterations must be non-negative")
         if self.plateau is not None and self.plateau < 1:
             raise ValueError("plateau must be a positive generation count")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -175,6 +177,11 @@ def _next_generation(
     params: EgaParams,
     rng: np.random.Generator,
 ) -> np.ndarray:
+    """The next population, with an unmutated copy of the fittest row in row 0.
+
+    On ties the first fittest row is kept. run relies on row 0 being that
+    copy: it takes row 0's fitness as max(fits) instead of scoring it again.
+    """
     m, length = genes.shape
     elite = int(np.argmax(fits))
     others = [i for i in range(m) if i != elite]
@@ -202,27 +209,6 @@ def _next_generation(
         chrom[mask] = draws[mask]
         space.clamp_inplace(chrom)
     return np.stack(rows)
-
-
-class _Memo:
-    """Cost cache keyed by chromosome bytes; evaluations are pure.
-
-    threads is handed to every cost call, where it sets the worker threads
-    for that evaluation's position spans.
-    """
-
-    def __init__(self, scene: Scene, space: GeneSpace, threads: int):
-        self.scene = scene
-        self.space = space
-        self.threads = threads
-        self.table: dict[bytes, float] = {}
-
-    def fitnesses(self, genes: np.ndarray) -> np.ndarray:
-        keys = [row.tobytes() for row in genes]
-        for key, row in zip(keys, genes):
-            if key not in self.table:
-                self.table[key] = cost(self.scene, self.space.decode(row), threads=self.threads)
-        return np.array([self.table[key] for key in keys])
 
 
 def default_segment_bounds(length: int) -> tuple[int, int]:
@@ -271,13 +257,15 @@ def run(
         rows.append(space.random(rng))
     genes = np.stack(rows)
 
-    memo = _Memo(scene, space, threads)
-    fits = memo.fitnesses(genes)
+    def fitnesses(rows: np.ndarray) -> np.ndarray:
+        return np.array([cost(scene, space.decode(row), threads=threads) for row in rows])
+
+    fits = fitnesses(genes)
     history = [GenStats(0, float(np.max(fits)), float(np.mean(fits)), float(np.min(fits)))]
     since_improve = 0
     for gen in range(1, params.iterations + 1):
         genes = _next_generation(genes, fits, space, params, rng)
-        new_fits = memo.fitnesses(genes)
+        new_fits = np.concatenate(([np.max(fits)], fitnesses(genes[1:])))
         if float(np.max(new_fits)) > float(np.max(fits)):
             since_improve = 0
         else:

@@ -1,4 +1,5 @@
-"""Error types shared across modules, and the readers for input-file fields.
+"""Error types shared across modules, the seed check, and the readers for
+input-file fields.
 
 Every field of a scene, deployment, trajectory or density file is read
 through the readers below. Each raises SchemaError with a message that
@@ -84,6 +85,13 @@ def integer(value, context: str, positive: bool = False) -> int:
     if positive and value < 1:
         raise SchemaError(f"{context}: expected a positive integer, got {reprlib.repr(value)}")
     return value
+
+
+def check_seed(seed: int) -> int:
+    """``seed``, which numpy's generators require to be non-negative."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
 
 
 def numbers(value, context: str, length: int | None = None) -> np.ndarray:

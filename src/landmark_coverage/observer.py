@@ -25,6 +25,7 @@ from .errors import (
     SchemaError,
     TrajectoryOutOfRegionError,
     check_schema as _check_schema,
+    check_seed as _check_seed,
     integer as _integer,
     load_json as _load_json,
     number as _number,
@@ -316,7 +317,7 @@ def random_walk_trajectory(
         raise ValueError("duration must be positive")
     if segment_duration <= 0:
         raise ValueError("segment duration must be positive")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     if initial is None:
         yaw = float(rng.uniform(-np.pi, np.pi))
         pitch = float(rng.uniform(-np.pi / 2.0, np.pi / 2.0))

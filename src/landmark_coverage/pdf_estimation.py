@@ -20,6 +20,7 @@ from .errors import (
     SCHEMA_VERSION,
     SchemaError,
     check_schema as _check_schema,
+    check_seed as _check_seed,
     integer as _integer,
     numbers as _numbers,
     require as _require,
@@ -80,7 +81,7 @@ def random_interval_resample(
         mean_gap = _default_mean_gap(samples)
     if not (mean_gap > 0 and math.isfinite(mean_gap)):
         raise ValueError("mean gap must be positive")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     keep = [0]
     target = samples.t[0] + rng.exponential(mean_gap)
     for i in range(1, len(samples)):

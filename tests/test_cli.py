@@ -464,6 +464,8 @@ MALFORMED_INPUTS = [
     ("analyze", "--thold-p", "-1", "thold_p"),
     ("analyze", "--thold-p", "1.5", "thold_p"),
     ("analyze", "--thold-p", "inf", "thold_p"),
+    # a negative seed is named where it reaches the generator
+    ("trajectory", "random_walk.seed", -1, "seed must be a non-negative integer, got -1"),
 ]
 
 
@@ -514,6 +516,23 @@ def test_malformed_field_exits_2_naming_it(tmp_path, capsys, target, path, value
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and field in err.splitlines()[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "optimize", "estimate-pdf"])
+def test_negative_seed_exits_2_naming_it(tmp_path, capsys, command):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("t,alpha,beta\n" + "".join(f"{i * 0.01},0.1,0.2\n" for i in range(200)))
+    argv = {
+        "generate": ["generate", "--scene", DESK, "--count", "3", "--kind", "random"],
+        "optimize": ["optimize", "--scene", DESK, "--count", "2", "--m", "2", "--q", "0",
+                     "--iterations", "0"],
+        "estimate-pdf": ["estimate-pdf", "--samples", str(samples)],
+    }[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--seed", "-1", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == "error: seed must be a non-negative integer, got -1"
     assert not out.exists()
 
 

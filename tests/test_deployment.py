@@ -119,6 +119,33 @@ def test_make_scene_validation():
         small_scene(nu_default=0.0)
 
 
+def test_make_scene_caps_positions_before_the_meshgrid(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a position grid was built")
+
+    monkeypatch.setattr(np, "meshgrid", refuse)
+    with pytest.raises(ValueError, match=r"grid\.nx .* 10000 x 10000 x 10000 positions"):
+        small_scene(grid_shape=(10**4, 10**4, 10**4))
+    with pytest.raises(ValueError, match="above the cap"):
+        small_scene(grid_shape=(dep.MAX_POSITIONS + 1, 1, 1))
+
+
+def test_negative_seed_is_refused_where_it_meets_the_generator():
+    from landmark_coverage import ega, observer, pdf_estimation
+
+    scene = small_scene()
+    samples = pdf_estimation.AngleSamples(np.arange(4.0), np.zeros(4), np.zeros(4))
+    calls = [
+        lambda: dep.generate_random(scene, 3, seed=-1),
+        lambda: ega.EgaParams(seed=-1),
+        lambda: pdf_estimation.random_interval_resample(samples, seed=-1, mean_gap=1.0),
+        lambda: observer.random_walk_trajectory(scene, duration=0.1, seed=-1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            call()
+
+
 def test_make_scene_rejects_nan_rel():
     rel = np.ones(12)
     rel[3] = np.nan

@@ -196,25 +196,44 @@ def test_plateau_stops_early():
 
 
 def test_memo_avoids_reevaluating_rows(monkeypatch):
-    scene = search_scene()
-    space = ega.GeneSpace(scene, count=1, encoding="wall")
-    calls = {"n": 0}
-    real_cost = ega.cost
+    # Every later generation carries its row 0, the unmutated elite, at the
+    # previous generation's best fitness, and scores only rows 1..m-1.
+    real_cost, real_next = ega.cost, ega._next_generation
+    generations = []  # (genes, space, deployments scored) per generation
 
     def counting_cost(s, d, threads=1):
-        calls["n"] += 1
+        generations[-1][2].append(d)
         return real_cost(s, d, threads=threads)
 
+    def recording_next(genes, fits, space, params, rng):
+        out = real_next(genes, fits, space, params, rng)
+        generations.append((out, space, []))
+        return out
+
     monkeypatch.setattr(ega, "cost", counting_cost)
-    memo = ega._Memo(scene, space, threads=1)
-    rng = np.random.default_rng(0)
-    row = space.random(rng)
-    genes = np.stack([row, row.copy(), space.random(rng)])
-    fits = memo.fitnesses(genes)
-    assert calls["n"] == 2  # duplicate row hits the cache
-    assert fits[0] == fits[1]
-    memo.fitnesses(genes)
-    assert calls["n"] == 2
+    monkeypatch.setattr(ega, "_next_generation", recording_next)
+    scene = search_scene()
+    params = ega.EgaParams(m=6, q=2, upsilon_min=2, upsilon_max=6, iterations=4, seed=3)
+    runs = [
+        (scene, params, {"count": 2}),
+        (scene, params, {"initial": dep.generate_random(scene, 2, seed=1)}),
+        # thold_p = 1.0 makes every cost zero, so the plateau stops the search
+        (search_scene(thold_p=1.0), replace(params, iterations=50, plateau=3), {"count": 2}),
+    ]
+    for run_scene, run_params, kwargs in runs:
+        generations[:] = [(None, None, [])]
+        _, history = ega.run(run_scene, run_params, **kwargs)
+        m, g = run_params.m, len(history) - 1
+        assert g == len(generations) - 1 == (3 if run_params.plateau else 4)
+        assert sum(len(scored) for _, _, scored in generations) == m + g * (m - 1)
+        assert len(generations[0][2]) == m
+        for gen, (genes, space, scored) in enumerate(generations[1:], start=1):
+            assert len(scored) == m - 1
+            for row, d in zip(genes[1:], scored):
+                expected = space.decode(row)
+                for name in ("positions", "rho", "eta"):
+                    assert np.array_equal(getattr(d, name), getattr(expected, name))
+            assert real_cost(run_scene, space.decode(genes[0])) == history[gen - 1].best
 
 
 def test_threaded_fitness_matches_serial():
