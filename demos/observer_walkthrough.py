@@ -14,7 +14,6 @@ import argparse
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import expm
 
 import landmark_coverage as lc
 from landmark_coverage.ega import run as run_search
@@ -42,7 +41,7 @@ def static_part():
     deployment = lc.generate_uniform(scene, 6)
     x0 = lc.pose_to_se3(lc.Pose6(scene.center, yaw=0.4))
     spec = lc.TrajectorySpec(initial=x0, segments=[(4.0, np.zeros((4, 4)))])
-    x_hat0 = x0 @ expm(lc.twist([0.12, -0.1, 0.08], [0.2, -0.15, 0.1]))
+    x_hat0 = x0 @ lc.se3_exp(lc.twist([0.12, -0.1, 0.08], [0.2, -0.15, 0.1]), 1.0)
     config = lc.ObserverConfig(k_i=0.5, k0=0.0, dt=0.01, visibility="ideal")
     trace = simulate(scene, deployment, spec, config, x_hat0=x_hat0)
     for i in range(0, trace.t.size, 80):
@@ -60,7 +59,7 @@ def walk_part(scene, deployments, seeds):
             scene, duration=8.0, seed=seed,
             lin_speed=40.0, ang_speed=2.0, margin=10.0,
         )
-        x_hat0 = walk.initial @ expm(lc.twist([0.15, -0.1, 0.12], [0.0, 0.0, 0.0]))
+        x_hat0 = walk.initial @ lc.se3_exp(lc.twist([0.15, -0.1, 0.12], [0.0, 0.0, 0.0]), 1.0)
         row = []
         for label, deployment in deployments.items():
             trace = simulate(scene, deployment, walk, config, x_hat0=x_hat0)

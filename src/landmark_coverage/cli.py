@@ -10,9 +10,10 @@ run succeeds, with the manifest renamed last: a manifest.json is present
 only beside a complete set of outputs from one run. Manifests carry no
 timestamps; rerunning a command reproduces every output byte for byte.
 
-Exit codes: 0 on success, 2 for bad parameters or malformed input files,
-3 for runtime invariant violations such as a trajectory leaving the
-reachable region.
+Exit codes: 0 on success, 1 when a command needs an optional dependency
+that is not installed (scipy, for estimate-pdf), 2 for bad parameters or
+malformed input files, 3 for runtime invariant violations such as a
+trajectory leaving the reachable region.
 """
 
 from __future__ import annotations
@@ -35,7 +36,13 @@ from .deployment import (
     deployment_to_json,
 )
 from .ega import GENES_PER_LANDMARK, EgaParams, default_segment_bounds, run as run_search
-from .errors import SchemaError, TrajectoryOutOfRegionError, load_json as _load_json
+from .errors import (
+    MissingDependencyError,
+    SchemaError,
+    TrajectoryOutOfRegionError,
+    check_seed,
+    load_json as _load_json,
+)
 from .observer import ObserverConfig, load_trajectory, simulate
 from .pdf_estimation import (
     estimate_orientation_pdf,
@@ -185,6 +192,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    check_seed(args.seed)  # the manifest records it, though a uniform layout draws nothing
     scene = load_scene(args.scene)
     if args.kind == "uniform":
         deployment = generate_uniform(scene, args.count)
@@ -429,6 +437,9 @@ def main(argv=None) -> int:
     except TrajectoryOutOfRegionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MissingDependencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entrypoint():

@@ -200,9 +200,13 @@ def make_scene(
     if not (nu_default > 0):
         raise ValueError("nu_default must be positive")
 
-    shape = tuple(int(s) for s in grid_shape)
-    if len(shape) != 3 or any(s < 1 for s in shape):
-        raise ValueError("grid shape must be three positive counts")
+    try:
+        shape = tuple(int(s) for s in grid_shape)
+    except (ValueError, OverflowError):  # nan, inf
+        shape = None
+    # int() truncates, so a count that changes under it (2.7) is refused too
+    if shape is None or len(shape) != 3 or shape != tuple(grid_shape) or any(s < 1 for s in shape):
+        raise ValueError(f"grid shape must be three positive whole counts, got {tuple(grid_shape)}")
     if math.prod(shape) > MAX_POSITIONS:
         raise ValueError(
             f"grid.nx x grid.ny x grid.nz = {' x '.join(map(str, shape))} "

@@ -27,6 +27,10 @@ class TrajectoryOutOfRegionError(RuntimeError):
     """A simulated camera position left the reachable region."""
 
 
+class MissingDependencyError(ImportError):
+    """An optional dependency that a command needs is not installed."""
+
+
 def load_json(path, context: str):
     """The parsed JSON document at ``path``."""
     try:

@@ -416,24 +416,66 @@ _ORTHO_DRIFT_TOL = 1e-9
 _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
 
-# scipy.linalg.expm, imported by the first se3_path call: importing scipy
-# takes longer than most commands run, and only simulate needs it.
-_expm = None
+# Below this rotation angle A, B and C come from their Taylor series, each to
+# theta^6; the first term left out is under 1e-19 there.
+_SERIES_THETA = 0.02
+
+
+def se3_exp(U: np.ndarray, dt: float) -> np.ndarray:
+    """The group exponential ``exp(U·dt)`` of a twist ``U``, as a 4×4 array.
+
+    With ``w`` the rotation vector and ``u`` the linear part of ``U·dt``,
+    ``θ = |w|`` and ``W`` the skew matrix of ``w``, the closed form is
+    (Murray, Li and Sastry 1994, §2.3; Barfoot 2017, §7.1)::
+
+        R = I + A·W + B·W²,   t = (I + B·W + C·W²)·u,
+        A = sin θ/θ,   B = 2·sin²(θ/2)/θ²,   C = (θ − sin θ)/θ³.
+
+    ``W² = w·wᵀ − θ²·I``, so each diagonal entry is ``1 − B`` (or ``C``) times
+    the other two squared components, which avoids cancelling against θ².
+    Below θ = 0.02, A, B and C come from their Taylor series. It is computed
+    on Python floats: numpy's per-call overhead on 3×3 blocks costs more
+    than the arithmetic. A zero twist gives the identity exactly.
+    """
+    (_, _, w02, u0), (w10, _, _, u1), (_, w21, _, u2), _ = U.tolist()
+    x, y, z = w21 * dt, w02 * dt, w10 * dt
+    u0, u1, u2 = u0 * dt, u1 * dt, u2 * dt
+    xx, yy, zz = x * x, y * y, z * z
+    th2 = xx + yy + zz
+    if th2 < _SERIES_THETA * _SERIES_THETA:
+        a = 1.0 - th2 / 6.0 * (1.0 - th2 / 20.0 * (1.0 - th2 / 42.0))
+        b = 0.5 - th2 / 24.0 * (1.0 - th2 / 30.0 * (1.0 - th2 / 56.0))
+        c = 1.0 / 6.0 - th2 / 120.0 * (1.0 - th2 / 42.0 * (1.0 - th2 / 72.0))
+    else:
+        th = math.sqrt(th2)
+        s = math.sin(th)
+        h = math.sin(0.5 * th)
+        a = s / th
+        b = 2.0 * h * h / th2
+        c = (th - s) / (th2 * th)
+    xy, xz, yz = x * y, x * z, y * z
+    v00, v11, v22 = 1.0 - c * (yy + zz), 1.0 - c * (xx + zz), 1.0 - c * (xx + yy)
+    v01, v10 = c * xy - b * z, c * xy + b * z
+    v02, v20 = c * xz + b * y, c * xz - b * y
+    v12, v21 = c * yz - b * x, c * yz + b * x
+    return np.array([
+        [1.0 - b * (yy + zz), b * xy - a * z, b * xz + a * y, (v00 * u0 + v01 * u1) + v02 * u2],
+        [b * xy + a * z, 1.0 - b * (xx + zz), b * yz - a * x, (v10 * u0 + v11 * u1) + v12 * u2],
+        [b * xz - a * y, b * yz + a * x, 1.0 - b * (xx + yy), (v20 * u0 + v21 * u1) + v22 * u2],
+        [0.0, 0.0, 0.0, 1.0],
+    ])
 
 
 def se3_path(X: np.ndarray, U: np.ndarray, dt: float, steps: int) -> np.ndarray:
     """The poses after each of ``steps`` steps of a constant body twist.
 
     Returns shape (steps, 4, 4); entry i is ``X`` advanced by ``(i + 1)·dt``.
-    The exponential ``expm(U·dt)`` is taken once and every step multiplies
-    the previous pose by it, re-orthonormalizing the rotation block when
-    numerical drift exceeds a small threshold, which keeps long
+    The exponential ``se3_exp(U, dt)`` is taken once and every step
+    multiplies the previous pose by it, re-orthonormalizing the rotation
+    block when numerical drift exceeds a small threshold, which keeps long
     integrations on the group.
     """
-    global _expm
-    if _expm is None:
-        from scipy.linalg import expm as _expm
-    E = _expm(U * dt)
+    E = se3_exp(U, dt)
     out = np.empty((steps, 4, 4))
     for i in range(steps):
         Y = X @ E

@@ -18,6 +18,7 @@ import numpy as np
 from .coverage import OrientationGrid, OrientationPdf
 from .errors import (
     SCHEMA_VERSION,
+    MissingDependencyError,
     SchemaError,
     check_schema as _check_schema,
     check_seed as _check_seed,
@@ -29,6 +30,21 @@ from .errors import (
 
 _HALF_PI = math.pi / 2
 _MIN_EXPECTED = 5.0
+
+
+def _scipy_stats():
+    """``scipy.stats``, imported on first use.
+
+    Importing scipy costs more than most runs, and only this module's two
+    statistical tests need it, so scipy is the optional ``pdf`` extra.
+    """
+    try:
+        from scipy import stats
+    except ImportError:
+        raise MissingDependencyError(
+            "estimate-pdf needs scipy: pip install 'landmark-coverage[pdf]'"
+        ) from None
+    return stats
 
 
 @dataclass(eq=False)
@@ -138,8 +154,7 @@ def independence_test(
     Bins are halved until every expected cell count reaches 5; if that never
     happens the sample is too small and the test raises.
     """
-    from scipy import stats  # on first use: importing scipy costs more than most runs
-
+    stats = _scipy_stats()
     alpha = np.asarray(alpha, dtype=float).ravel()
     beta = np.asarray(beta, dtype=float).ravel()
     bx, by = bins
@@ -167,8 +182,7 @@ def independence_test(
 
 def fit_uniform(pdf: DiscretePdf1D) -> tuple[float, float]:
     """(uniform density, goodness-of-fit p-value) for a 1-D histogram."""
-    from scipy import stats
-
+    stats = _scipy_stats()
     counts = pdf.masses * pdf.n_samples
     result = stats.chisquare(counts)
     density = 1.0 / (pdf.edges[-1] - pdf.edges[0])

@@ -466,6 +466,8 @@ MALFORMED_INPUTS = [
     ("analyze", "--thold-p", "inf", "thold_p"),
     # a negative seed is named where it reaches the generator
     ("trajectory", "random_walk.seed", -1, "seed must be a non-negative integer, got -1"),
+    # and for a uniform layout too, which draws nothing but records the seed
+    ("generate", "--seed", -1, "seed must be a non-negative integer, got -1"),
 ]
 
 
@@ -505,7 +507,8 @@ def test_malformed_field_exits_2_naming_it(tmp_path, capsys, target, path, value
                        "--trajectory", str(paths["trajectory"])],
         "segments": ["simulate", "--deployment", str(paths["deployment"]),
                      "--trajectory", str(paths["segments"])],
-        "generate": ["generate", path, str(value)],
+        # a --count in path and value overrides the 3
+        "generate": ["generate", "--count", "3", path, str(value)],
         "analyze": ["analyze", "--deployment", str(paths["deployment"]), path, str(value)],
         "deployment": ["analyze", "--deployment", str(paths["deployment"])],
         "optimize": ["optimize", path, str(value), "--m", "1", "--q", "0", "--iterations", "0"],
@@ -614,14 +617,19 @@ def test_step_and_plate_caps_hold_at_the_boundary(tmp_path, capsys, monkeypatch)
         assert not out.exists()
 
 
-def _python(argv, timeout=120):
-    """Run a fresh interpreter with the package importable; its stdout."""
+def _run_python(argv, timeout=120):
+    """Run a fresh interpreter with the package importable."""
     env = dict(os.environ)
     src = str(CONFIG_DIR.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def _python(argv, timeout=120):
+    """Run a fresh interpreter with the package importable; its stdout."""
+    done = _run_python(argv, timeout)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -635,14 +643,38 @@ def test_importing_the_package_loads_no_scipy():
     assert loaded.split() == []
 
 
-def test_se3_path_loads_scipy_linalg_only():
+def test_simulate_loads_no_scipy(tmp_path):
+    # The observer's exponential is se3_exp's closed form, so a whole
+    # simulate run, camera model included, leaves scipy unloaded.
+    trajectory = tmp_path / "trajectory.json"
+    trajectory.write_text(json.dumps({"schema": 1, "random_walk": {"duration_s": 0.5, "seed": 0}}))
+    plates, out = tmp_path / "plates", tmp_path / "out"
     loaded = _python(["-c", (
-        "import sys, numpy as np\n"
-        "from landmark_coverage import geometry\n"
-        "geometry.se3_path(np.eye(4), np.zeros((4, 4)), 0.01, 2)\n"
-        "print('scipy.linalg' in sys.modules, 'scipy.stats' in sys.modules)"
+        "import sys\n"
+        "from landmark_coverage.cli import main\n"
+        f"assert main(['generate', '--scene', {DESK!r}, '--count', '12', '--out-dir', {str(plates)!r}]) == 0\n"
+        f"assert main(['simulate', '--scene', {DESK!r}, '--deployment', {str(plates / 'deployment.json')!r},"
+        f" '--trajectory', {str(trajectory)!r}, '--visibility', 'camera-model',"
+        f" '--out-dir', {str(out)!r}]) == 0\n"
+        "print('scipy modules:', *[m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     )])
-    assert loaded.split() == ["True", "False"]
+    assert loaded.splitlines()[-1] == "scipy modules:"
+    assert (out / "trace.csv").exists()
+
+
+def test_estimate_pdf_without_scipy_exits_1_naming_the_extra(tmp_path):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("t,alpha,beta\n" + "".join(f"{i * 0.01},0.1,0.2\n" for i in range(200)))
+    out = tmp_path / "out"
+    done = _run_python(["-c", (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # what an install without the pdf extra sees\n"
+        "from landmark_coverage.cli import main\n"
+        f"sys.exit(main(['estimate-pdf', '--samples', {str(samples)!r}, '--out-dir', {str(out)!r}]))"
+    )])
+    assert done.returncode == 1
+    assert done.stderr == "error: estimate-pdf needs scipy: pip install 'landmark-coverage[pdf]'\n"
+    assert not out.exists()
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sized to glibc's malloc thresholds")

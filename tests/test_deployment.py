@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -128,6 +129,20 @@ def test_make_scene_caps_positions_before_the_meshgrid(monkeypatch):
         small_scene(grid_shape=(10**4, 10**4, 10**4))
     with pytest.raises(ValueError, match="above the cap"):
         small_scene(grid_shape=(dep.MAX_POSITIONS + 1, 1, 1))
+
+
+def test_make_scene_refuses_fractional_grid_counts(monkeypatch):
+    # int() used to truncate (2.7, 2, 2.9) to a 2 x 2 x 2 grid
+    scene = small_scene(grid_shape=(2.0, 2, np.int64(3)))
+    assert scene.grid_shape == (2, 2, 3) and scene.points.shape == (12, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a position grid was built")
+
+    monkeypatch.setattr(np, "meshgrid", refuse)
+    for shape in [(2.7, 2, 2.9), (math.nan, 2, 2), (2, math.inf, 2), (2.5, 1e9, 1e9)]:
+        with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+            small_scene(grid_shape=shape)
 
 
 def test_negative_seed_is_refused_where_it_meets_the_generator():

@@ -25,6 +25,7 @@ from landmark_coverage.geometry import (
     pose_to_se3,
     project_to_rotation,
     rotation_from_angles,
+    se3_exp,
     se3_inverse,
     se3_matrix,
     se3_path,
@@ -432,6 +433,53 @@ def test_se3_step_zero_twist_is_identity():
     x = pose_to_se3(Pose6(np.array([2.0, 3.0, 4.0]), yaw=1.0, pitch=0.4))
     y = se3_step(x, np.zeros((4, 4)), 0.01)
     assert np.allclose(y, x, atol=1e-15)
+
+
+SE3_EXP_BANDS = [(0.0, 0.0), (1e-12, 1e-3), (1e-3, 0.1), (0.1, 3.0), (3.0, math.pi - 1e-12)]
+
+
+def _band_twists(rng, lo, hi, count=30):
+    """(U, dt, |v|): twists whose U·dt turns by θ in [lo, hi], |v| up to 50."""
+    for _ in range(count):
+        # log-uniform where the band spans decades, so its small end is sampled
+        theta = math.exp(rng.uniform(math.log(lo), math.log(hi))) if lo > 0 else 0.0
+        axis = rng.normal(size=3)
+        linear = rng.normal(size=3)
+        dt = float(rng.choice([1.0, 0.01, 0.3]))
+        U = twist(axis / np.linalg.norm(axis) * theta / dt,
+                  linear / np.linalg.norm(linear) * rng.uniform(0.0, 50.0) / dt)
+        yield U, dt, float(np.linalg.norm(U[:3, 3] * dt))
+
+
+@pytest.mark.parametrize("lo, hi", SE3_EXP_BANDS)
+def test_se3_exp_matches_a_40_digit_expm(lo, hi):
+    import mpmath  # installed with sympy, a test dependency
+
+    rng = np.random.default_rng(int(hi * 1e3) + 7)
+    with mpmath.workdps(40):
+        for U, dt, speed in _band_twists(rng, lo, hi):
+            ref = mpmath.expm(mpmath.matrix((U * dt).tolist()))
+            ref = np.array(ref.tolist(), dtype=float)
+            E = se3_exp(U, dt)
+            assert np.abs(E[:3, :3] - ref[:3, :3]).max() <= 1e-15
+            assert np.abs(E[:3, 3] - ref[:3, 3]).max() <= 1e-15 * max(1.0, speed)
+            assert E[3].tolist() == [0.0, 0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("lo, hi", SE3_EXP_BANDS)
+def test_se3_exp_matches_scipy_expm(lo, hi):
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(int(hi * 1e3) + 7)
+    for U, dt, speed in _band_twists(rng, lo, hi):
+        assert np.abs(se3_exp(U, dt) - expm(U * dt)).max() <= 1e-13 * max(1.0, speed)
+        # the inverse twist undoes it
+        assert np.abs(se3_exp(U, dt) @ se3_exp(-U, dt) - np.eye(4)).max() <= 1e-15 * max(1.0, speed)
+
+
+def test_se3_exp_of_a_zero_twist_is_the_identity():
+    assert np.array_equal(se3_exp(np.zeros((4, 4)), 0.01), np.eye(4))
+    assert np.array_equal(se3_exp(twist([0.3, -0.2, 0.5], [1.0, 0.0, -0.5]), 0.0), np.eye(4))
 
 
 def test_frobenius_error():
