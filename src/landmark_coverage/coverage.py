@@ -12,13 +12,18 @@ the n-fold coverage probability of a position.
 The scalar criteria are the reference semantics.  Every gate bounds the
 plate's camera depth ``z``, and each bound is monotone in ``z``, so the
 batched kernel at the bottom turns near focus, far focus and resolution
-into exact float cuts on ``z`` and tests ``lo <= z <= hi`` per (position,
-cell, plate).  It runs the occlusion pass only on the (position, plate)
-pairs that face the camera and whose window is not empty, and computes
-``z`` only for the unblocked ones, with the scalar path's expressions and
-operation order.  The mask (``strengths_grid``, ``axis_strengths``) and
-the per-cell counts (``cell_counts``) come from that one core and equal
-the scalar criteria bit for bit.
+into exact float cuts on ``z`` and tests ``lo <= z <= hi`` per (row, cell,
+plate).  A row is a camera position with its own plates (``PlateRows``):
+one deployment shares its plates across all rows, and a stack of
+deployments, such as a search generation, gives each (deployment,
+position) row the plates of its deployment, so a plate only ever occludes
+plates of its own row.  The kernel runs the occlusion pass only on the
+(row, plate) pairs that face the camera and whose window is not empty, and
+computes ``z`` only for the unblocked ones, with the scalar path's
+expressions and operation order, a few cells at a time.  The mask
+(``strengths_grid``, ``axis_strengths``) and the per-cell counts
+(``cell_counts``) come from that one core and equal the scalar criteria
+bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import functools
 import math
 import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -336,10 +341,30 @@ class CapSet:
 np.empty(1 << 20)
 
 
+class PlateRows(NamedTuple):
+    """Plates per kernel row: ``positions`` and ``normals`` (R or 1, K, 3), ``nu`` (R or 1, K).
+
+    A leading 1 shares one set of K plates among all rows; otherwise row r
+    of the points is scored against its own plates ``[r]``.
+    """
+
+    positions: np.ndarray
+    normals: np.ndarray
+    nu: np.ndarray
+
+    @classmethod
+    def of(cls, landmarks) -> "PlateRows":
+        """``landmarks`` itself when it is PlateRows, else its plates shared by every row."""
+        if isinstance(landmarks, cls):
+            return landmarks
+        plates = Deployment.of(landmarks)
+        return cls(plates.positions[None], plates.normals[None], plates.nu[None])
+
+
 def strengths_grid(
     points: np.ndarray,
     rotations: np.ndarray,
-    landmarks: Deployment | Sequence[Landmark],
+    landmarks: Deployment | Sequence[Landmark] | PlateRows,
     intrinsics: CameraIntrinsics,
     delta: float,
     thold: float = 0.0,
@@ -347,7 +372,8 @@ def strengths_grid(
     """Measurable mask for every (position, rotation, landmark) triple.
 
     ``points`` is (B, 3) in cm, ``rotations`` is (G, 3, 3) world-to-camera,
-    ``landmarks`` a Deployment or a Landmark sequence.  Returns a (B, G, K)
+    ``landmarks`` a Deployment, a Landmark sequence or per-position
+    ``PlateRows``.  Returns a (B, G, K)
     bool array: True where the coverage strength is positive and reaches
     ``thold``, so ``thold == 0`` keeps the gates alone.  The mask equals the
     scalar criteria's bit for bit; a camera position coinciding with a
@@ -359,7 +385,7 @@ def strengths_grid(
 def axis_strengths(
     points: np.ndarray,
     axes: np.ndarray,
-    landmarks: Deployment | Sequence[Landmark],
+    landmarks: Deployment | Sequence[Landmark] | PlateRows,
     intrinsics: CameraIntrinsics,
     delta: float,
     thold: float = 0.0,
@@ -373,8 +399,8 @@ def axis_strengths(
     (B, G, K) mask this is, bit for bit.
     """
     points = np.asarray(points, dtype=float)
-    plates = Deployment.of(landmarks)
-    out = np.zeros((points.shape[0], axes.shape[1], len(plates)), dtype=bool)
+    plates = PlateRows.of(landmarks)
+    out = np.zeros((points.shape[0], axes.shape[1], plates.nu.shape[1]), dtype=bool)
     b, k, gate = _live_gates(points, axes, plates, intrinsics, delta, thold)
     out[b, :, k] = gate.T
     return out
@@ -432,7 +458,7 @@ def _depth_cuts(
 def _live_gates(
     points: np.ndarray,
     axes: np.ndarray,
-    plates: Deployment,
+    plates: PlateRows,
     intrinsics: CameraIntrinsics,
     delta: float,
     thold: float,
@@ -441,10 +467,10 @@ def _live_gates(
 
     Every gate bounds the camera depth z = axis . (landmark - camera): z
     passes when ``lo <= z <= hi``, where ``lo = max(range * fov_cos,
-    z_near)`` per (position, plate) and ``hi = min(z_far, z_res)`` is one
+    z_near)`` per (row, plate) and ``hi = min(z_far, z_res)`` is one
     scalar from ``_depth_cuts``.  Only the pairs that face the camera and
     have ``lo <= hi`` go to the occlusion pass, and only the unblocked ones
-    get a z, so the returned pairs are the live ones, in position order.
+    get a z, so the returned pairs are the live ones, in row order.
     """
     z_near, z_far, z_res = _depth_cuts(
         *focus_depths(intrinsics, delta),
@@ -453,21 +479,47 @@ def _live_gates(
         thold,
     )
     hi = min(z_far, z_res)
+    b, k, lo, px, py, pz = _unblocked_pairs(points, plates, intrinsics.fov_cos, z_near, hi)
+
+    # z = (a0 dx + a1 dy) + a2 dz for the unblocked pairs, (G, L), computed
+    # K cells at a time so that no float block outgrows the (L, K) occlusion
+    # blocks. Axis component rows are (G, 1) when shared, or gathered per pair.
+    rows = axes[0].T[:, :, None] if axes.shape[0] == 1 else axes[b].transpose(2, 1, 0)
+    gate = np.empty((rows.shape[1], b.size), dtype=bool)
+    step = max(1, plates.nu.shape[1])
+    for cells in (slice(g, g + step) for g in range(0, gate.shape[0], step)):
+        z = rows[0, cells] * px
+        scratch = rows[1, cells] * py
+        z += scratch
+        z += np.multiply(rows[2, cells], pz, out=scratch)
+        np.greater_equal(z, lo, out=gate[cells])
+        gate[cells] &= z <= hi
+    return b, k, gate
+
+
+def _unblocked_pairs(points, plates: PlateRows, fov_cos: float, z_near: float, hi: float):
+    """The (row, plate) pairs that can pass: ``b``, ``k``, ``lo`` and landmark - camera.
+
+    A pair passes here when its plate faces the camera, its depth window
+    ``[lo, hi]`` is not empty and no plate of its own row occludes it. The
+    (B, K) arrays and (L, K) occlusion blocks are freed on return, before
+    any depth is computed.
+    """
     # landmark - camera, one (B, K) array per coordinate
-    dx, dy, dz = (plates.positions[None, :, i] - points[:, i, None] for i in range(3))
+    dx, dy, dz = (plates.positions[:, :, i] - points[:, i, None] for i in range(3))
     ranges = np.sqrt((dx * dx + dy * dy) + dz * dz)
-    lo = np.maximum(ranges * intrinsics.fov_cos, z_near)
+    lo = np.maximum(ranges * fov_cos, z_near)
     # The scalar facing > 0 on camera - landmark is exactly n . d < 0 here,
     # as negation is exact.
     n = plates.normals
-    facing = (n[None, :, 0] * dx + n[None, :, 1] * dy) + n[None, :, 2] * dz
+    facing = (n[:, :, 0] * dx + n[:, :, 1] * dy) + n[:, :, 2] * dz
     b, k = np.nonzero((facing < 0) & (lo <= hi))
 
-    # Occlusion: plate j blocks live pair (b, k) when it is nearer along a
-    # sight line that passes within nu_k of it. j == k never blocks, as
-    # nj < nk fails there. One (L, K) block per coordinate column.
+    # Occlusion: plate j of row b blocks live pair (b, k) when it is nearer
+    # along a sight line that passes within nu_k of it. j == k never blocks,
+    # as nj < nk fails there. Two (L, K) blocks, the scratch block taking
+    # nj = ranges[b] twice rather than holding a third.
     px, py, pz, nk = (a[b, k] for a in (dx, dy, dz, ranges))
-    nj = ranges[b]
     dots = dx[b]
     dots *= px[:, None]
     scratch = dy[b]
@@ -476,25 +528,16 @@ def _live_gates(
     np.take(dz, b, axis=0, out=scratch)
     scratch *= pz[:, None]
     dots += scratch
+    nj = np.take(ranges, b, axis=0, out=scratch)
     blocked = (dots > 0) & (nj < nk[:, None])
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.divide(dots, np.multiply(nj, nk[:, None], out=scratch), out=scratch)
+        c = np.divide(dots, np.multiply(nj, nk[:, None], out=scratch), out=dots)
         s2 = np.subtract(1.0, np.multiply(c, c, out=c), out=c)
-        perp = np.multiply(nj, np.sqrt(np.maximum(s2, 0.0, out=s2), out=s2), out=s2)
-    blocked &= perp <= plates.nu[k][:, None]
+        root = np.sqrt(np.maximum(s2, 0.0, out=s2), out=s2)
+        perp = np.multiply(np.take(ranges, b, axis=0, out=scratch), root, out=root)
+    blocked &= perp <= np.broadcast_to(plates.nu, dx.shape)[b, k][:, None]
     clear = ~blocked.any(axis=1)
-    b, k, px, py, pz = (a[clear] for a in (b, k, px, py, pz))
-
-    # z = (a0 dx + a1 dy) + a2 dz for the unblocked pairs, (G, L). Axis
-    # component rows are (G, 1) when shared, or gathered per pair.
-    rows = axes[0].T[:, :, None] if axes.shape[0] == 1 else axes[b].transpose(2, 1, 0)
-    z = rows[0] * px
-    scratch = rows[1] * py
-    z += scratch
-    z += np.multiply(rows[2], pz, out=scratch)
-    gate = z >= lo[b, k]
-    gate &= z <= hi
-    return b, k, gate
+    return tuple(a[clear] for a in (b, k, lo[b, k], px, py, pz))
 
 
 def coverage_caps(
@@ -524,7 +567,7 @@ def nple_probability(caps: CapSet, pdf: OrientationPdf) -> float:
 
 def cell_counts(
     points: np.ndarray,
-    landmarks: Deployment | Sequence[Landmark],
+    landmarks: Deployment | Sequence[Landmark] | PlateRows,
     grid: OrientationGrid,
     intrinsics: CameraIntrinsics,
     params: CoverageParams,
@@ -535,21 +578,22 @@ def cell_counts(
     these counts are, but summed per position over its live pairs only.
     """
     points = np.asarray(points, dtype=float)
-    plates = Deployment.of(landmarks)
+    plates = PlateRows.of(landmarks)
     b, _, gate = _live_gates(
         points, grid.rotations()[None, :, 2, :], plates, intrinsics, params.delta, params.thold
     )
     counts = np.zeros((points.shape[0], grid.n_cells), dtype=np.intp)
     if b.size:
         first = np.flatnonzero(np.diff(b, prepend=-1))  # each position's first pair
-        dtype = np.uint8 if len(plates) < 256 else np.intp
+        # a position counts at most its own K plates
+        dtype = np.uint8 if plates.nu.shape[1] < 256 else np.intp
         counts[b[first]] = np.add.reduceat(gate.view(np.uint8), first, axis=1, dtype=dtype).T
     return counts
 
 
 def coverage_probabilities(
     points: np.ndarray,
-    landmarks: Deployment | Sequence[Landmark],
+    landmarks: Deployment | Sequence[Landmark] | PlateRows,
     grid: OrientationGrid,
     pdf: OrientationPdf,
     intrinsics: CameraIntrinsics,

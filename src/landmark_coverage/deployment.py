@@ -23,6 +23,7 @@ from .coverage import (
     CoverageParams,
     OrientationGrid,
     OrientationPdf,
+    PlateRows,
     coverage_probabilities,
 )
 from .errors import (
@@ -41,14 +42,17 @@ from .geometry import CameraIntrinsics, Deployment, as_vec3, normal_to_angles
 
 WALL_NAMES = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")
 
-# Cap on positions x max(cells, plates) x plates per kernel call; keeps peak
-# memory flat when sweeping large grids. The gate core's float temporaries
-# are (L, plates) occlusion blocks and one (cells, L) depth block over the L
-# live (position, plate) pairs, and L is at most positions x plates, so no
-# block exceeds 2^18 float64 elements, 2 MiB. One kernel call's temporaries
-# then stay under the 8 MiB mmap threshold and the 16 MiB trim threshold
-# that the import block in coverage sets, and are reused from the heap
-# rather than faulted in anew.
+# Cap on rows x max(cells, plates) x plates per kernel call, where a row is a
+# (deployment, position) pair: one deployment's positions, or a search
+# generation's chromosomes times positions. It keeps peak memory flat when
+# sweeping large grids. The gate core's float temporaries are (L, plates)
+# occlusion blocks over the L live (row, plate) pairs, and L is at most rows
+# x plates; the (cells, L) depths are computed at most `plates` cells at a
+# time, so they are no larger than an occlusion block. No block exceeds
+# 2^18 float64 elements, 2 MiB, and one kernel call's temporaries stay
+# under the 8 MiB mmap threshold and the 16 MiB trim threshold that the
+# import block in coverage sets, and are reused from the heap rather than
+# faulted in anew.
 _CHUNK_ELEMENTS = 262_144
 
 # Size caps checked before any array is built, so that a mistyped count
@@ -306,36 +310,53 @@ class DeploymentMetrics:
             raise ValueError("average coverage cannot exceed the maximum")
 
 
-def evaluate_coverage(scene: Scene, deployment, threads: int = 1) -> CoverageMap:
-    """n-fold coverage probability at every reachable grid position.
+def evaluate_coverages(scene: Scene, plates: Deployment, m: int, threads: int = 1) -> list[CoverageMap]:
+    """Coverage maps of ``m`` deployments of equal size, stacked in ``plates``.
 
-    The positions are split into spans of at most _CHUNK_ELEMENTS kernel
-    elements; threads > 1 evaluates the spans on that many worker threads.
-    This is the package's only thread pool, and the result does not depend
-    on it.
+    Deployment i is plates ``[i * K, (i + 1) * K)``, K = len(plates) / m.
+    The (deployment, position) rows are split into spans of at most
+    _CHUNK_ELEMENTS kernel elements, which may cut a deployment; each row
+    is scored against its own deployment's plates only, so every map equals
+    the deployment's own ``evaluate_coverage``. threads > 1 evaluates the
+    spans on that many worker threads. This is the package's only thread
+    pool, and the result does not depend on it.
     """
-    plates = Deployment.of(deployment)
-    k = max(1, len(plates))
-    chunk = max(1, _CHUNK_ELEMENTS // (max(scene.grid.n_cells, k) * k))
-    spans = [scene.points[s : s + chunk] for s in range(0, scene.n_points, chunk)]
+    k = len(plates) // m if m else 0
+    if len(plates) != m * k:
+        raise ValueError(f"{len(plates)} plates do not split into {m} deployments of equal size")
+    stacked = PlateRows(
+        plates.positions.reshape(m, k, 3), plates.normals.reshape(m, k, 3), plates.nu.reshape(m, k)
+    )
+    n, width = scene.n_points, max(1, k)
+    chunk = max(1, _CHUNK_ELEMENTS // (max(scene.grid.n_cells, width) * width))
 
-    def span_probabilities(points):
+    def span_probabilities(start):
+        deployment, position = np.divmod(np.arange(start, min(start + chunk, m * n)), n)
+        # a span within one deployment shares its plates; one across
+        # deployments gathers each row's own
+        first = deployment[0]
+        rows = slice(first, first + 1) if deployment[-1] == first else deployment
         return coverage_probabilities(
-            points, plates, scene.grid, scene.pdf, scene.intrinsics, scene.params
+            scene.points[position], PlateRows(*(a[rows] for a in stacked)),
+            scene.grid, scene.pdf, scene.intrinsics, scene.params,
         )
 
-    if threads > 1 and len(spans) > 1:
+    starts = range(0, m * n, chunk)
+    if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(span_probabilities, spans))
+            parts = list(pool.map(span_probabilities, starts))
     else:
-        parts = [span_probabilities(sp) for sp in spans]
-    return CoverageMap(
-        points=scene.points,
-        p_n=np.concatenate(parts),
-        rel=scene.rel,
-        n=scene.params.n,
-        thold_p=scene.thold_p,
-    )
+        parts = [span_probabilities(s) for s in starts]
+    p_n = np.concatenate(parts).reshape(m, n) if parts else np.empty((m, n))
+    return [
+        CoverageMap(points=scene.points, p_n=row, rel=scene.rel, n=scene.params.n, thold_p=scene.thold_p)
+        for row in p_n
+    ]
+
+
+def evaluate_coverage(scene: Scene, deployment, threads: int = 1) -> CoverageMap:
+    """n-fold coverage probability at every reachable grid position: ``evaluate_coverages`` with m = 1."""
+    return evaluate_coverages(scene, Deployment.of(deployment), 1, threads=threads)[0]
 
 
 def cost(scene: Scene, deployment, threads: int = 1) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace as _dc_replace
 
 import numpy as np
 
-from .deployment import Deployment, Scene, cost
+from .deployment import Deployment, Scene, evaluate_coverages
 from .errors import check_seed
 
 logger = logging.getLogger(__name__)
@@ -41,7 +41,6 @@ class GeneSpace:
     clamp_lo: np.ndarray = field(init=False)
     clamp_hi: np.ndarray = field(init=False)
     _walls: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    _nu: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.count < 1:
@@ -70,7 +69,6 @@ class GeneSpace:
             np.array([getattr(w, name) for w in walls], dtype=float)
             for name in ("origin", "u_dir", "v_dir", "u_len", "v_len")
         )
-        self._nu = np.full(self.count, float(self.scene.nu_default))
 
     @property
     def length(self) -> int:
@@ -85,17 +83,20 @@ class GeneSpace:
     def decode(self, genes) -> Deployment:
         """Deployment for a chromosome; out-of-range genes are clamped.
 
-        Plate roll is fixed to zero and the occlusion radius to the scene
-        default; neither is encoded.
+        ``genes`` is one chromosome, giving ``count`` plates, or an (M,
+        length) block, giving its M deployments stacked in row order as one
+        Deployment of M x ``count`` plates, checked once. Plate roll is
+        fixed to zero and the occlusion radius to the scene default;
+        neither is encoded.
         """
-        raw = np.asarray(genes, dtype=float).ravel()
-        if raw.shape != (self.length,):
+        raw = np.asarray(genes, dtype=float)
+        if raw.ndim > 2 or raw.shape[-1:] != (self.length,):
             raise ValueError(f"chromosome must have {self.length} genes")
         clipped = np.clip(raw, self.clamp_lo, self.clamp_hi)
         repaired = int(np.count_nonzero(clipped != raw))
         if repaired:
             logger.debug("clamped %d out-of-range genes", repaired)
-        g = clipped.reshape(self.count, GENES_PER_LANDMARK)
+        g = clipped.reshape(-1, GENES_PER_LANDMARK)
         if self.encoding == "wall":
             origin, u_dir, v_dir, u_len, v_len = self._walls
             idx = np.minimum(g[:, 0].astype(np.intp), len(origin) - 1)
@@ -107,7 +108,7 @@ class GeneSpace:
             )
         else:
             positions = g[:, :3]
-        return Deployment.from_arrays(positions, g[:, 3], g[:, 4], self._nu)
+        return Deployment.from_arrays(positions, g[:, 3], g[:, 4], np.full(len(g), self.scene.nu_default))
 
     def encode(self, deployment: Deployment) -> np.ndarray:
         if len(deployment) != self.count:
@@ -232,8 +233,9 @@ def run(
     mode 'sga' runs the same loop with the replacement count forced to zero.
     When an initial deployment is given it seeds the first chromosome and
     fixes the landmark count. history[0] describes the initial population.
-    threads sets the worker threads for the position spans of each coverage
-    evaluation; the search itself runs serially, so results do not depend on it.
+    Each generation's chromosomes are scored in one batch; threads sets the
+    worker threads for its (chromosome, position) spans, and results do not
+    depend on it.
     """
     if mode not in ("ega", "sga"):
         raise ValueError("mode must be 'ega' or 'sga'")
@@ -258,7 +260,8 @@ def run(
     genes = np.stack(rows)
 
     def fitnesses(rows: np.ndarray) -> np.ndarray:
-        return np.array([cost(scene, space.decode(row), threads=threads) for row in rows])
+        maps = evaluate_coverages(scene, space.decode(rows), len(rows), threads=threads)
+        return np.array([c.cost for c in maps])
 
     fits = fitnesses(genes)
     history = [GenStats(0, float(np.max(fits)), float(np.mean(fits)), float(np.min(fits)))]

@@ -685,16 +685,35 @@ def test_repeated_coverage_evaluation_reuses_heap_pages(config, plates):
     # interpreter takes almost no minor page faults. The desk with 200
     # plates has more plates than cells, so its occlusion pass sets the
     # block size.
-    faults = _python(["-c", (
-        "import resource, landmark_coverage as lc\n"
+    assert second_call_faults(
+        config, f"plates = lc.generate_random(scene, {plates}, seed=0)", "lc.evaluate_coverage(scene, plates)"
+    ) <= 500
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sized to glibc's malloc thresholds")
+def test_repeated_generation_scoring_reuses_heap_pages():
+    # A search generation on the desk: 29 stacked 12-plate chromosomes in
+    # 303-row spans, so its blocks are six times one deployment's.
+    assert second_call_faults(
+        "desk_room",
+        "space = lc.GeneSpace(scene, 12, 'wall')\n"
+        "rng = np.random.default_rng(0)\n"
+        "plates = space.decode(np.stack([space.random(rng) for _ in range(29)]))",
+        "lc.deployment.evaluate_coverages(scene, plates, 29)",
+    ) <= 500
+
+
+def second_call_faults(config, setup, call):
+    """Minor page faults of the second of two ``call``s in a fresh interpreter."""
+    return int(_python(["-c", (
+        "import resource, numpy as np, landmark_coverage as lc\n"
         f"scene = lc.load_scene({str(CONFIG_DIR / f'{config}.json')!r})\n"
-        f"plates = lc.generate_random(scene, {plates}, seed=0)\n"
-        "lc.evaluate_coverage(scene, plates)\n"
+        f"{setup}\n"
+        f"{call}\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-        "lc.evaluate_coverage(scene, plates)\n"
+        f"{call}\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
-    )])
-    assert int(faults) <= 500
+    )]))
 
 
 @pytest.mark.parametrize(

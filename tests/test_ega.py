@@ -7,10 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import landmark_coverage.coverage as coverage_module
 import landmark_coverage.deployment as dep
 import landmark_coverage.ega as ega
-from landmark_coverage.coverage import CoverageParams
-from landmark_coverage.geometry import CameraIntrinsics, Landmark, landmark_normal
+from landmark_coverage.coverage import CoverageParams, strengths_grid
+from landmark_coverage.geometry import CameraIntrinsics, Landmark, landmark_normal, normal_to_angles
 
 INTRINSICS = CameraIntrinsics(
     f=5.0, s_u=0.0058, s_v=0.0058, o_u=800, o_v=600,
@@ -197,20 +198,26 @@ def test_plateau_stops_early():
 
 def test_memo_avoids_reevaluating_rows(monkeypatch):
     # Every later generation carries its row 0, the unmutated elite, at the
-    # previous generation's best fitness, and scores only rows 1..m-1.
-    real_cost, real_next = ega.cost, ega._next_generation
+    # previous generation's best fitness, and scores only rows 1..m-1, in
+    # one batch of stacked deployments.
+    real_batch, real_next = ega.evaluate_coverages, ega._next_generation
     generations = []  # (genes, space, deployments scored) per generation
 
-    def counting_cost(s, d, threads=1):
-        generations[-1][2].append(d)
-        return real_cost(s, d, threads=threads)
+    def counting_batch(s, plates, m, threads=1):
+        k = len(plates) // m
+        scored = generations[-1][2]
+        assert scored == []  # one batch per generation
+        for i in range(m):
+            plate_slice = slice(i * k, (i + 1) * k)
+            scored.append({name: getattr(plates, name)[plate_slice] for name in ("positions", "rho", "eta")})
+        return real_batch(s, plates, m, threads=threads)
 
     def recording_next(genes, fits, space, params, rng):
         out = real_next(genes, fits, space, params, rng)
         generations.append((out, space, []))
         return out
 
-    monkeypatch.setattr(ega, "cost", counting_cost)
+    monkeypatch.setattr(ega, "evaluate_coverages", counting_batch)
     monkeypatch.setattr(ega, "_next_generation", recording_next)
     scene = search_scene()
     params = ega.EgaParams(m=6, q=2, upsilon_min=2, upsilon_max=6, iterations=4, seed=3)
@@ -232,8 +239,8 @@ def test_memo_avoids_reevaluating_rows(monkeypatch):
             for row, d in zip(genes[1:], scored):
                 expected = space.decode(row)
                 for name in ("positions", "rho", "eta"):
-                    assert np.array_equal(getattr(d, name), getattr(expected, name))
-            assert real_cost(run_scene, space.decode(genes[0])) == history[gen - 1].best
+                    assert np.array_equal(d[name], getattr(expected, name))
+            assert dep.cost(run_scene, space.decode(genes[0])) == history[gen - 1].best
 
 
 def test_threaded_fitness_matches_serial():
@@ -334,8 +341,8 @@ def test_search_builds_no_landmark(desk_scene, monkeypatch):
 
 
 def test_search_threads_split_each_evaluation_into_spans(desk_scene, monkeypatch):
-    # The desk fits in one span at the default block size; shrink the blocks
-    # so each of its 48 positions' evaluations splits into three spans.
+    # Shrink the blocks to 16 rows, so each generation's (chromosome,
+    # position) rows, 6 or 5 chromosomes x 48 positions, split into spans of 16.
     k = 12
     monkeypatch.setattr(dep, "_CHUNK_ELEMENTS", 16 * max(desk_scene.grid.n_cells, k) * k)
     spans = []
@@ -357,3 +364,116 @@ def test_search_threads_split_each_evaluation_into_spans(desk_scene, monkeypatch
     (best1, hist1), (best3, hist3) = results[1], results[3]
     assert [(h.best, h.mean, h.worst) for h in hist1] == [(h.best, h.mean, h.worst) for h in hist3]
     assert dep.deployment_to_json(best1) == dep.deployment_to_json(best3)
+
+
+def generation_scene(pdf):
+    # 8 positions and 32 cells: with 12 plates the depth block's last
+    # 12-cell slice is short, and 3-row spans cut chromosomes mid-way.
+    return dep.make_scene(
+        (300.0, 200.0, 250.0), (200.0, 100.0, 150.0), (2, 2, 2),
+        intrinsics=INTRINSICS, params=CoverageParams(thold=0.2, delta=4.0, n=1),
+        thold_p=0.05, nu_default=0.5, n_yaw=8, n_pitch=4, pdf=pdf,
+    )
+
+
+def clustered_chromosome(scene, count):
+    """Free-encoded plates on a 2 cm grid 120 cm along cell 26's axis from
+    position 0, each facing it, so all of them cover that (position, cell)."""
+    point, axis = scene.points[0], scene.grid.rotations()[26, 2]
+    u = np.cross(axis, [0.0, 0.0, 1.0])
+    u /= np.linalg.norm(u)
+    v = np.cross(axis, u)
+    side = math.ceil(math.sqrt(count))
+    genes = []
+    for i in range(count):
+        position = point + 120.0 * axis + (i % side - side / 2) * 2.0 * u + (i // side - side / 2) * 2.0 * v
+        sight = position - point
+        genes += [*position, *normal_to_angles(-sight / np.linalg.norm(sight))]
+    return np.array(genes)
+
+
+def mask_cost(scene, plates):
+    """The cost from the summed (B, G, K) mask, with no per-row accumulator."""
+    counts = strengths_grid(
+        scene.points, scene.grid.rotations(), plates, scene.intrinsics, scene.params.delta, scene.params.thold
+    ).sum(axis=2)
+    p_n = [math.fsum(scene.pdf.weights[row >= scene.params.n].tolist()) for row in counts]
+    return math.fsum(scene.rel[np.array(p_n) >= scene.thold_p].tolist()), int(counts.max())
+
+
+@pytest.mark.parametrize("count", [1, 12, 256])
+@pytest.mark.parametrize("pdf", ["uniform", "solid-angle"])
+@pytest.mark.parametrize("encoding", ["wall", "free"])
+def test_generation_costs_equal_per_deployment_costs_bitwise(monkeypatch, encoding, pdf, count):
+    scene = generation_scene(pdf)
+    space = ega.GeneSpace(scene, count, encoding)
+    rng = np.random.default_rng(count)
+    block = np.stack([space.random(rng) for _ in range(7)])
+    block[3] = block[1]  # a repeated chromosome
+    if encoding == "free" and count == 256:
+        block[0] = clustered_chromosome(scene, count)
+    expected = [dep.cost(scene, space.decode(row)) for row in block]
+    assert any(expected)
+    assert [mask_cost(scene, space.decode(row))[0] for row in block] == expected
+    if encoding == "free" and count == 256:
+        # 256 plates on one cell: a uint8 count would wrap to 0 there
+        assert mask_cost(scene, space.decode(block[0]))[1] == 256
+    grid_width = max(scene.grid.n_cells, count)
+    for span_rows in (None, 3):
+        if span_rows is not None:
+            monkeypatch.setattr(dep, "_CHUNK_ELEMENTS", span_rows * grid_width * count)
+        for threads in (1, 2):
+            maps = dep.evaluate_coverages(scene, space.decode(block), len(block), threads=threads)
+            assert [c.cost for c in maps] == expected
+            for c, row in zip(maps, block):
+                assert c.p_n.tobytes() == dep.evaluate_coverage(scene, space.decode(row)).p_n.tobytes()
+
+
+def test_evaluate_coverages_refuses_uneven_stacks():
+    scene = generation_scene("uniform")
+    plates = dep.generate_random(scene, 7, seed=0)
+    with pytest.raises(ValueError, match="7 plates do not split into 2 deployments"):
+        dep.evaluate_coverages(scene, plates, 2)
+
+
+def test_a_desk_generation_is_five_gate_core_calls(desk_scene, monkeypatch):
+    # 29 new chromosomes x 48 positions = 1392 rows, in spans of
+    # 2^18 // (72 cells x 12 plates) = 303 rows: 5 gate-core calls, not 29.
+    real_gates, real_next = coverage_module._live_gates, ega._next_generation
+    generations = [[]]
+
+    def counting_gates(points, *args):
+        generations[-1].append(len(points))
+        return real_gates(points, *args)
+
+    def marking_next(*args):
+        generations.append([])
+        return real_next(*args)
+
+    monkeypatch.setattr(coverage_module, "_live_gates", counting_gates)
+    monkeypatch.setattr(ega, "_next_generation", marking_next)
+    ega.run(desk_scene, ega.EgaParams(m=30, iterations=1, seed=0), count=12)
+    assert generations == [[303] * 4 + [30 * 48 - 4 * 303], [303] * 4 + [29 * 48 - 4 * 303]]
+
+
+def test_single_chromosome_search_scores_empty_generations(monkeypatch):
+    # With m = 1 every later generation is the elite's copy alone, so its
+    # batch has no rows, and the history repeats generation 0.
+    scene = generation_scene("uniform")
+    real_batch = ega.evaluate_coverages
+    batches = []
+
+    def counting_batch(s, plates, m, threads=1):
+        batches.append((m, len(plates)))
+        return real_batch(s, plates, m, threads=threads)
+
+    monkeypatch.setattr(ega, "evaluate_coverages", counting_batch)
+    params = ega.EgaParams(m=1, q=0, iterations=3, seed=4)
+    best, history = ega.run(scene, params, count=3)
+    assert batches == [(1, 3), (0, 0), (0, 0), (0, 0)]
+    space = ega.GeneSpace(scene, 3, "wall")
+    only = space.decode(space.random(np.random.default_rng(4)))
+    c = dep.cost(scene, only)
+    assert c == 8.0
+    assert [(h.generation, h.best, h.mean, h.worst) for h in history] == [(g, c, c, c) for g in range(4)]
+    assert dep.deployment_to_json(best) == dep.deployment_to_json(only)
