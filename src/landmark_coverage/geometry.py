@@ -413,16 +413,27 @@ def project_to_rotation(R: np.ndarray) -> np.ndarray:
 
 
 _ORTHO_DRIFT_TOL = 1e-9
-_EYE3 = np.eye(3)
-_EYE3.flags.writeable = False
 
 # Below this rotation angle A, B and C come from their Taylor series, each to
 # theta^6; the first term left out is under 1e-19 there.
 _SERIES_THETA = 0.02
 
 
-def se3_exp(U: np.ndarray, dt: float) -> np.ndarray:
-    """The group exponential ``exp(U·dt)`` of a twist ``U``, as a 4×4 array.
+# Pose rows: the top three rows of a rigid transform, row-major, as twelve
+# Python floats (r00, r01, r02, t0, r10, ..., t2); the bottom row is implied.
+# A step on them costs a few microseconds of float arithmetic, less than
+# numpy's per-call overhead on the 4×4 product and the 3×3 blocks.
+
+
+def twist_coords(U: np.ndarray) -> tuple:
+    """The angular and linear rates ``(ωx, ωy, ωz, vx, vy, vz)`` of a twist matrix."""
+    (_, _, wy, vx), (wz, _, _, vy), (_, wx, _, vz), _ = U.tolist()
+    return wx, wy, wz, vx, vy, vz
+
+
+def se3_exp_rows(wx: float, wy: float, wz: float, vx: float, vy: float, vz: float,
+                 dt: float) -> tuple:
+    """The pose rows of ``exp(U·dt)`` for the twist with rates ``twist_coords(U)``.
 
     With ``w`` the rotation vector and ``u`` the linear part of ``U·dt``,
     ``θ = |w|`` and ``W`` the skew matrix of ``w``, the closed form is
@@ -433,13 +444,11 @@ def se3_exp(U: np.ndarray, dt: float) -> np.ndarray:
 
     ``W² = w·wᵀ − θ²·I``, so each diagonal entry is ``1 − B`` (or ``C``) times
     the other two squared components, which avoids cancelling against θ².
-    Below θ = 0.02, A, B and C come from their Taylor series. It is computed
-    on Python floats: numpy's per-call overhead on 3×3 blocks costs more
-    than the arithmetic. A zero twist gives the identity exactly.
+    Below θ = 0.02, A, B and C come from their Taylor series. A zero twist
+    gives the identity exactly.
     """
-    (_, _, w02, u0), (w10, _, _, u1), (_, w21, _, u2), _ = U.tolist()
-    x, y, z = w21 * dt, w02 * dt, w10 * dt
-    u0, u1, u2 = u0 * dt, u1 * dt, u2 * dt
+    x, y, z = wx * dt, wy * dt, wz * dt
+    u0, u1, u2 = vx * dt, vy * dt, vz * dt
     xx, yy, zz = x * x, y * y, z * z
     th2 = xx + yy + zz
     if th2 < _SERIES_THETA * _SERIES_THETA:
@@ -458,32 +467,78 @@ def se3_exp(U: np.ndarray, dt: float) -> np.ndarray:
     v01, v10 = c * xy - b * z, c * xy + b * z
     v02, v20 = c * xz + b * y, c * xz - b * y
     v12, v21 = c * yz - b * x, c * yz + b * x
-    return np.array([
-        [1.0 - b * (yy + zz), b * xy - a * z, b * xz + a * y, (v00 * u0 + v01 * u1) + v02 * u2],
-        [b * xy + a * z, 1.0 - b * (xx + zz), b * yz - a * x, (v10 * u0 + v11 * u1) + v12 * u2],
-        [b * xz - a * y, b * yz + a * x, 1.0 - b * (xx + yy), (v20 * u0 + v21 * u1) + v22 * u2],
-        [0.0, 0.0, 0.0, 1.0],
-    ])
+    return (
+        1.0 - b * (yy + zz), b * xy - a * z, b * xz + a * y, (v00 * u0 + v01 * u1) + v02 * u2,
+        b * xy + a * z, 1.0 - b * (xx + zz), b * yz - a * x, (v10 * u0 + v11 * u1) + v12 * u2,
+        b * xz - a * y, b * yz + a * x, 1.0 - b * (xx + yy), (v20 * u0 + v21 * u1) + v22 * u2,
+    )
+
+
+def se3_compose_rows(p: tuple, e: tuple) -> tuple:
+    """The pose rows of the product ``P·E`` of two rigid transforms.
+
+    When the product's rotation drifts from orthonormal (an entry of
+    ``RᵀR − I`` above ``_ORTHO_DRIFT_TOL``) it is replaced by
+    ``project_to_rotation``, which keeps long integrations on the group.
+    """
+    p00, p01, p02, p03, p10, p11, p12, p13, p20, p21, p22, p23 = p
+    e00, e01, e02, e03, e10, e11, e12, e13, e20, e21, e22, e23 = e
+    r00 = (p00 * e00 + p01 * e10) + p02 * e20
+    r01 = (p00 * e01 + p01 * e11) + p02 * e21
+    r02 = (p00 * e02 + p01 * e12) + p02 * e22
+    r10 = (p10 * e00 + p11 * e10) + p12 * e20
+    r11 = (p10 * e01 + p11 * e11) + p12 * e21
+    r12 = (p10 * e02 + p11 * e12) + p12 * e22
+    r20 = (p20 * e00 + p21 * e10) + p22 * e20
+    r21 = (p20 * e01 + p21 * e11) + p22 * e21
+    r22 = (p20 * e02 + p21 * e12) + p22 * e22
+    t0 = ((p00 * e03 + p01 * e13) + p02 * e23) + p03
+    t1 = ((p10 * e03 + p11 * e13) + p12 * e23) + p13
+    t2 = ((p20 * e03 + p21 * e13) + p22 * e23) + p23
+    tol = _ORTHO_DRIFT_TOL
+    if (
+        abs((r00 * r00 + r10 * r10) + r20 * r20 - 1.0) > tol
+        or abs((r01 * r01 + r11 * r11) + r21 * r21 - 1.0) > tol
+        or abs((r02 * r02 + r12 * r12) + r22 * r22 - 1.0) > tol
+        or abs((r00 * r01 + r10 * r11) + r20 * r21) > tol
+        or abs((r00 * r02 + r10 * r12) + r20 * r22) > tol
+        or abs((r01 * r02 + r11 * r12) + r21 * r22) > tol
+    ):
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = project_to_rotation(
+            [[r00, r01, r02], [r10, r11, r12], [r20, r21, r22]]
+        ).tolist()
+    return (r00, r01, r02, t0, r10, r11, r12, t1, r20, r21, r22, t2)
+
+
+def se3_exp(U: np.ndarray, dt: float) -> np.ndarray:
+    """The group exponential ``exp(U·dt)`` of a twist ``U``, as a 4×4 array."""
+    e = se3_exp_rows(*twist_coords(U), dt)
+    return np.array([e[0:4], e[4:8], e[8:12], (0.0, 0.0, 0.0, 1.0)])
+
+
+# Poses that se3_path collects as rows before writing them into its output.
+_PATH_CHUNK = 64
 
 
 def se3_path(X: np.ndarray, U: np.ndarray, dt: float, steps: int) -> np.ndarray:
     """The poses after each of ``steps`` steps of a constant body twist.
 
     Returns shape (steps, 4, 4); entry i is ``X`` advanced by ``(i + 1)·dt``.
-    The exponential ``se3_exp(U, dt)`` is taken once and every step
-    multiplies the previous pose by it, re-orthonormalizing the rotation
-    block when numerical drift exceeds a small threshold, which keeps long
-    integrations on the group.
+    The exponential of ``U·dt`` is taken once and every step multiplies the
+    previous pose by it with ``se3_compose_rows``, on Python floats. The
+    rows go into the output ``_PATH_CHUNK`` poses at a time.
     """
-    E = se3_exp(U, dt)
+    e = se3_exp_rows(*twist_coords(U), dt)
     out = np.empty((steps, 4, 4))
-    for i in range(steps):
-        Y = X @ E
-        Y[3, :] = (0.0, 0.0, 0.0, 1.0)
-        R = Y[:3, :3]
-        if np.abs(R.T @ R - _EYE3).max() > _ORTHO_DRIFT_TOL:
-            Y[:3, :3] = project_to_rotation(R)
-        out[i] = X = Y
+    flat = out.reshape(steps, 16)
+    flat[:, 12:] = (0.0, 0.0, 0.0, 1.0)
+    x = X[:3].ravel().tolist()
+    for start in range(0, steps, _PATH_CHUNK):
+        rows = []
+        for _ in range(min(_PATH_CHUNK, steps - start)):
+            x = se3_compose_rows(x, e)
+            rows.append(x)
+        flat[start:start + len(rows), :12] = rows
     return out
 
 
@@ -497,7 +552,14 @@ def pose_to_se3(pose: Pose6) -> np.ndarray:
     return se3_matrix(pose.rotation().T, pose.position)
 
 
-def frobenius_error(X_hat: np.ndarray, X: np.ndarray) -> float:
-    """Squared Frobenius distance between two transforms."""
+def frobenius_error(X_hat: np.ndarray, X: np.ndarray):
+    """Squared Frobenius distance between two transforms, as a float.
+
+    Given (N, 4, 4) stacks it returns the (N,) distances, each equal bit for
+    bit to the one-pose call: every pose's squares are summed by one
+    reduction over the last axis either way.
+    """
     d = np.asarray(X_hat, dtype=float) - np.asarray(X, dtype=float)
-    return float(np.sum(d * d))
+    d *= d
+    sums = d.reshape(*d.shape[:-2], -1).sum(axis=-1)
+    return float(sums) if d.ndim == 2 else sums

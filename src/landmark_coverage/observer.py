@@ -10,6 +10,14 @@ the correction is the twist-space projection of the error cost gradient.
 Which landmarks feed the correction is controlled by the visibility mode:
 'ideal' uses all of them, 'camera-model' keeps only those whose coverage
 strength at the true pose reaches the measurement threshold.
+
+``epsilon``, ``injection``, ``observer_cost`` and ``project_to_twist`` are
+the numpy reference forms of the math. The integrator, ``observer_step``
+and the loop in ``simulate``, takes the same step on Python floats: the
+correction needs of the visible plates only the 4×4 Gram matrix
+``M = C_h C_hᵀ`` and the sum ``C_h·1``, so a step costs the same for any
+number of plates, and ``simulate`` computes them once per distinct visible
+set.
 """
 
 from __future__ import annotations
@@ -39,10 +47,12 @@ from .geometry import (
     frobenius_error,
     is_rigid_transform,
     pose_to_se3,
+    se3_compose_rows,
+    se3_exp_rows,
     se3_inverse,
     se3_path,
-    se3_step,
     twist,
+    twist_coords,
 )
 
 
@@ -109,12 +119,98 @@ class ObserverConfig:
             raise ValueError("visibility must be 'ideal' or 'camera-model'")
 
 
+def _gram_terms(c_vis) -> tuple:
+    """What the correction needs of a visible set ``C_h`` (4, K), as floats.
+
+    Returns the columns of ``M = C_h C_hᵀ`` as four 4-tuples, ``s = C_h·1``
+    and K. ``simulate`` computes them once per distinct visible set.
+    """
+    m = (c_vis @ c_vis.T).tolist()
+    return tuple(zip(*m)), tuple(c_vis.sum(axis=1).tolist()), c_vis.shape[1]
+
+
+def _correction(xh, x, terms, k_i: float, k0: float) -> tuple:
+    """The rates ``twist_coords(epsilon + injection)`` on pose rows.
+
+    With ``D`` the top three rows of ``X̂⁻¹ − X⁻¹`` (its bottom row is
+    zero), the gradient ``err @ c_hatᵀ`` is ``B = D·M·X̂⁻ᵀ``, and
+    ``epsilon`` is ``project_to_twist(−k_i·B)``: the rotation rates come
+    from the skew part of B's 3×3 block and the linear rates are ``−k_i``
+    times its last column, which is the last column of ``A = D·M``. The
+    injection's outputs differ by ``q = D·s`` and its ``c_bar`` (here
+    ``cb``) is ``X̂⁻¹·s / K``.
+    """
+    (m0, m1, m2, m3), s, count = terms
+    h00, h01, h02, h03, h10, h11, h12, h13, h20, h21, h22, h23 = xh
+    r00, r01, r02, r03, r10, r11, r12, r13, r20, r21, r22, r23 = x
+    # X̂⁻¹ = [R̂ᵀ | i], X⁻¹ = [Rᵀ | j] and the three rows (dk0, dk1, dk2, dk3) of D
+    i0 = -((h00 * h03 + h10 * h13) + h20 * h23)
+    i1 = -((h01 * h03 + h11 * h13) + h21 * h23)
+    i2 = -((h02 * h03 + h12 * h13) + h22 * h23)
+    j0 = -((r00 * r03 + r10 * r13) + r20 * r23)
+    j1 = -((r01 * r03 + r11 * r13) + r21 * r23)
+    j2 = -((r02 * r03 + r12 * r13) + r22 * r23)
+    d00, d01, d02, d03 = h00 - r00, h10 - r10, h20 - r20, i0 - j0
+    d10, d11, d12, d13 = h01 - r01, h11 - r11, h21 - r21, i1 - j1
+    d20, d21, d22, d23 = h02 - r02, h12 - r12, h22 - r22, i2 - j2
+    # A = D·M, one column of M at a time
+    rows = []
+    for e0, e1, e2, e3 in (m0, m1, m2, m3):
+        rows.append((
+            ((d00 * e0 + d01 * e1) + d02 * e2) + d03 * e3,
+            ((d10 * e0 + d11 * e1) + d12 * e2) + d13 * e3,
+            ((d20 * e0 + d21 * e1) + d22 * e2) + d23 * e3,
+        ))
+    (a00, a10, a20), (a01, a11, a21), (a02, a12, a22), (a03, a13, a23) = rows
+    # the off-diagonal entries B_kl = A_k·(row l of X̂⁻¹) of B's 3×3 block
+    b01 = ((a00 * h01 + a01 * h11) + a02 * h21) + a03 * i1
+    b02 = ((a00 * h02 + a01 * h12) + a02 * h22) + a03 * i2
+    b10 = ((a10 * h00 + a11 * h10) + a12 * h20) + a13 * i0
+    b12 = ((a10 * h02 + a11 * h12) + a12 * h22) + a13 * i2
+    b20 = ((a20 * h00 + a21 * h10) + a22 * h20) + a23 * i0
+    b21 = ((a20 * h01 + a21 * h11) + a22 * h21) + a23 * i1
+    half = 0.5 * k_i
+    wx, wy, wz = half * (b12 - b21), half * (b20 - b02), half * (b01 - b10)
+    vx, vy, vz = -k_i * a03, -k_i * a13, -k_i * a23
+    if k0 != 0.0:
+        s0, s1, s2, s3 = s
+        q0 = ((d00 * s0 + d01 * s1) + d02 * s2) + d03 * s3
+        q1 = ((d10 * s0 + d11 * s1) + d12 * s2) + d13 * s3
+        q2 = ((d20 * s0 + d21 * s1) + d22 * s2) + d23 * s3
+        cb0 = (((h00 * s0 + h10 * s1) + h20 * s2) + i0 * s3) / count
+        cb1 = (((h01 * s0 + h11 * s1) + h21 * s2) + i1 * s3) / count
+        cb2 = (((h02 * s0 + h12 * s1) + h22 * s2) + i2 * s3) / count
+        cb3 = s3 / count
+        half = 0.5 * k0
+        wx += half * (q2 * cb1 - q1 * cb2)
+        wy += half * (q0 * cb2 - q2 * cb0)
+        wz += half * (q1 * cb0 - q0 * cb1)
+        vx += k0 * (q0 * cb3)
+        vy += k0 * (q1 * cb3)
+        vz += k0 * (q2 * cb3)
+    return wx, wy, wz, vx, vy, vz
+
+
+def _estimate_step(xh, x, rates, terms, config: ObserverConfig) -> tuple:
+    """``observer_step`` on pose rows, the twist given by its rates."""
+    wx, wy, wz, vx, vy, vz = rates
+    if terms[2]:
+        cwx, cwy, cwz, cvx, cvy, cvz = _correction(xh, x, terms, config.k_i, config.k0)
+        wx, wy, wz, vx, vy, vz = wx - cwx, wy - cwy, wz - cwz, vx - cvx, vy - cvy, vz - cvz
+    return se3_compose_rows(xh, se3_exp_rows(wx, wy, wz, vx, vy, vz, config.dt))
+
+
 def observer_step(x_hat, x, u, c_vis, config: ObserverConfig) -> np.ndarray:
-    """One integration step of the estimate under twist u."""
-    correction = epsilon(x_hat, x, c_vis, config.k_i) + injection(
-        x_hat, x, c_vis, config.k0
+    """One integration step of the estimate under twist u.
+
+    It is ``se3_step(x_hat, u − (epsilon + injection), dt)`` with the
+    visible plates ``c_vis``, computed on Python floats through the Gram
+    terms of ``c_vis``; the bottom rows of ``x_hat`` and ``x`` are not read.
+    """
+    rows = _estimate_step(
+        x_hat[:3].ravel().tolist(), x[:3].ravel().tolist(), twist_coords(u), _gram_terms(c_vis), config
     )
-    return se3_step(x_hat, u - correction, config.dt)
+    return np.array([rows[0:4], rows[4:8], rows[8:12], (0.0, 0.0, 0.0, 1.0)])
 
 
 def _segment_steps(duration: float, dt: float) -> int:
@@ -174,15 +270,15 @@ class TrajectorySpec:
         least one, integrated by ``se3_path`` from the previous segment's
         end pose. The poses have shape (steps + 1, 4, 4), the initial pose first.
         """
-        twists = []
-        paths = [self.initial[None]]
-        x = self.initial
-        for duration, u in self.segments:
-            n_steps = _segment_steps(duration, dt)
-            twists.extend([u] * n_steps)
-            paths.append(se3_path(x, u, dt, n_steps))
-            x = paths[-1][-1]
-        return twists, np.concatenate(paths)
+        steps = [_segment_steps(duration, dt) for duration, _ in self.segments]
+        twists = [u for (_, u), n in zip(self.segments, steps) for _ in range(n)]
+        poses = np.empty((len(twists) + 1, 4, 4))
+        poses[0] = self.initial
+        end = 0
+        for (_, u), n in zip(self.segments, steps):
+            poses[end + 1:end + n + 1] = se3_path(poses[end], u, dt, n)
+            end += n
+        return twists, poses
 
 
 @dataclass(eq=False)
@@ -210,6 +306,12 @@ class ObserverTrace:
 # pairs, so a whole path in one call would grow peak memory with the path's
 # length; 16 poses of 24 plates fit.
 _POSE_BLOCK_PAIRS = 16 * 24 * 24
+
+
+# Poses per stacked frobenius_error call in simulate. One call over the whole
+# run would hold an (N, 4, 4) temporary beside the trace and raise the peak
+# memory of a run by that much.
+_ERROR_BLOCK = 256
 
 
 def pose_strengths(x, landmarks, intrinsics, delta: float, thold: float = 0.0) -> np.ndarray:
@@ -252,6 +354,9 @@ def simulate(
     raises TrajectoryOutOfRegionError. Camera-model visibility at the true
     poses is computed for the whole path before the loop; visibility from
     the estimate depends on the previous step, so it is computed per step.
+    Each step is ``observer_step``'s, taken on pose rows, with the Gram
+    terms of its visible set computed at the set's first step; ``er`` is
+    taken after the loop, a block of poses per ``frobenius_error`` call.
     """
     plates = Deployment.of(deployment)
     k = len(plates)
@@ -278,17 +383,28 @@ def simulate(
     else:
         visible = pose_strengths(xs, *gates)
     x_hats = np.empty((count, 4, 4))
-    er = np.empty(count)
-
-    for i, x in enumerate(xs):
-        x_hats[i] = x_hat
-        er[i] = frobenius_error(x_hat, x)
+    x_hats[0] = x_hat
+    hat_rows = x_hats.reshape(count, 16)
+    hat_rows[1:, 12:] = (0.0, 0.0, 0.0, 1.0)
+    true_rows = xs.reshape(count, 16)
+    xh = x_hat[:3].ravel().tolist()
+    grams = {}  # the Gram terms of each distinct visible set, by its mask
+    for i in range(count):
         if per_step:
-            visible[i] = pose_strengths(x_hat, *gates)
+            visible[i] = pose_strengths(x_hats[i], *gates)
         if i < len(twists):
-            x_hat = observer_step(x_hat, x, twists[i], c_h[:, visible[i]], config)
+            key = visible[i].tobytes()
+            terms = grams.get(key)
+            if terms is None:
+                terms = grams[key] = _gram_terms(c_h[:, visible[i]])
+            xh = _estimate_step(xh, true_rows[i, :12].tolist(), twist_coords(twists[i]), terms, config)
+            hat_rows[i + 1, :12] = xh
 
     qualified = visible.sum(axis=1) >= scene.params.n
+    er = np.empty(count)
+    for start in range(0, count, _ERROR_BLOCK):
+        stop = start + _ERROR_BLOCK
+        er[start:stop] = frobenius_error(x_hats[start:stop], xs[start:stop])
     return ObserverTrace(t=t, x=xs, x_hat=x_hats, er=er, visible=visible, qualified=qualified)
 
 
@@ -313,10 +429,14 @@ def random_walk_trajectory(
     a seed-drawn orientation, so a batch of seeds samples the same yaw and
     pitch space the coverage probability integrates over.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    if segment_duration <= 0:
-        raise ValueError("segment duration must be positive")
+    for name, value in (("duration", duration), ("segment_duration", segment_duration), ("dt", dt)):
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    for name, value in (("lin_speed", lin_speed), ("ang_speed", ang_speed)):
+        if not (value >= 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+    if not math.isfinite(margin):
+        raise ValueError(f"margin must be finite, got {margin!r}")
     rng = np.random.default_rng(_check_seed(seed))
     if initial is None:
         yaw = float(rng.uniform(-np.pi, np.pi))
@@ -333,7 +453,7 @@ def random_walk_trajectory(
     def segment_ok(x, u, n_steps):
         path = se3_path(x, u, dt, n_steps)
         p = path[:, :3, 3]
-        if np.any(p < lo) or np.any(p > hi):
+        if not ((p >= lo) & (p <= hi)).all():
             return None
         return path[-1]
 

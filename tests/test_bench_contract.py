@@ -53,6 +53,19 @@ def test_tracer_names_and_argument_names():
     assert isinstance(lc.__version__, str)
 
 
+def test_traced_simulate_names_are_functions():
+    """The desk-simulate per-layer figures read spans of these names."""
+    for module, name in [
+        ("observer", "observer_step"),
+        ("observer", "simulate"),
+        ("observer", "pose_strengths"),
+        ("observer", "random_walk_trajectory"),
+        ("geometry", "se3_step"),
+        ("geometry", "se3_path"),
+    ]:
+        assert inspect.isfunction(getattr(getattr(lc, module), name, None)), f"{module}.{name}"
+
+
 def test_scalar_spot_check_matches_batched_p_n():
     scene = lc.load_scene(DESK)
     deployment = lc.generate_random(scene, 12, seed=1)

@@ -429,6 +429,27 @@ def test_se3_path_is_a_chain_of_se3_steps_bitwise():
     assert se3_path(x0, u, 0.02, 0).shape == (0, 4, 4)
 
 
+def test_se3_path_matches_a_numpy_chain():
+    # rotation drift of about 6e-9 makes the first step re-orthonormalize
+    x0 = pose_to_se3(Pose6(np.array([40.0, -25.0, 60.0]), yaw=0.7, pitch=-0.4, roll=0.2))
+    x0[:3, :3] *= 1.0 + 3e-9
+    u = twist([0.9, -1.4, 0.6], [30.0, -12.0, 8.0])
+    path = se3_path(x0, u, 0.01, 300)
+    e = se3_exp(u, 0.01)
+    x = x0
+    projected = 0
+    for pose in path:
+        x = x @ e
+        x[3] = (0.0, 0.0, 0.0, 1.0)
+        r = x[:3, :3]
+        if np.abs(r.T @ r - np.eye(3)).max() > 1e-9:
+            x[:3, :3] = project_to_rotation(r)
+            projected += 1
+        assert np.abs(pose - x).max() <= 1e-13 * np.abs(x).max()
+    assert projected >= 1
+    assert is_rigid_transform(path[0], tol=1e-12)
+
+
 def test_se3_step_zero_twist_is_identity():
     x = pose_to_se3(Pose6(np.array([2.0, 3.0, 4.0]), yaw=1.0, pitch=0.4))
     y = se3_step(x, np.zeros((4, 4)), 0.01)
@@ -490,6 +511,17 @@ def test_frobenius_error():
     y[1, 3] = -1.0
     assert frobenius_error(y, x) == 5.0
     assert frobenius_error(x, y) == 5.0
+
+
+def test_frobenius_error_of_stacks_matches_per_pose_calls_bitwise():
+    rng = np.random.default_rng(7)
+    x_hats = rng.normal(size=(257, 4, 4)) * rng.uniform(0.0, 100.0, (257, 1, 1))
+    xs = rng.normal(size=(257, 4, 4)) * 50.0
+    stacked = frobenius_error(x_hats, xs)
+    assert stacked.shape == (257,)
+    for x_hat, x, err in zip(x_hats, xs, stacked):
+        single = frobenius_error(x_hat, x)
+        assert isinstance(single, float) and err == single
 
 
 def test_se3_matrix_layout():

@@ -13,6 +13,7 @@ from landmark_coverage.geometry import (
     Deployment,
     Pose6,
     frobenius_error,
+    is_rigid_transform,
     is_twist,
     pose_to_se3,
     se3_step,
@@ -88,6 +89,68 @@ def test_outputs_and_injection():
     inj = obs.injection(x_hat, x, c_h, k0=0.5)
     assert is_twist(inj)
     assert np.max(np.abs(inj)) > 0.0
+
+
+def numpy_reference_step(x_hat, x, u, c_h, cfg):
+    correction = obs.epsilon(x_hat, x, c_h, cfg.k_i) + obs.injection(x_hat, x, c_h, cfg.k0)
+    return se3_step(x_hat, u - correction, cfg.dt)
+
+
+def assert_close_to_reference(step, reference):
+    assert np.abs(step - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("k0", [0.0, 3e-3])
+def test_observer_step_matches_the_numpy_reference(k0):
+    rng = np.random.default_rng(11)
+    cfg = obs.ObserverConfig(k_i=2e-4, k0=k0, dt=0.01)
+    for _ in range(50):
+        x = random_transform(rng, angle=3.0, shift=80.0)
+        x_hat = x @ random_transform(rng, angle=0.3, shift=5.0)
+        k = int(rng.integers(1, 25))
+        c_h = np.vstack([rng.uniform(-100.0, 100.0, (3, k)), np.ones(k)])
+        u = twist(rng.normal(size=3), rng.normal(size=3) * 20.0)
+        step = obs.observer_step(x_hat, x, u, c_h, cfg)
+        assert_close_to_reference(step, numpy_reference_step(x_hat, x, u, c_h, cfg))
+        # the correction moves the step far beyond that tolerance
+        assert np.abs(step - se3_step(x_hat, u, cfg.dt)).max() > 1e-6
+
+
+def test_observer_step_with_no_visible_plate_is_the_uncorrected_step():
+    rng = np.random.default_rng(12)
+    x = random_transform(rng)
+    x_hat = x @ random_transform(rng)
+    u = twist([0.3, -0.1, 0.2], [1.0, 2.0, -3.0])
+    cfg = obs.ObserverConfig(k_i=0.5, k0=0.2, dt=0.01)
+    step = obs.observer_step(x_hat, x, u, np.ones((4, 0)), cfg)
+    assert np.array_equal(step, se3_step(x_hat, u, cfg.dt))
+
+
+def test_observer_step_reorthonormalizes_a_drifted_estimate():
+    rng = np.random.default_rng(13)
+    x = random_transform(rng, shift=50.0)
+    x_hat = x @ random_transform(rng, shift=3.0)
+    x_hat[:3, :3] *= 1.0 + 3e-9  # past the drift threshold after one product
+    c_h = np.vstack([rng.uniform(-100.0, 100.0, (3, 6)), np.ones(6)])
+    u = twist([0.2, 0.1, -0.3], [4.0, -2.0, 1.0])
+    cfg = obs.ObserverConfig(k_i=2e-4, k0=1e-3, dt=0.01)
+    step = obs.observer_step(x_hat, x, u, c_h, cfg)
+    assert is_rigid_transform(step, tol=1e-12)
+    assert_close_to_reference(step, numpy_reference_step(x_hat, x, u, c_h, cfg))
+
+
+def test_observer_step_depends_on_the_visible_set_not_its_size():
+    rng = np.random.default_rng(14)
+    x = random_transform(rng, shift=50.0)
+    x_hat = x @ random_transform(rng, shift=3.0)
+    c_h = np.vstack([rng.uniform(-100.0, 100.0, (3, 6)), np.ones(6)])
+    u = np.zeros((4, 4))
+    cfg = obs.ObserverConfig(k_i=2e-4, dt=0.01)
+    first, second = c_h[:, [0, 1, 2]], c_h[:, [3, 4, 5]]
+    step_a = obs.observer_step(x_hat, x, u, first, cfg)
+    step_b = obs.observer_step(x_hat, x, u, second, cfg)
+    assert np.abs(step_a - step_b).max() > 1e-6
+    assert_close_to_reference(step_b, numpy_reference_step(x_hat, x, u, second, cfg))
 
 
 def test_observer_config_validation():
@@ -324,6 +387,33 @@ def test_simulate_matches_the_per_step_loop_bitwise(visibility, from_estimate):
         assert 0 < trace.visible.sum() < trace.visible.size
 
 
+def test_simulate_steps_by_the_visible_set_not_its_size():
+    """Steps with equally many but different visible plates get their own correction."""
+    import landmark_coverage.deployment as dep
+    from conftest import CONFIG_DIR
+
+    scene = dep.load_scene(CONFIG_DIR / "desk_room.json")
+    deployment = dep.generate_uniform(scene, 24)
+    walk = obs.random_walk_trajectory(
+        scene, duration=2.0, seed=2, lin_speed=40.0, ang_speed=2.0, margin=10.0,
+    )
+    x_hat0 = walk.initial @ expm(twist([0.05, -0.04, 0.03], [2.0, -1.0, 1.5]))
+    cfg = obs.ObserverConfig(k_i=2e-5, dt=0.01, visibility="camera-model")
+    trace = obs.simulate(scene, deployment, walk, cfg, x_hat0=x_hat0)
+    sets = {}
+    for mask in trace.visible[:-1]:
+        sets.setdefault(int(mask.sum()), set()).add(mask.tobytes())
+    assert any(len(masks) > 1 for size, masks in sets.items() if size > 0)
+
+    k = len(deployment)
+    c_h = np.vstack([deployment.positions.T, np.ones(k)])
+    twists, xs = walk.sample(cfg.dt)
+    x_hat = x_hat0
+    for i, u in enumerate(twists):
+        x_hat = obs.observer_step(x_hat, xs[i], u, c_h[:, trace.visible[i]], cfg)
+        assert np.array_equal(trace.x_hat[i + 1], x_hat)
+
+
 def test_simulate_static_ideal_converges(tiny_scene, tiny_deployment):
     x0 = pose_to_se3(Pose6(tiny_scene.center, yaw=0.3, pitch=-0.1))
     spec = obs.TrajectorySpec(initial=x0, segments=[(3.0, np.zeros((4, 4)))])
@@ -498,6 +588,46 @@ def test_random_walk_validation():
         obs.random_walk_trajectory(scene, duration=0.0, seed=0)
     with pytest.raises(ValueError):
         obs.random_walk_trajectory(scene, duration=1.0, seed=0, margin=10.0)
+
+
+@pytest.mark.parametrize("argument, value", [
+    ("margin", math.nan),
+    ("margin", math.inf),
+    ("lin_speed", math.nan),
+    ("lin_speed", -1.0),
+    ("lin_speed", math.inf),
+    ("ang_speed", math.nan),
+    ("ang_speed", -0.5),
+    ("duration", math.nan),
+    ("segment_duration", math.nan),
+    ("dt", math.nan),
+])
+def test_random_walk_names_a_bad_argument(argument, value):
+    scene = build_tiny_scene()
+    kw = dict(duration=0.5, seed=0, segment_duration=0.25, lin_speed=2.0, ang_speed=0.5)
+    kw[argument] = value
+    with pytest.raises(ValueError, match=argument):
+        obs.random_walk_trajectory(scene, **kw)
+
+
+def test_random_walk_containment_rejects_a_nan_position(monkeypatch):
+    """A segment whose positions are not all inside (NaN included) is redrawn."""
+    scene = build_tiny_scene()
+    se3_path = obs.se3_path
+
+    def nan_first(x, u, dt, steps):
+        path = se3_path(x, u, dt, steps)
+        if not calls:
+            path[0, 0, 3] = math.nan
+        calls.append(steps)
+        return path
+
+    calls = []
+    monkeypatch.setattr(obs, "se3_path", nan_first)
+    walk = obs.random_walk_trajectory(
+        scene, duration=0.25, seed=3, segment_duration=0.25, lin_speed=2.0, ang_speed=0.5,
+    )
+    assert len(calls) == 2 and len(walk.segments) == 1
 
 
 def test_trajectory_json_piecewise(tiny_scene):
