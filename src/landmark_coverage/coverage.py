@@ -17,10 +17,12 @@ plate).  A row is a camera position with its own plates (``PlateRows``):
 one deployment shares its plates across all rows, and a stack of
 deployments, such as a search generation, gives each (deployment,
 position) row the plates of its deployment, so a plate only ever occludes
-plates of its own row.  The kernel runs the occlusion pass only on the
-(row, plate) pairs that face the camera and whose window is not empty, and
-computes ``z`` only for the unblocked ones, with the scalar path's
-expressions and operation order, a few cells at a time.  The mask
+plates of its own row.  The kernel tests the window first: it computes
+``z`` for the (row, plate) pairs that face the camera and whose window is
+not empty, with the scalar path's expressions and operation order, a few
+cells at a time.  Only the pairs with a passing cell then go to the
+occlusion pass, against all K plates of their row, since a plate that
+fails its own gates still blocks in the scalar rule.  The mask
 (``strengths_grid``, ``axis_strengths``) and the per-cell counts
 (``cell_counts``) come from that one core and equal the scalar criteria
 bit for bit.
@@ -468,9 +470,10 @@ def _live_gates(
     Every gate bounds the camera depth z = axis . (landmark - camera): z
     passes when ``lo <= z <= hi``, where ``lo = max(range * fov_cos,
     z_near)`` per (row, plate) and ``hi = min(z_far, z_res)`` is one
-    scalar from ``_depth_cuts``.  Only the pairs that face the camera and
-    have ``lo <= hi`` go to the occlusion pass, and only the unblocked ones
-    get a z, so the returned pairs are the live ones, in row order.
+    scalar from ``_depth_cuts``. The pairs that face the camera and have
+    ``lo <= hi`` get a z first. Only those with a passing cell go to the
+    occlusion pass, against all K plates of their row, and a blocked
+    pair's column is cleared. The pairs are returned in row order.
     """
     z_near, z_far, z_res = _depth_cuts(
         *focus_depths(intrinsics, delta),
@@ -479,14 +482,37 @@ def _live_gates(
         thold,
     )
     hi = min(z_far, z_res)
-    b, k, lo, px, py, pz = _unblocked_pairs(points, plates, intrinsics.fov_cos, z_near, hi)
+    # landmark - camera, one (B, K) array per coordinate
+    dx, dy, dz = (plates.positions[:, :, i] - points[:, i, None] for i in range(3))
+    ranges = np.sqrt((dx * dx + dy * dy) + dz * dz)
+    lo = np.maximum(ranges * intrinsics.fov_cos, z_near)
+    # The scalar facing > 0 on camera - landmark is exactly n . d < 0 here,
+    # as negation is exact.
+    n = plates.normals
+    facing = (n[:, :, 0] * dx + n[:, :, 1] * dy) + n[:, :, 2] * dz
+    b, k = np.nonzero((facing < 0) & (lo <= hi))
+    del facing  # the (B, K) arrays left are the ones the occlusion pass reads
+    lo = lo[b, k]
 
-    # z = (a0 dx + a1 dy) + a2 dz for the unblocked pairs, (G, L), computed
-    # K cells at a time so that no float block outgrows the (L, K) occlusion
-    # blocks. Axis component rows are (G, 1) when shared, or gathered per pair.
+    # Axis component rows are (G, 1) when shared, or gathered per pair.
     rows = axes[0].T[:, :, None] if axes.shape[0] == 1 else axes[b].transpose(2, 1, 0)
-    gate = np.empty((rows.shape[1], b.size), dtype=bool)
-    step = max(1, plates.nu.shape[1])
+    gate = _window_gate(rows, dx[b, k], dy[b, k], dz[b, k], lo, hi, max(1, plates.nu.shape[1]))
+    # occlusion cannot change a column that no cell passes
+    seen = np.flatnonzero(gate.any(axis=0))
+    nu = np.broadcast_to(plates.nu, dx.shape)
+    gate[:, seen[_occluded(dx, dy, dz, ranges, nu, b[seen], k[seen])]] = False
+    return b, k, gate
+
+
+def _window_gate(rows, px, py, pz, lo, hi, step: int) -> np.ndarray:
+    """The (G, L) mask ``lo <= z <= hi`` of z = (a0 dx + a1 dy) + a2 dz.
+
+    ``rows`` holds the axis components, (3, G, 1 or L). The mask is built
+    ``step`` cells at a time so that no float block outgrows an (L, K)
+    occlusion block, and the blocks are freed on return, before the
+    occlusion pass.
+    """
+    gate = np.empty((rows.shape[1], px.size), dtype=bool)
     for cells in (slice(g, g + step) for g in range(0, gate.shape[0], step)):
         z = rows[0, cells] * px
         scratch = rows[1, cells] * py
@@ -494,31 +520,19 @@ def _live_gates(
         z += np.multiply(rows[2, cells], pz, out=scratch)
         np.greater_equal(z, lo, out=gate[cells])
         gate[cells] &= z <= hi
-    return b, k, gate
+    return gate
 
 
-def _unblocked_pairs(points, plates: PlateRows, fov_cos: float, z_near: float, hi: float):
-    """The (row, plate) pairs that can pass: ``b``, ``k``, ``lo`` and landmark - camera.
+def _occluded(dx, dy, dz, ranges, nu, b, k) -> np.ndarray:
+    """Whether a plate of its own row blocks each pair (b, k), shape (L,).
 
-    A pair passes here when its plate faces the camera, its depth window
-    ``[lo, hi]`` is not empty and no plate of its own row occludes it. The
-    (B, K) arrays and (L, K) occlusion blocks are freed on return, before
-    any depth is computed.
+    Plate j of row b blocks (b, k) when it is nearer along a sight line
+    that passes within nu_k of it; j == k never blocks, as nj < nk fails
+    there. Every plate of the row may block, whether or not it passes its
+    own gates, as in the scalar rule. The (L, K) blocks hold the dot
+    products and nj; the sight-line distance, in the scalar operation
+    order, is taken only for the elements with j in front of k.
     """
-    # landmark - camera, one (B, K) array per coordinate
-    dx, dy, dz = (plates.positions[:, :, i] - points[:, i, None] for i in range(3))
-    ranges = np.sqrt((dx * dx + dy * dy) + dz * dz)
-    lo = np.maximum(ranges * fov_cos, z_near)
-    # The scalar facing > 0 on camera - landmark is exactly n . d < 0 here,
-    # as negation is exact.
-    n = plates.normals
-    facing = (n[:, :, 0] * dx + n[:, :, 1] * dy) + n[:, :, 2] * dz
-    b, k = np.nonzero((facing < 0) & (lo <= hi))
-
-    # Occlusion: plate j of row b blocks live pair (b, k) when it is nearer
-    # along a sight line that passes within nu_k of it. j == k never blocks,
-    # as nj < nk fails there. Two (L, K) blocks, the scratch block taking
-    # nj = ranges[b] twice rather than holding a third.
     px, py, pz, nk = (a[b, k] for a in (dx, dy, dz, ranges))
     dots = dx[b]
     dots *= px[:, None]
@@ -529,15 +543,17 @@ def _unblocked_pairs(points, plates: PlateRows, fov_cos: float, z_near: float, h
     scratch *= pz[:, None]
     dots += scratch
     nj = np.take(ranges, b, axis=0, out=scratch)
-    blocked = (dots > 0) & (nj < nk[:, None])
+    front = np.flatnonzero((dots > 0) & (nj < nk[:, None]))
+    pair = front // max(1, dots.shape[1])
+    c, nj = dots.ravel()[front], nj.ravel()[front]
+    del dots, scratch  # free the (L, K) blocks before the gathered arithmetic
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.divide(dots, np.multiply(nj, nk[:, None], out=scratch), out=dots)
+        c /= nj * nk[pair]
         s2 = np.subtract(1.0, np.multiply(c, c, out=c), out=c)
-        root = np.sqrt(np.maximum(s2, 0.0, out=s2), out=s2)
-        perp = np.multiply(np.take(ranges, b, axis=0, out=scratch), root, out=root)
-    blocked &= perp <= np.broadcast_to(plates.nu, dx.shape)[b, k][:, None]
-    clear = ~blocked.any(axis=1)
-    return tuple(a[clear] for a in (b, k, lo[b, k], px, py, pz))
+        perp = np.multiply(nj, np.sqrt(np.maximum(s2, 0.0, out=s2), out=s2), out=s2)
+    blocked = np.zeros(b.size, dtype=bool)
+    blocked[pair[perp <= nu[b, k][pair]]] = True
+    return blocked
 
 
 def coverage_caps(

@@ -45,14 +45,14 @@ WALL_NAMES = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")
 # Cap on rows x max(cells, plates) x plates per kernel call, where a row is a
 # (deployment, position) pair: one deployment's positions, or a search
 # generation's chromosomes times positions. It keeps peak memory flat when
-# sweeping large grids. The gate core's float temporaries are (L, plates)
-# occlusion blocks over the L live (row, plate) pairs, and L is at most rows
-# x plates; the (cells, L) depths are computed at most `plates` cells at a
-# time, so they are no larger than an occlusion block. No block exceeds
-# 2^18 float64 elements, 2 MiB, and one kernel call's temporaries stay
-# under the 8 MiB mmap threshold and the 16 MiB trim threshold that the
-# import block in coverage sets, and are reused from the heap rather than
-# faulted in anew.
+# sweeping large grids. The gate core's float temporaries are at most
+# (L, plates) blocks over the L (row, plate) pairs with a non-empty depth
+# window, and L is at most rows x plates: the (cells, L) depths, computed
+# at most `plates` cells at a time, and the occlusion blocks over those of
+# the pairs with a passing cell. No block exceeds 2^18 float64 elements,
+# 2 MiB, and one kernel call's temporaries stay under the 8 MiB mmap
+# threshold and the 16 MiB trim threshold that the import block in
+# coverage sets, and are reused from the heap rather than faulted in anew.
 _CHUNK_ELEMENTS = 262_144
 
 # Size caps checked before any array is built, so that a mistyped count

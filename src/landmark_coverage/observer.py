@@ -301,11 +301,14 @@ class ObserverTrace:
         return float(self.er[-1])
 
 
-# Cap on poses x plates x plates per kernel call. The occlusion pass builds
-# several (L, K) float temporaries over up to poses x K live (pose, plate)
-# pairs, so a whole path in one call would grow peak memory with the path's
-# length; 16 poses of 24 plates fit.
-_POSE_BLOCK_PAIRS = 16 * 24 * 24
+# Cap on poses x plates x plates per kernel call. The kernel tests the depth
+# window first and builds its (L, K) occlusion blocks only for the pairs
+# with a passing cell, against all K plates of the pose; at one optical axis
+# per pose that is about a tenth of the poses x K window pairs on the desk
+# walk. A whole path in one call would still grow peak memory with the
+# path's length; 64 poses of 24 plates take a quarter of the calls of 16
+# and read the same peak RSS, where 256 poses raised it.
+_POSE_BLOCK_PAIRS = 64 * 24 * 24
 
 
 # Poses per stacked frobenius_error call in simulate. One call over the whole

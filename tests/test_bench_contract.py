@@ -66,6 +66,12 @@ def test_traced_simulate_names_are_functions():
         assert inspect.isfunction(getattr(getattr(lc, module), name, None)), f"{module}.{name}"
 
 
+def test_traced_gate_core_names_are_functions():
+    """The per-layer figures read the gate core's spans by these names."""
+    for name in ("cell_counts", "axis_strengths"):
+        assert inspect.isfunction(getattr(lc.coverage, name, None)), f"coverage.{name}"
+
+
 def test_scalar_spot_check_matches_batched_p_n():
     scene = lc.load_scene(DESK)
     deployment = lc.generate_random(scene, 12, seed=1)

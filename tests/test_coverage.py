@@ -29,7 +29,8 @@ from landmark_coverage.coverage import (
     strengths_grid,
 )
 from landmark_coverage.deployment import evaluate_coverage, generate_uniform, make_scene
-from landmark_coverage.geometry import CameraIntrinsics, Deployment, Landmark, Pose6
+from landmark_coverage.geometry import CameraIntrinsics, Deployment, Landmark, Pose6, pose_to_se3
+from landmark_coverage.observer import pose_strengths
 
 TABLE3 = CameraIntrinsics(
     f=5.0, s_u=0.0058, s_v=0.0058, o_u=800, o_v=600,
@@ -710,6 +711,43 @@ def test_kernel_edge_on_plate_is_not_measurable():
     assert coverage_strength(0, [plate], pose, TABLE3, delta=4.0) == 0.0
     out = strengths_grid(pose.position[None], pose.rotation()[None], [plate], TABLE3, 4.0)
     assert not out.any()
+
+
+@pytest.mark.parametrize("front_fails", ["near-focus", "fov", "back-facing"])
+def test_plate_failing_its_own_gates_still_occludes(front_fails):
+    # The target alone passes every gate; a plate on its sight line that
+    # fails one of its own gates still blocks it, as in the scalar rule.
+    grid = OrientationGrid(np.array([0.3]), np.array([0.2]))
+    camera = np.array([10.0, 20.0, 30.0])
+    pose = Pose6(camera, yaw=0.3, pitch=0.2)
+    assert np.array_equal(grid.rotations()[0], pose.rotation())
+    axis, side = pose.rotation()[2], pose.rotation()[0]
+    target = facing_landmark(camera + 300.0 * axis, camera, nu=100.0)
+    if front_fails == "near-focus":  # 50 cm, nearer than z_near (97.5 cm)
+        front = facing_landmark(camera + 50.0 * axis, camera)
+    elif front_fails == "fov":  # 40 degrees off the axis, 90 cm from the sight line
+        angle = math.radians(40.0)
+        front = facing_landmark(camera + 140.0 * (math.cos(angle) * axis + math.sin(angle) * side), camera)
+    else:  # faces away from the camera
+        front = facing_landmark(camera + 150.0 * axis, camera + 300.0 * axis)
+    gates = {
+        "near-focus": focus_criterion(front, pose, TABLE3, 4.0),
+        "fov": fov_criterion(front, pose, TABLE3),
+        "back-facing": occlusion_criterion(0, [front], camera),
+    }
+    assert gates == {name: int(name != front_fails) for name in gates}
+    assert coverage_strength(0, [target], pose, TABLE3, 4.0) > 0
+
+    plates = [target, front]
+    expected = [coverage_strength(k, plates, pose, TABLE3, 4.0) > 0 for k in range(2)]
+    assert expected == [False, False]
+    params = CoverageParams(thold=0.0, delta=4.0, n=1)
+    mask = strengths_grid(camera[None], grid.rotations(), plates, TABLE3, 4.0)
+    assert mask[0, 0].tolist() == expected
+    assert cell_counts(camera[None], plates, grid, TABLE3, params).tolist() == [[sum(expected)]]
+    x = pose_to_se3(pose)
+    assert pose_strengths(x, plates, TABLE3, 4.0).tolist() == expected
+    assert pose_strengths(x, [target], TABLE3, 4.0).tolist() == [True]
 
 
 def test_coverage_params_validation():

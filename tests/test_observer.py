@@ -331,24 +331,25 @@ def test_simulate_kernel_calls_stay_within_the_block_cap(monkeypatch):
 
     monkeypatch.setattr(obs, "axis_strengths", spy)
     x0 = pose_to_se3(Pose6(scene.center, yaw=0.3))
-    spec = obs.TrajectorySpec(initial=x0, segments=[(10.0, twist([0.0, 0.0, 0.4], [0.0, 0.0, 0.0]))])
+    spec = obs.TrajectorySpec(initial=x0, segments=[(25.0, twist([0.0, 0.0, 0.4], [0.0, 0.0, 0.0]))])
     cfg = obs.ObserverConfig(k_i=1e-5, dt=0.01, visibility="camera-model")
     trace = obs.simulate(scene, deployment, spec, cfg)
     k = len(deployment)
     block = obs._POSE_BLOCK_PAIRS // (k * k)
-    assert trace.t.size == 1001 and block < 1001
-    assert len(calls) == -(-1001 // block)
-    assert sum(b for b, _ in calls) == 1001
+    assert trace.t.size == 2501 and 2 * block < 2501
+    assert len(calls) == -(-2501 // block)
+    assert sum(b for b, _ in calls) == 2501
     assert all(1 <= b and b * plates * plates <= obs._POSE_BLOCK_PAIRS for b, plates in calls)
 
     # more plates than one pose's share of the cap: still one pose per call
     import landmark_coverage.deployment as dep
 
-    many = dep.generate_uniform(scene, 100)
-    assert 100 * 100 > obs._POSE_BLOCK_PAIRS
+    count = math.isqrt(obs._POSE_BLOCK_PAIRS) + 1
+    many = dep.generate_uniform(scene, count)
+    assert count * count > obs._POSE_BLOCK_PAIRS
     calls.clear()
     obs.pose_strengths(trace.x[:5], many, scene.intrinsics, scene.params.delta, scene.params.thold)
-    assert calls == [(1, 100)] * 5
+    assert calls == [(1, count)] * 5
 
 
 @pytest.mark.parametrize(
