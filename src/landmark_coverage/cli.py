@@ -125,12 +125,6 @@ def _write_csv(path: str, header: list[str], rows):
             fh.write(",".join(row) + "\n")
 
 
-def _resolve_threads(threads: int) -> int:
-    if threads < 1:
-        raise ValueError("thread count must be at least 1")
-    return threads
-
-
 def _scene_with_overrides(args):
     scene = load_scene(args.scene)
     if getattr(args, "pdf", None):
@@ -149,11 +143,10 @@ def _scene_with_overrides(args):
 
 
 def _cmd_analyze(args) -> int:
-    threads = _resolve_threads(args.threads)
     scene = _scene_with_overrides(args)
     deployment = load_deployment(args.deployment)
     scene.check_evaluation_size(len(deployment))
-    coverage = evaluate_coverage(scene, deployment, threads=threads)
+    coverage = evaluate_coverage(scene, deployment, threads=args.threads)
     met = metrics(coverage)
 
     with _Stage(args.out_dir) as stage:
@@ -210,7 +203,6 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    threads = _resolve_threads(args.threads)
     scene = load_scene(args.scene)
     initial = load_deployment(args.initial) if args.initial else None
     if initial is not None:
@@ -246,7 +238,7 @@ def _cmd_optimize(args) -> int:
         mode=args.mode,
         encoding=args.encoding,
         initial=initial,
-        threads=threads,
+        threads=args.threads,
     )
 
     with _Stage(args.out_dir) as stage:

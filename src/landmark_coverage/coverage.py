@@ -25,7 +25,9 @@ occlusion pass, against all K plates of their row, since a plate that
 fails its own gates still blocks in the scalar rule.  The mask
 (``strengths_grid``, ``axis_strengths``) and the per-cell counts
 (``cell_counts``) come from that one core and equal the scalar criteria
-bit for bit.
+bit for bit.  Each of those calls is one pass; ``gate_passes`` cuts a
+larger batch of rows into passes whose temporaries stay small, and runs
+them serially or on the package's one thread pool.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -338,16 +341,52 @@ class CapSet:
 # untouched 8 MiB block here keeps the kernel's float temporaries on the
 # heap, rather than handed back to the OS and faulted in again on every
 # call; importing scipy used to do this by accident. Untouched pages add no
-# resident memory. deployment._CHUNK_ELEMENTS sizes its blocks to stay under
-# these thresholds.
+# resident memory.
 np.empty(1 << 20)
+
+# Cap on rows x max(cells, plates) x plates per gate-core pass. The core's
+# float temporaries are at most (L, plates) blocks over the L <= rows x
+# plates (row, plate) pairs with a non-empty depth window: the (cells, L)
+# depths, computed at most `plates` cells at a time, and the occlusion
+# blocks over the pairs with a passing cell. No block then exceeds 2^18
+# float64 elements, 2 MiB, so one pass stays under the thresholds set above
+# and reuses heap memory rather than faulting it in anew.
+_CHUNK_ELEMENTS = 262_144
+MAX_THREADS = 256
+
+
+def gate_passes(rows: int, cells: int, plates: int, work, threads: int = 1) -> None:
+    """Run ``work(start, stop)`` over the rows ``[0, rows)``, one pass at a time.
+
+    A pass holds at most ``_CHUNK_ELEMENTS // (max(cells, K) * K)`` rows,
+    K = max(1, plates), and at least one. threads > 1 runs the passes on
+    that many worker threads when there is more than one: the package's
+    only thread pool. ``work`` must write each pass's rows alone, so the
+    result does not depend on the order the passes finish in.
+    """
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"thread count must be from 1 to {MAX_THREADS}, got {threads}")
+    k = max(1, plates)
+    size = max(1, _CHUNK_ELEMENTS // (max(cells, k) * k))
+    starts = range(0, rows, size)
+
+    def run(start):
+        work(start, min(start + size, rows))
+
+    if threads > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, starts))
+    else:
+        for start in starts:
+            run(start)
 
 
 class PlateRows(NamedTuple):
     """Plates per kernel row: ``positions`` and ``normals`` (R or 1, K, 3), ``nu`` (R or 1, K).
 
     A leading 1 shares one set of K plates among all rows; otherwise row r
-    of the points is scored against its own plates ``[r]``.
+    of the points is scored against its own plates ``[r]``, as a stack of
+    deployments gathers them for each pass of ``gate_passes``.
     """
 
     positions: np.ndarray

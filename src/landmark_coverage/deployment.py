@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -25,6 +24,7 @@ from .coverage import (
     OrientationPdf,
     PlateRows,
     coverage_probabilities,
+    gate_passes,
 )
 from .errors import (
     SCHEMA_VERSION,
@@ -41,19 +41,6 @@ from .errors import (
 from .geometry import CameraIntrinsics, Deployment, as_vec3, normal_to_angles
 
 WALL_NAMES = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")
-
-# Cap on rows x max(cells, plates) x plates per kernel call, where a row is a
-# (deployment, position) pair: one deployment's positions, or a search
-# generation's chromosomes times positions. It keeps peak memory flat when
-# sweeping large grids. The gate core's float temporaries are at most
-# (L, plates) blocks over the L (row, plate) pairs with a non-empty depth
-# window, and L is at most rows x plates: the (cells, L) depths, computed
-# at most `plates` cells at a time, and the occlusion blocks over those of
-# the pairs with a passing cell. No block exceeds 2^18 float64 elements,
-# 2 MiB, and one kernel call's temporaries stay under the 8 MiB mmap
-# threshold and the 16 MiB trim threshold that the import block in
-# coverage sets, and are reused from the heap rather than faulted in anew.
-_CHUNK_ELEMENTS = 262_144
 
 # Size caps checked before any array is built, so that a mistyped count
 # exits 2 instead of getting the process killed for memory or running for
@@ -314,12 +301,11 @@ def evaluate_coverages(scene: Scene, plates: Deployment, m: int, threads: int = 
     """Coverage maps of ``m`` deployments of equal size, stacked in ``plates``.
 
     Deployment i is plates ``[i * K, (i + 1) * K)``, K = len(plates) / m.
-    The (deployment, position) rows are split into spans of at most
-    _CHUNK_ELEMENTS kernel elements, which may cut a deployment; each row
-    is scored against its own deployment's plates only, so every map equals
-    the deployment's own ``evaluate_coverage``. threads > 1 evaluates the
-    spans on that many worker threads. This is the package's only thread
-    pool, and the result does not depend on it.
+    The (deployment, position) rows go to ``gate_passes``, whose passes may
+    cut a deployment; each row is scored against its own deployment's
+    plates only, so every map equals the deployment's own
+    ``evaluate_coverage``. ``threads`` is the passes' worker threads, and
+    the result does not depend on it.
     """
     k = len(plates) // m if m else 0
     if len(plates) != m * k:
@@ -327,30 +313,20 @@ def evaluate_coverages(scene: Scene, plates: Deployment, m: int, threads: int = 
     stacked = PlateRows(
         plates.positions.reshape(m, k, 3), plates.normals.reshape(m, k, 3), plates.nu.reshape(m, k)
     )
-    n, width = scene.n_points, max(1, k)
-    chunk = max(1, _CHUNK_ELEMENTS // (max(scene.grid.n_cells, width) * width))
+    n = scene.n_points
+    p_n = np.empty(m * n)
 
-    def span_probabilities(start):
-        deployment, position = np.divmod(np.arange(start, min(start + chunk, m * n)), n)
-        # a span within one deployment shares its plates; one across
-        # deployments gathers each row's own
-        first = deployment[0]
-        rows = slice(first, first + 1) if deployment[-1] == first else deployment
-        return coverage_probabilities(
-            scene.points[position], PlateRows(*(a[rows] for a in stacked)),
+    def work(start, stop):
+        deployment, position = np.divmod(np.arange(start, stop), n)
+        p_n[start:stop] = coverage_probabilities(
+            scene.points[position], PlateRows(*(a[deployment] for a in stacked)),
             scene.grid, scene.pdf, scene.intrinsics, scene.params,
         )
 
-    starts = range(0, m * n, chunk)
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(span_probabilities, starts))
-    else:
-        parts = [span_probabilities(s) for s in starts]
-    p_n = np.concatenate(parts).reshape(m, n) if parts else np.empty((m, n))
+    gate_passes(m * n, scene.grid.n_cells, k, work, threads)
     return [
         CoverageMap(points=scene.points, p_n=row, rel=scene.rel, n=scene.params.n, thold_p=scene.thold_p)
-        for row in p_n
+        for row in p_n.reshape(m, n)
     ]
 
 

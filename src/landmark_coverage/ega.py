@@ -234,7 +234,7 @@ def run(
     When an initial deployment is given it seeds the first chromosome and
     fixes the landmark count. history[0] describes the initial population.
     Each generation's chromosomes are scored in one batch; threads sets the
-    worker threads for its (chromosome, position) spans, and results do not
+    worker threads for its (chromosome, position) passes, and results do not
     depend on it.
     """
     if mode not in ("ega", "sga"):

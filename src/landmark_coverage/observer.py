@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import axis_strengths
+from .coverage import axis_strengths, gate_passes
 from .deployment import MAX_STEPS, Scene
 from .errors import (
     SchemaError,
@@ -301,16 +301,6 @@ class ObserverTrace:
         return float(self.er[-1])
 
 
-# Cap on poses x plates x plates per kernel call. The kernel tests the depth
-# window first and builds its (L, K) occlusion blocks only for the pairs
-# with a passing cell, against all K plates of the pose; at one optical axis
-# per pose that is about a tenth of the poses x K window pairs on the desk
-# walk. A whole path in one call would still grow peak memory with the
-# path's length; 64 poses of 24 plates take a quarter of the calls of 16
-# and read the same peak RSS, where 256 poses raised it.
-_POSE_BLOCK_PAIRS = 64 * 24 * 24
-
-
 # Poses per stacked frobenius_error call in simulate. One call over the whole
 # run would hold an (N, 4, 4) temporary beside the trace and raise the peak
 # memory of a run by that much.
@@ -322,24 +312,24 @@ def pose_strengths(x, landmarks, intrinsics, delta: float, thold: float = 0.0) -
 
     ``x`` may also be a stack of poses (N, 4, 4), giving (N, K); each pose
     looks along its own optical axis, and every row equals the one-pose call
-    bit for bit. The poses go to the kernel in blocks of at least one pose
-    and at most ``_POSE_BLOCK_PAIRS`` poses x plates x plates.
+    bit for bit. The poses go to the kernel in ``gate_passes``' passes,
+    each pose one row of one cell.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-2:] != (4, 4) or x.ndim not in (2, 3):
         raise ValueError(f"expected a (4, 4) pose or an (N, 4, 4) stack, got shape {x.shape}")
     poses = x.reshape(-1, 4, 4)
     plates = Deployment.of(landmarks)
-    k = len(plates)
     positions = poses[:, :3, 3]
     axes = poses[:, None, :3, 2]  # optical-axis rows of the world-to-camera rotations
-    block = max(1, _POSE_BLOCK_PAIRS // max(1, k * k))
-    out = np.empty((len(poses), k), dtype=bool)
-    for start in range(0, len(poses), block):
-        stop = start + block
+    out = np.empty((len(poses), len(plates)), dtype=bool)
+
+    def work(start, stop):
         out[start:stop] = axis_strengths(
             positions[start:stop], axes[start:stop], plates, intrinsics, delta, thold
         )[:, 0]
+
+    gate_passes(len(poses), 1, len(plates), work)
     return out if x.ndim == 3 else out[0]
 
 

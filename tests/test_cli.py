@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import CONFIG_DIR
+from landmark_coverage import coverage as coverage_module
 from landmark_coverage import deployment as deployment_module
 from landmark_coverage import observer as observer_module
 from landmark_coverage.cli import main
@@ -576,6 +577,26 @@ def test_oversized_evaluation_exits_2_before_building(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, threads", [("analyze", "0"), ("optimize", "-1"), ("analyze", "257")])
+def test_out_of_range_thread_counts_exit_2_before_any_thread_starts(tmp_path, capsys, monkeypatch, command, threads):
+    plates = tmp_path / "plates"
+    run_ok(["generate", "--scene", DESK, "--count", "6", "--out-dir", str(plates)], capsys)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(coverage_module, "ThreadPoolExecutor", no_pool)
+    argv = {
+        "analyze": ["analyze", "--deployment", str(plates / "deployment.json")],
+        "optimize": ["optimize", "--count", "3", "--m", "8", "--iterations", "1"],
+    }[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--scene", DESK, "--threads", threads, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "thread count" in err and f"got {threads}" in err
+    assert not out.exists()
+
+
 def test_step_and_plate_caps_hold_at_the_boundary(tmp_path, capsys, monkeypatch):
     plates = tmp_path / "plates"
     generate = ["generate", "--scene", DESK, "--count", "6"]
@@ -693,7 +714,7 @@ def test_repeated_coverage_evaluation_reuses_heap_pages(config, plates):
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sized to glibc's malloc thresholds")
 def test_repeated_generation_scoring_reuses_heap_pages():
     # A search generation on the desk: 29 stacked 12-plate chromosomes in
-    # 303-row spans, so its blocks are six times one deployment's.
+    # 303-row passes, so its blocks are six times one deployment's.
     assert second_call_faults(
         "desk_room",
         "space = lc.GeneSpace(scene, 12, 'wall')\n"

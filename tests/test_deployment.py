@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+import landmark_coverage.coverage as coverage_module
 import landmark_coverage.deployment as dep
 from landmark_coverage.coverage import CoverageParams, coverage_probabilities
 from landmark_coverage.errors import SchemaError
@@ -305,7 +306,7 @@ def test_evaluate_coverage_chunking_is_invisible(monkeypatch):
     scene = small_scene()
     deployment = dep.generate_uniform(scene, 8)
     whole = dep.evaluate_coverage(scene, deployment).p_n
-    monkeypatch.setattr(dep, "_CHUNK_ELEMENTS", 1)  # one point per chunk
+    monkeypatch.setattr(coverage_module, "_CHUNK_ELEMENTS", 1)  # one point per pass
     chunked = dep.evaluate_coverage(scene, deployment).p_n
     threaded = dep.evaluate_coverage(scene, deployment, threads=3).p_n
     assert np.array_equal(whole, chunked)

@@ -341,10 +341,10 @@ def test_search_builds_no_landmark(desk_scene, monkeypatch):
 
 
 def test_search_threads_split_each_evaluation_into_spans(desk_scene, monkeypatch):
-    # Shrink the blocks to 16 rows, so each generation's (chromosome,
-    # position) rows, 6 or 5 chromosomes x 48 positions, split into spans of 16.
+    # Shrink the passes to 16 rows, so each generation's (chromosome,
+    # position) rows, 6 or 5 chromosomes x 48 positions, split into passes of 16.
     k = 12
-    monkeypatch.setattr(dep, "_CHUNK_ELEMENTS", 16 * max(desk_scene.grid.n_cells, k) * k)
+    monkeypatch.setattr(coverage_module, "_CHUNK_ELEMENTS", 16 * max(desk_scene.grid.n_cells, k) * k)
     spans = []
     real_probabilities = dep.coverage_probabilities
 
@@ -368,7 +368,7 @@ def test_search_threads_split_each_evaluation_into_spans(desk_scene, monkeypatch
 
 def generation_scene(pdf):
     # 8 positions and 32 cells: with 12 plates the depth block's last
-    # 12-cell slice is short, and 3-row spans cut chromosomes mid-way.
+    # 12-cell slice is short, and 3-row passes cut chromosomes mid-way.
     return dep.make_scene(
         (300.0, 200.0, 250.0), (200.0, 100.0, 150.0), (2, 2, 2),
         intrinsics=INTRINSICS, params=CoverageParams(thold=0.2, delta=4.0, n=1),
@@ -421,7 +421,7 @@ def test_generation_costs_equal_per_deployment_costs_bitwise(monkeypatch, encodi
     grid_width = max(scene.grid.n_cells, count)
     for span_rows in (None, 3):
         if span_rows is not None:
-            monkeypatch.setattr(dep, "_CHUNK_ELEMENTS", span_rows * grid_width * count)
+            monkeypatch.setattr(coverage_module, "_CHUNK_ELEMENTS", span_rows * grid_width * count)
         for threads in (1, 2):
             maps = dep.evaluate_coverages(scene, space.decode(block), len(block), threads=threads)
             assert [c.cost for c in maps] == expected
@@ -437,7 +437,7 @@ def test_evaluate_coverages_refuses_uneven_stacks():
 
 
 def test_a_desk_generation_is_five_gate_core_calls(desk_scene, monkeypatch):
-    # 29 new chromosomes x 48 positions = 1392 rows, in spans of
+    # 29 new chromosomes x 48 positions = 1392 rows, in passes of
     # 2^18 // (72 cells x 12 plates) = 303 rows: 5 gate-core calls, not 29.
     real_gates, real_next = coverage_module._live_gates, ega._next_generation
     generations = [[]]

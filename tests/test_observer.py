@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 from scipy.linalg import expm
 
+import landmark_coverage.coverage as cov
 import landmark_coverage.observer as obs
 from landmark_coverage.errors import SchemaError, TrajectoryOutOfRegionError
 from landmark_coverage.geometry import (
@@ -278,7 +279,7 @@ def test_pose_stack_matches_one_pose_calls_bitwise(count_from_block):
 
     scene, deployment = room_scene_and_plates()
     k = len(deployment)
-    block = obs._POSE_BLOCK_PAIRS // (k * k)
+    block = cov._CHUNK_ELEMENTS // (k * k)  # one optical axis per pose, fewer than k
     count = 1 if count_from_block is None else block + count_from_block
     rng = np.random.default_rng(count)
     poses = [
@@ -333,20 +334,23 @@ def test_simulate_kernel_calls_stay_within_the_block_cap(monkeypatch):
     x0 = pose_to_se3(Pose6(scene.center, yaw=0.3))
     spec = obs.TrajectorySpec(initial=x0, segments=[(25.0, twist([0.0, 0.0, 0.4], [0.0, 0.0, 0.0]))])
     cfg = obs.ObserverConfig(k_i=1e-5, dt=0.01, visibility="camera-model")
-    trace = obs.simulate(scene, deployment, spec, cfg)
     k = len(deployment)
-    block = obs._POSE_BLOCK_PAIRS // (k * k)
+    cap = 1000 * k * k  # 1000-pose passes, so the walk spans several
+    with monkeypatch.context() as patched:
+        patched.setattr(cov, "_CHUNK_ELEMENTS", cap)
+        trace = obs.simulate(scene, deployment, spec, cfg)
+    block = cap // (k * k)
     assert trace.t.size == 2501 and 2 * block < 2501
     assert len(calls) == -(-2501 // block)
     assert sum(b for b, _ in calls) == 2501
-    assert all(1 <= b and b * plates * plates <= obs._POSE_BLOCK_PAIRS for b, plates in calls)
+    assert all(1 <= b and b * plates * plates <= cap for b, plates in calls)
 
     # more plates than one pose's share of the cap: still one pose per call
     import landmark_coverage.deployment as dep
 
-    count = math.isqrt(obs._POSE_BLOCK_PAIRS) + 1
+    count = math.isqrt(cov._CHUNK_ELEMENTS) + 1
     many = dep.generate_uniform(scene, count)
-    assert count * count > obs._POSE_BLOCK_PAIRS
+    assert count * count > cov._CHUNK_ELEMENTS
     calls.clear()
     obs.pose_strengths(trace.x[:5], many, scene.intrinsics, scene.params.delta, scene.params.thold)
     assert calls == [(1, count)] * 5

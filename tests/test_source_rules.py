@@ -46,3 +46,23 @@ def test_no_module_imports_a_private_name_from_another():
         if (found := private_imports(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
+
+
+def imports_concurrent(source: str) -> bool:
+    """Whether a module imports the ``concurrent`` package or one of its modules."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "concurrent" for name in names):
+            return True
+    return False
+
+
+def test_only_coverage_runs_a_thread_pool():
+    """gate_passes sizes every gate-core pass and owns the one pool."""
+    importers = {path.name for path in SRC.glob("*.py") if imports_concurrent(path.read_text(encoding="utf-8"))}
+    assert importers == {"coverage.py"}
