@@ -51,8 +51,12 @@ from .pdf_estimation import (
     pdf_to_json,
 )
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+def _fmt(values):
+    return map("{:.17g}".format, values)
+
+
+def _ints(values):
+    return map("{:d}".format, values)
 
 
 class _Stage:
@@ -118,10 +122,11 @@ def _write_json(path: str, doc: dict):
         fh.write("\n")
 
 
-def _write_csv(path: str, header: list[str], rows):
+def _write_csv(path: str, columns: dict):
+    """Write ``columns``, header -> cells, read in step: one line per cell."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*columns.values()):
             fh.write(",".join(row) + "\n")
 
 
@@ -150,17 +155,17 @@ def _cmd_analyze(args) -> int:
     met = metrics(coverage)
 
     with _Stage(args.out_dir) as stage:
-        rows = (
-            [
-                _fmt(coverage.points[i, 0]),
-                _fmt(coverage.points[i, 1]),
-                _fmt(coverage.points[i, 2]),
-                _fmt(coverage.p_n[i]),
-                str(int(coverage.qualified[i])),
-            ]
-            for i in range(coverage.points.shape[0])
+        x, y, z = coverage.points.T.tolist()
+        _write_csv(
+            stage.path("coverage.csv"),
+            {
+                "x": _fmt(x),
+                "y": _fmt(y),
+                "z": _fmt(z),
+                "p_n": _fmt(coverage.p_n.tolist()),
+                "qualified": _ints(coverage.qualified.tolist()),
+            },
         )
-        _write_csv(stage.path("coverage.csv"), ["x", "y", "z", "p_n", "qualified"], rows)
         _write_json(
             stage.path("metrics.json"),
             {
@@ -245,11 +250,12 @@ def _cmd_optimize(args) -> int:
         _write_json(stage.path("deployment.json"), deployment_to_json(best))
         _write_csv(
             stage.path("history.csv"),
-            ["generation", "best", "mean", "worst"],
-            (
-                [str(h.generation), _fmt(h.best), _fmt(h.mean), _fmt(h.worst)]
-                for h in history
-            ),
+            {
+                "generation": _ints(h.generation for h in history),
+                "best": _fmt(h.best for h in history),
+                "mean": _fmt(h.mean for h in history),
+                "worst": _fmt(h.worst for h in history),
+            },
         )
         stage.commit(
             "optimize",
@@ -282,19 +288,14 @@ def _cmd_simulate(args) -> int:
     trace = simulate(scene, deployment, trajectory, config, x_hat0=x_hat0)
 
     with _Stage(args.out_dir) as stage:
-        counts = trace.visible.sum(axis=1)
         _write_csv(
             stage.path("trace.csv"),
-            ["t", "er", "visible_count", "qualified"],
-            (
-                [
-                    _fmt(trace.t[i]),
-                    _fmt(trace.er[i]),
-                    str(int(counts[i])),
-                    str(int(trace.qualified[i])),
-                ]
-                for i in range(trace.t.size)
-            ),
+            {
+                "t": _fmt(trace.t.tolist()),
+                "er": _fmt(trace.er.tolist()),
+                "visible_count": _ints(trace.visible.sum(axis=1).tolist()),
+                "qualified": _ints(trace.qualified.tolist()),
+            },
         )
         _write_json(
             stage.path("summary.json"),

@@ -77,9 +77,6 @@ class GeneSpace:
     def random(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.draw_lo, self.draw_hi)
 
-    def clamp_inplace(self, genes: np.ndarray):
-        np.clip(genes, self.clamp_lo, self.clamp_hi, out=genes)
-
     def decode(self, genes) -> Deployment:
         """Deployment for a chromosome; out-of-range genes are clamped.
 
@@ -127,9 +124,7 @@ class GeneSpace:
                         break
                 else:
                     raise ValueError(f"landmark {i} does not lie on an active wall")
-        genes = genes.ravel()
-        self.clamp_inplace(genes)
-        return genes
+        return np.clip(genes.ravel(), self.clamp_lo, self.clamp_hi)
 
 
 @dataclass
@@ -182,34 +177,36 @@ def _next_generation(
 
     On ties the first fittest row is kept. run relies on row 0 being that
     copy: it takes row 0's fitness as max(fits) instead of scoring it again.
+    The population stays one (M, length) array: the Q least fit other rows,
+    ties broken by row, give way to one block of fresh draws, and every
+    non-elite row's mutation mask and redraw come from one (M - 1, 2,
+    length) block, in the order row-by-row draws would take them.
     """
     m, length = genes.shape
     elite = int(np.argmax(fits))
-    others = [i for i in range(m) if i != elite]
-    by_fitness = sorted(others, key=lambda i: (fits[i], i))
-    dropped = set(by_fitness[: params.q])
-    pool = [i for i in others if i not in dropped]
+    keep = np.arange(m) != elite
+    others = np.flatnonzero(keep)
+    keep[others[np.lexsort((others, fits[others]))[: params.q]]] = False
+    pool = np.flatnonzero(keep)
 
-    replacements = [space.random(rng) for _ in range(params.q)]
+    replacements = rng.uniform(space.draw_lo, space.draw_hi, size=(params.q, length))
 
-    children = [genes[i].copy() for i in pool]
-    if children:
-        perm = rng.permutation(len(children))
-        children = [children[int(j)] for j in perm]
+    children = genes[pool]
+    if len(pool):
+        children = children[rng.permutation(len(pool))]
         for a in range(0, len(children) - 1, 2):
             seg = int(rng.integers(params.upsilon_min, params.upsilon_max + 1))
             offset = int(rng.integers(0, length - seg + 1))
-            left = children[a][offset : offset + seg].copy()
-            children[a][offset : offset + seg] = children[a + 1][offset : offset + seg]
-            children[a + 1][offset : offset + seg] = left
+            cut = slice(offset, offset + seg)
+            children[[a, a + 1], cut] = children[[a + 1, a], cut]
 
-    rows = [genes[elite].copy()] + children + replacements
-    for chrom in rows[1:]:
-        mask = rng.random(length) < params.psi
-        draws = space.random(rng)
-        chrom[mask] = draws[mask]
-        space.clamp_inplace(chrom)
-    return np.stack(rows)
+    rows = np.concatenate((genes[elite : elite + 1], children, replacements))
+    u = rng.random((m - 1, 2, length))
+    # Generator.uniform's own low + range * next_double, on the redraw half.
+    redraws = space.draw_lo + (space.draw_hi - space.draw_lo) * u[:, 1]
+    np.copyto(rows[1:], redraws, where=u[:, 0] < params.psi)
+    np.clip(rows[1:], space.clamp_lo, space.clamp_hi, out=rows[1:])
+    return rows
 
 
 def default_segment_bounds(length: int) -> tuple[int, int]:
@@ -232,7 +229,8 @@ def run(
 
     mode 'sga' runs the same loop with the replacement count forced to zero.
     When an initial deployment is given it seeds the first chromosome and
-    fixes the landmark count. history[0] describes the initial population.
+    fixes the landmark count. Generation 0 is that encoded row, if any,
+    followed by one block of uniform draws; history[0] describes it.
     Each generation's chromosomes are scored in one batch; threads sets the
     worker threads for its (chromosome, position) passes, and results do not
     depend on it.
@@ -252,12 +250,9 @@ def run(
         )
 
     rng = np.random.default_rng(params.seed)
-    rows = []
-    if initial is not None:
-        rows.append(space.encode(initial))
-    while len(rows) < params.m:
-        rows.append(space.random(rng))
-    genes = np.stack(rows)
+    seeded = [] if initial is None else [space.encode(initial)]
+    drawn = rng.uniform(space.draw_lo, space.draw_hi, size=(params.m - len(seeded), space.length))
+    genes = np.vstack(seeded + [drawn])
 
     def fitnesses(rows: np.ndarray) -> np.ndarray:
         maps = evaluate_coverages(scene, space.decode(rows), len(rows), threads=threads)

@@ -1,5 +1,6 @@
 """End-to-end command line checks: outputs, determinism, exit codes."""
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -232,6 +233,29 @@ def test_optimize_seeds_from_initial_deployment(tmp_path, capsys):
     assert manifest["parameters"]["count"] == 4
     assert manifest["inputs"]["initial"] == str(dep_dir / "deployment.json")
     assert len(json.loads((out / "deployment.json").read_bytes())["landmarks"]) == 4
+
+
+def test_optimize_outputs_match_pinned_digests(tmp_path, capsys):
+    # sha256 of outputs from the row-by-row population code these searches
+    # were first written with; two runs of today's code cannot show a drift.
+    initial = tmp_path / "initial"
+    run_ok(["generate", "--scene", DESK, "--count", "12", "--out-dir", str(initial)], capsys)
+    runs = {
+        "wall-ega": (["--count", "12", "--m", "8", "--q", "2", "--seed", "0"], {
+            "deployment.json": "6ac500031439bd8eeb03bc7486e9b2ded92eaa0b225ce60dc848ec541e9c26e9",
+            "history.csv": "b0156d029f89450a68ce3c52dbfc98cf747eee8de8464140febc5dfb44372072",
+        }),
+        "free-sga": (["--initial", str(initial / "deployment.json"), "--encoding", "free",
+                      "--mode", "sga", "--m", "6", "--psi", "0.3", "--seed", "2"], {
+            "deployment.json": "268e11e13765b12ccb90777ac92f7c1244fad39c517846def9c90f602f1f3ba6",
+            "history.csv": "a82e52b630177c1f101da2026c9ddb3e61bf2945aee19678835b6c5456ea902f",
+        }),
+    }
+    for label, (args, digests) in runs.items():
+        out = tmp_path / label
+        run_ok(["optimize", "--scene", DESK, *args, "--iterations", "5", "--out-dir", str(out)], capsys)
+        files = read_all(out)
+        assert {name: hashlib.sha256(files[name]).hexdigest() for name in digests} == digests, label
 
 
 def test_optimize_sga_defaults_to_no_elites(tmp_path, capsys):

@@ -477,3 +477,79 @@ def test_single_chromosome_search_scores_empty_generations(monkeypatch):
     assert c == 8.0
     assert [(h.generation, h.best, h.mean, h.worst) for h in history] == [(g, c, c, c) for g in range(4)]
     assert dep.deployment_to_json(best) == dep.deployment_to_json(only)
+
+
+def reference_next_generation(genes, fits, space, params, rng):
+    """The generation step built row by row from Python lists: the oracle
+    whose populations and generator states _next_generation must match."""
+    m, length = genes.shape
+    elite = int(np.argmax(fits))
+    others = [i for i in range(m) if i != elite]
+    by_fitness = sorted(others, key=lambda i: (fits[i], i))
+    dropped = set(by_fitness[: params.q])
+    pool = [i for i in others if i not in dropped]
+
+    replacements = [space.random(rng) for _ in range(params.q)]
+
+    children = [genes[i].copy() for i in pool]
+    if children:
+        perm = rng.permutation(len(children))
+        children = [children[int(j)] for j in perm]
+        for a in range(0, len(children) - 1, 2):
+            seg = int(rng.integers(params.upsilon_min, params.upsilon_max + 1))
+            offset = int(rng.integers(0, length - seg + 1))
+            left = children[a][offset : offset + seg].copy()
+            children[a][offset : offset + seg] = children[a + 1][offset : offset + seg]
+            children[a + 1][offset : offset + seg] = left
+
+    rows = [genes[elite].copy()] + children + replacements
+    for chrom in rows[1:]:
+        mask = rng.random(length) < params.psi
+        draws = space.random(rng)
+        chrom[mask] = draws[mask]
+        np.clip(chrom, space.clamp_lo, space.clamp_hi, out=chrom)
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("m, q, psi", [(1, 0, 0.5), (2, 1, 0.3), (3, 2, 1.0), (8, 3, 0.5),
+                                       (30, 7, 0.1), (30, 0, 0.1), (31, 7, 0.0)])
+@pytest.mark.parametrize("count", [1, 12])
+@pytest.mark.parametrize("encoding", ["wall", "free"])
+def test_generation_step_matches_row_by_row_reference(encoding, count, m, q, psi):
+    space = ega.GeneSpace(search_scene(), count, encoding)
+    lo, hi = ega.default_segment_bounds(space.length)
+    params = ega.EgaParams(m=m, q=q, upsilon_min=lo, upsilon_max=hi, psi=psi)
+    for seed in range(4):
+        fit_rng = np.random.default_rng(100 + seed)
+        genes = np.stack([space.random(fit_rng) for _ in range(m)])
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            # Few distinct fitness values, so selection meets ties.
+            fits = fit_rng.integers(0, 3, m).astype(float)
+            got = ega._next_generation(genes, fits, space, params, rng)
+            want = reference_next_generation(genes, fits, space, params, ref_rng)
+            assert_same_bits(got, want)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            genes = got
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+def test_first_generation_is_row_by_row_draws(monkeypatch, seeded):
+    scene = search_scene()
+    initial = dep.generate_random(scene, 3, seed=5) if seeded else None
+    params = ega.EgaParams(m=7, q=2, upsilon_min=2, upsilon_max=6, iterations=1, seed=9)
+    real_next, first = ega._next_generation, []
+
+    def recording_next(genes, fits, space, params, rng):
+        first.append((genes.copy(), rng.bit_generator.state))
+        return real_next(genes, fits, space, params, rng)
+
+    monkeypatch.setattr(ega, "_next_generation", recording_next)
+    ega.run(scene, params, count=3, initial=initial)
+    space = ega.GeneSpace(scene, 3, "wall")
+    rng = np.random.default_rng(params.seed)
+    rows = [space.encode(initial)] if seeded else []
+    rows += [space.random(rng) for _ in range(params.m - len(rows))]
+    (genes, state), = first
+    assert_same_bits(genes, np.stack(rows))
+    assert state == rng.bit_generator.state

@@ -294,8 +294,14 @@ def test_pose_stack_matches_one_pose_calls_bitwise(count_from_block):
 
     masks = obs.pose_strengths(stack, deployment, *gates)
     assert masks.shape == (count, k) and masks.dtype == bool
-    for x, mask in zip(stack, masks):
-        assert np.array_equal(mask, obs.pose_strengths(x, deployment, *gates))
+    for start in range(0, count, 64):  # stacks of 64 poses, each one pass
+        part = slice(start, start + 64)
+        assert np.array_equal(masks[part], obs.pose_strengths(stack[part], deployment, *gates))
+    # One-pose calls for the rows next to each pass start and the stack's end,
+    # which holds the edge poses.
+    edges = [*range(0, count, block), count]
+    for i in {r for e in edges for r in range(e - 2, e + 3) if 0 <= r < count}:
+        assert np.array_equal(masks[i], obs.pose_strengths(stack[i], deployment, *gates))
     if count > 3:
         assert 0 < masks.sum() < masks.size
         inside, outside, on_plate = masks[-3:]
