@@ -151,7 +151,7 @@ def _cmd_analyze(args) -> int:
     scene = _scene_with_overrides(args)
     deployment = load_deployment(args.deployment)
     scene.check_evaluation_size(len(deployment))
-    coverage = evaluate_coverage(scene, deployment, threads=args.threads)
+    coverage = evaluate_coverage(scene, deployment)
     met = metrics(coverage)
 
     with _Stage(args.out_dir) as stage:
@@ -243,7 +243,6 @@ def _cmd_optimize(args) -> int:
         mode=args.mode,
         encoding=args.encoding,
         initial=initial,
-        threads=args.threads,
     )
 
     with _Stage(args.out_dir) as stage:
@@ -362,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--pdf", default=None, help="orientation density JSON override")
     analyze.add_argument("--n", type=int, default=None, help="override the coverage count n")
     analyze.add_argument("--thold-p", dest="thold_p", type=float, default=None)
-    analyze.add_argument("--threads", type=int, default=1)
     analyze.set_defaults(func=_cmd_analyze)
 
     generate = sub.add_parser("generate", help="write a uniform or random deployment")
@@ -387,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--iterations", type=int, default=EgaParams.iterations)
     optimize.add_argument("--seed", type=int, default=EgaParams.seed)
     optimize.add_argument("--plateau", type=int, default=None)
-    optimize.add_argument("--threads", type=int, default=1)
     optimize.add_argument("--out-dir", required=True)
     optimize.set_defaults(func=_cmd_optimize)
 
@@ -421,6 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--out-dir", required=True)
     estimate.set_defaults(func=_cmd_estimate_pdf)
 
+    for command in (analyze, optimize):
+        command.add_argument(
+            "--threads", type=int, default=1,
+            help="accepted for compatibility, from 1 to 256; coverage passes run serially, "
+                 "so outputs are identical at any value",
+        )
     return parser
 
 
@@ -428,6 +431,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        threads = getattr(args, "threads", 1)
+        if not 1 <= threads <= 256:
+            raise ValueError(f"thread count must be from 1 to 256, got {threads}")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,8 +26,8 @@ fails its own gates still blocks in the scalar rule.  The mask
 (``strengths_grid``, ``axis_strengths``) and the per-cell counts
 (``cell_counts``) come from that one core and equal the scalar criteria
 bit for bit.  Each of those calls is one pass; ``gate_passes`` cuts a
-larger batch of rows into passes whose temporaries stay small, and runs
-them serially or on the package's one thread pool.
+larger batch of rows into passes whose temporaries stay small, and the
+callers run them one after another.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -352,33 +351,17 @@ np.empty(1 << 20)
 # float64 elements, 2 MiB, so one pass stays under the thresholds set above
 # and reuses heap memory rather than faulting it in anew.
 _CHUNK_ELEMENTS = 262_144
-MAX_THREADS = 256
 
 
-def gate_passes(rows: int, cells: int, plates: int, work, threads: int = 1) -> None:
-    """Run ``work(start, stop)`` over the rows ``[0, rows)``, one pass at a time.
+def gate_passes(rows: int, cells: int, plates: int) -> list[slice]:
+    """The passes that cut the rows ``[0, rows)``, as row slices in order.
 
     A pass holds at most ``_CHUNK_ELEMENTS // (max(cells, K) * K)`` rows,
-    K = max(1, plates), and at least one. threads > 1 runs the passes on
-    that many worker threads when there is more than one: the package's
-    only thread pool. ``work`` must write each pass's rows alone, so the
-    result does not depend on the order the passes finish in.
+    K = max(1, plates), and at least one.
     """
-    if not 1 <= threads <= MAX_THREADS:
-        raise ValueError(f"thread count must be from 1 to {MAX_THREADS}, got {threads}")
     k = max(1, plates)
     size = max(1, _CHUNK_ELEMENTS // (max(cells, k) * k))
-    starts = range(0, rows, size)
-
-    def run(start):
-        work(start, min(start + size, rows))
-
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, starts))
-    else:
-        for start in starts:
-            run(start)
+    return [slice(start, min(start + size, rows)) for start in range(0, rows, size)]
 
 
 class PlateRows(NamedTuple):

@@ -297,15 +297,14 @@ class DeploymentMetrics:
             raise ValueError("average coverage cannot exceed the maximum")
 
 
-def evaluate_coverages(scene: Scene, plates: Deployment, m: int, threads: int = 1) -> list[CoverageMap]:
+def evaluate_coverages(scene: Scene, plates: Deployment, m: int) -> list[CoverageMap]:
     """Coverage maps of ``m`` deployments of equal size, stacked in ``plates``.
 
     Deployment i is plates ``[i * K, (i + 1) * K)``, K = len(plates) / m.
-    The (deployment, position) rows go to ``gate_passes``, whose passes may
-    cut a deployment; each row is scored against its own deployment's
-    plates only, so every map equals the deployment's own
-    ``evaluate_coverage``. ``threads`` is the passes' worker threads, and
-    the result does not depend on it.
+    The (deployment, position) rows are scored in ``gate_passes``' passes,
+    which may cut a deployment; each row is scored against its own
+    deployment's plates only, so every map equals the deployment's own
+    ``evaluate_coverage``.
     """
     k = len(plates) // m if m else 0
     if len(plates) != m * k:
@@ -315,29 +314,26 @@ def evaluate_coverages(scene: Scene, plates: Deployment, m: int, threads: int = 
     )
     n = scene.n_points
     p_n = np.empty(m * n)
-
-    def work(start, stop):
-        deployment, position = np.divmod(np.arange(start, stop), n)
-        p_n[start:stop] = coverage_probabilities(
+    for rows in gate_passes(m * n, scene.grid.n_cells, k):
+        deployment, position = np.divmod(np.arange(rows.start, rows.stop), n)
+        p_n[rows] = coverage_probabilities(
             scene.points[position], PlateRows(*(a[deployment] for a in stacked)),
             scene.grid, scene.pdf, scene.intrinsics, scene.params,
         )
-
-    gate_passes(m * n, scene.grid.n_cells, k, work, threads)
     return [
         CoverageMap(points=scene.points, p_n=row, rel=scene.rel, n=scene.params.n, thold_p=scene.thold_p)
         for row in p_n.reshape(m, n)
     ]
 
 
-def evaluate_coverage(scene: Scene, deployment, threads: int = 1) -> CoverageMap:
+def evaluate_coverage(scene: Scene, deployment) -> CoverageMap:
     """n-fold coverage probability at every reachable grid position: ``evaluate_coverages`` with m = 1."""
-    return evaluate_coverages(scene, Deployment.of(deployment), 1, threads=threads)[0]
+    return evaluate_coverages(scene, Deployment.of(deployment), 1)[0]
 
 
-def cost(scene: Scene, deployment, threads: int = 1) -> float:
+def cost(scene: Scene, deployment) -> float:
     """Relevance-weighted count of qualified positions (higher is better)."""
-    return evaluate_coverage(scene, deployment, threads=threads).cost
+    return evaluate_coverage(scene, deployment).cost
 
 
 def metrics(coverage_map: CoverageMap) -> DeploymentMetrics:

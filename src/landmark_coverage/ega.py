@@ -223,7 +223,6 @@ def run(
     mode: str = "ega",
     encoding: str = "wall",
     initial: Deployment | None = None,
-    threads: int = 1,
 ) -> tuple[Deployment, list[GenStats]]:
     """Search for a high-cost deployment.
 
@@ -231,9 +230,8 @@ def run(
     When an initial deployment is given it seeds the first chromosome and
     fixes the landmark count. Generation 0 is that encoded row, if any,
     followed by one block of uniform draws; history[0] describes it.
-    Each generation's chromosomes are scored in one batch; threads sets the
-    worker threads for its (chromosome, position) passes, and results do not
-    depend on it.
+    Each generation's chromosomes are scored in one batch, whose
+    (chromosome, position) rows run in ``evaluate_coverages``' serial passes.
     """
     if mode not in ("ega", "sga"):
         raise ValueError("mode must be 'ega' or 'sga'")
@@ -255,7 +253,7 @@ def run(
     genes = np.vstack(seeded + [drawn])
 
     def fitnesses(rows: np.ndarray) -> np.ndarray:
-        maps = evaluate_coverages(scene, space.decode(rows), len(rows), threads=threads)
+        maps = evaluate_coverages(scene, space.decode(rows), len(rows))
         return np.array([c.cost for c in maps])
 
     fits = fitnesses(genes)

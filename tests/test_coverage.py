@@ -699,42 +699,17 @@ def test_kernel_masks_are_fresh_across_calls_and_threads():
     (7, 4, 513),  # plates^2 > _CHUNK_ELEMENTS: one row per pass
     (5, 1, 1),  # one pass
 ])
-def test_gate_passes_cover_the_rows_once_in_order(monkeypatch, rows, cells, plates):
+def test_gate_passes_cover_the_rows_once_in_order(rows, cells, plates):
     k = max(1, plates)
     cap = max(1, coverage_module._CHUNK_ELEMENTS // (max(cells, k) * k))
     if plates * plates > coverage_module._CHUNK_ELEMENTS:
         assert cap == 1
 
-    def run(threads):
-        spans = []
-        coverage_module.gate_passes(rows, cells, plates, lambda a, b: spans.append((a, b)), threads)
-        return spans
-
-    serial = run(1)
-    bounds = [0] + [b for _, b in serial]
-    assert serial == list(zip(bounds, bounds[1:])) and bounds[-1] == rows
-    assert all(1 <= b - a <= cap for a, b in serial)
-    assert all(b - a == cap for a, b in serial[:-1])
-    if len(serial) > 1:
-        assert sorted(run(3)) == serial
-    else:
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was started for one pass")
-
-        monkeypatch.setattr(coverage_module, "ThreadPoolExecutor", no_pool)
-        assert run(3) == serial
-
-
-@pytest.mark.parametrize("threads", [0, -1, 257])
-def test_gate_passes_refuse_thread_counts_before_any_pass(threads):
-    scene = make_scene((300.0, 200.0, 250.0), (200.0, 100.0, 150.0), (2, 2, 2), TABLE3,
-                       CoverageParams(thold=0.2, delta=4.0, n=1), thold_p=0.1, n_yaw=4, n_pitch=2)
-    passes = []
-    with pytest.raises(ValueError, match=f"thread count must be from 1 to 256, got {threads}"):
-        coverage_module.gate_passes(10, 1, 1, lambda a, b: passes.append((a, b)), threads)
-    with pytest.raises(ValueError, match="thread count"):
-        evaluate_coverage(scene, generate_uniform(scene, 4), threads=threads)
-    assert passes == []
+    spans = [(s.start, s.stop) for s in coverage_module.gate_passes(rows, cells, plates)]
+    bounds = [0] + [b for _, b in spans]
+    assert spans == list(zip(bounds, bounds[1:])) and bounds[-1] == rows
+    assert all(1 <= b - a <= cap for a, b in spans)
+    assert all(b - a == cap for a, b in spans[:-1])
 
 
 def test_kernel_zero_landmarks():

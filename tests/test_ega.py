@@ -1,7 +1,6 @@
 """Gene coding, population mechanics, and search determinism."""
 
 import math
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -203,14 +202,14 @@ def test_memo_avoids_reevaluating_rows(monkeypatch):
     real_batch, real_next = ega.evaluate_coverages, ega._next_generation
     generations = []  # (genes, space, deployments scored) per generation
 
-    def counting_batch(s, plates, m, threads=1):
+    def counting_batch(s, plates, m):
         k = len(plates) // m
         scored = generations[-1][2]
         assert scored == []  # one batch per generation
         for i in range(m):
             plate_slice = slice(i * k, (i + 1) * k)
             scored.append({name: getattr(plates, name)[plate_slice] for name in ("positions", "rho", "eta")})
-        return real_batch(s, plates, m, threads=threads)
+        return real_batch(s, plates, m)
 
     def recording_next(genes, fits, space, params, rng):
         out = real_next(genes, fits, space, params, rng)
@@ -241,16 +240,6 @@ def test_memo_avoids_reevaluating_rows(monkeypatch):
                 for name in ("positions", "rho", "eta"):
                     assert np.array_equal(d[name], getattr(expected, name))
             assert dep.cost(run_scene, space.decode(genes[0])) == history[gen - 1].best
-
-
-def test_threaded_fitness_matches_serial():
-    scene = search_scene()
-    params = ega.EgaParams(m=6, q=2, upsilon_min=2, upsilon_max=6, iterations=4, seed=7)
-    _, hist1 = ega.run(scene, params, count=2, threads=1)
-    _, hist4 = ega.run(scene, params, count=2, threads=4)
-    assert [(h.best, h.mean, h.worst) for h in hist1] == [
-        (h.best, h.mean, h.worst) for h in hist4
-    ]
 
 
 def landmark_decode(space, genes):
@@ -342,28 +331,24 @@ def test_search_builds_no_landmark(desk_scene, monkeypatch):
 
 def test_search_threads_split_each_evaluation_into_spans(desk_scene, monkeypatch):
     # Shrink the passes to 16 rows, so each generation's (chromosome,
-    # position) rows, 6 or 5 chromosomes x 48 positions, split into passes of 16.
+    # position) rows, 6 or 5 chromosomes x 48 positions, split into passes
+    # of 16; the search must match one run at the default pass size.
     k = 12
+    params = ega.EgaParams(m=6, q=2, upsilon_min=13, upsilon_max=40, iterations=3, seed=5)
+    best_default, hist_default = ega.run(desk_scene, params, count=k)
     monkeypatch.setattr(coverage_module, "_CHUNK_ELEMENTS", 16 * max(desk_scene.grid.n_cells, k) * k)
     spans = []
     real_probabilities = dep.coverage_probabilities
 
     def spy(points, *args):
-        spans.append((threading.get_ident(), len(points)))
+        spans.append(len(points))
         return real_probabilities(points, *args)
 
     monkeypatch.setattr(dep, "coverage_probabilities", spy)
-    params = ega.EgaParams(m=6, q=2, upsilon_min=13, upsilon_max=40, iterations=3, seed=5)
-    results = {}
-    for threads in (1, 3):
-        spans.clear()
-        results[threads] = ega.run(desk_scene, params, count=k, threads=threads)
-        assert {n for _, n in spans} == {16}
-        workers = {ident for ident, _ in spans} - {threading.main_thread().ident}
-        assert bool(workers) == (threads > 1)
-    (best1, hist1), (best3, hist3) = results[1], results[3]
-    assert [(h.best, h.mean, h.worst) for h in hist1] == [(h.best, h.mean, h.worst) for h in hist3]
-    assert dep.deployment_to_json(best1) == dep.deployment_to_json(best3)
+    best16, hist16 = ega.run(desk_scene, params, count=k)
+    assert set(spans) == {16}
+    assert [(h.best, h.mean, h.worst) for h in hist16] == [(h.best, h.mean, h.worst) for h in hist_default]
+    assert dep.deployment_to_json(best16) == dep.deployment_to_json(best_default)
 
 
 def generation_scene(pdf):
@@ -422,11 +407,10 @@ def test_generation_costs_equal_per_deployment_costs_bitwise(monkeypatch, encodi
     for span_rows in (None, 3):
         if span_rows is not None:
             monkeypatch.setattr(coverage_module, "_CHUNK_ELEMENTS", span_rows * grid_width * count)
-        for threads in (1, 2):
-            maps = dep.evaluate_coverages(scene, space.decode(block), len(block), threads=threads)
-            assert [c.cost for c in maps] == expected
-            for c, row in zip(maps, block):
-                assert c.p_n.tobytes() == dep.evaluate_coverage(scene, space.decode(row)).p_n.tobytes()
+        maps = dep.evaluate_coverages(scene, space.decode(block), len(block))
+        assert [c.cost for c in maps] == expected
+        for c, row in zip(maps, block):
+            assert c.p_n.tobytes() == dep.evaluate_coverage(scene, space.decode(row)).p_n.tobytes()
 
 
 def test_evaluate_coverages_refuses_uneven_stacks():
@@ -463,9 +447,9 @@ def test_single_chromosome_search_scores_empty_generations(monkeypatch):
     real_batch = ega.evaluate_coverages
     batches = []
 
-    def counting_batch(s, plates, m, threads=1):
+    def counting_batch(s, plates, m):
         batches.append((m, len(plates)))
-        return real_batch(s, plates, m, threads=threads)
+        return real_batch(s, plates, m)
 
     monkeypatch.setattr(ega, "evaluate_coverages", counting_batch)
     params = ega.EgaParams(m=1, q=0, iterations=3, seed=4)

@@ -62,7 +62,7 @@ def imports_concurrent(source: str) -> bool:
     return False
 
 
-def test_only_coverage_runs_a_thread_pool():
-    """gate_passes sizes every gate-core pass and owns the one pool."""
+def test_no_module_runs_a_thread_pool():
+    """Gate-core passes run serially: no module imports ``concurrent``."""
     importers = {path.name for path in SRC.glob("*.py") if imports_concurrent(path.read_text(encoding="utf-8"))}
-    assert importers == {"coverage.py"}
+    assert importers == set()
