@@ -13,7 +13,7 @@ timestamps; rerunning a command reproduces every output byte for byte.
 Exit codes: 0 on success, 1 when a command needs an optional dependency
 that is not installed (scipy, for estimate-pdf), 2 for bad parameters or
 malformed input files, 3 for runtime invariant violations such as a
-trajectory leaving the reachable region.
+trajectory leaving the reachable region or an observer estimate diverging.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .deployment import (
 )
 from .ega import GENES_PER_LANDMARK, EgaParams, default_segment_bounds, run as run_search
 from .errors import (
+    EstimateDivergedError,
     MissingDependencyError,
     SchemaError,
     TrajectoryOutOfRegionError,
@@ -438,7 +439,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TrajectoryOutOfRegionError as exc:
+    except (TrajectoryOutOfRegionError, EstimateDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except MissingDependencyError as exc:

@@ -637,19 +637,18 @@ def coverage_probabilities(
     intrinsics: CameraIntrinsics,
     params: CoverageParams,
 ) -> np.ndarray:
-    """n-fold coverage probability for a batch of positions.
+    """n-fold coverage probability for a batch of positions: ``nple_probability``'s sum per row."""
+    return masked_fsum(cell_counts(points, landmarks, grid, intrinsics, params) >= params.n, pdf.weights)
 
-    Each row is the ``fsum`` of the weights of the cells with at least ``n``
-    covered plates, as ``nple_probability`` takes it. When every weight is
-    the same ``w``, that sum of ``c`` copies is the exact ``c * w`` rounded
-    once, which is the float product ``c * w``, so the uniform case reduces
-    with one count per row.
+
+def masked_fsum(mask: np.ndarray, weights: np.ndarray):
+    """Per row of a boolean (..., N) ``mask``, the ``math.fsum`` of the ``weights``
+    where it is set, bit for bit; a float for a 1-D mask. Equal weights ``w``
+    reduce as ``c * w``, the exact sum of ``c`` copies rounded once.
     """
-    counts = cell_counts(points, landmarks, grid, intrinsics, params)
-    weights = pdf.weights
     if (weights == weights[0]).all():
-        return np.count_nonzero(counts >= params.n, axis=1) * weights[0]
-    out = np.empty(counts.shape[0])
-    for b in range(counts.shape[0]):
-        out[b] = math.fsum(weights[counts[b] >= params.n].tolist())
-    return out
+        return np.count_nonzero(mask, axis=-1) * weights[0]
+    out = np.empty(mask.shape[:-1])
+    for row in np.ndindex(out.shape):
+        out[row] = math.fsum(weights[mask[row]].tolist())
+    return out[()]

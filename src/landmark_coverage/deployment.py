@@ -25,6 +25,7 @@ from .coverage import (
     PlateRows,
     coverage_probabilities,
     gate_passes,
+    masked_fsum,
 )
 from .errors import (
     SCHEMA_VERSION,
@@ -227,8 +228,9 @@ def make_scene(
         rel_arr = np.asarray(rel, dtype=float).ravel()
         if rel_arr.shape != (points.shape[0],):
             raise ValueError("rel weights must match the position grid")
-        if not np.all(rel_arr >= 0):
-            raise ValueError("rel weights must be non-negative")
+        with np.errstate(over="ignore"):  # every cost is a sum of rel weights: it must not overflow
+            if not (np.all(rel_arr >= 0) and np.isfinite(rel_arr.sum())):
+                raise ValueError("rel weights must be non-negative with a finite sum")
 
     names = tuple(wall_names) if wall_names is not None else WALL_NAMES
     bad = [n for n in names if n not in WALL_NAMES]
@@ -262,6 +264,7 @@ def make_scene(
 class CoverageMap:
     """n-fold coverage probability per reachable position, and whether it qualifies.
 
+    ``p_n`` is (positions,), or (m, positions) for a stack of m deployments;
     ``qualified`` is derived, ``p_n >= thold_p``: the one place it is decided.
     """
 
@@ -278,9 +281,9 @@ class CoverageMap:
         self.qualified = self.p_n >= self.thold_p
 
     @property
-    def cost(self) -> float:
-        """Relevance-weighted count of qualified positions."""
-        return math.fsum(self.rel[self.qualified].tolist())
+    def cost(self):
+        """Relevance-weighted count of qualified positions: a float, or (m,) for a stack."""
+        return masked_fsum(self.qualified, self.rel)
 
     def with_threshold(self, thold_p: float) -> "CoverageMap":
         return replace(self, thold_p=thold_p)
@@ -297,14 +300,13 @@ class DeploymentMetrics:
             raise ValueError("average coverage cannot exceed the maximum")
 
 
-def evaluate_coverages(scene: Scene, plates: Deployment, m: int) -> list[CoverageMap]:
-    """Coverage maps of ``m`` deployments of equal size, stacked in ``plates``.
+def evaluate_coverages(scene: Scene, plates: Deployment, m: int) -> CoverageMap:
+    """One coverage map of ``m`` deployments of equal size, stacked in ``plates``.
 
-    Deployment i is plates ``[i * K, (i + 1) * K)``, K = len(plates) / m.
-    The (deployment, position) rows are scored in ``gate_passes``' passes,
-    which may cut a deployment; each row is scored against its own
-    deployment's plates only, so every map equals the deployment's own
-    ``evaluate_coverage``.
+    Deployment i is plates ``[i * K, (i + 1) * K)``, K = len(plates) / m, and
+    row i of the map. Its rows are scored in ``gate_passes``' passes, which may
+    cut a deployment, each against its own deployment's plates only, so row i
+    equals deployment i's own ``evaluate_coverage``, ``cost`` included.
     """
     k = len(plates) // m if m else 0
     if len(plates) != m * k:
@@ -320,15 +322,15 @@ def evaluate_coverages(scene: Scene, plates: Deployment, m: int) -> list[Coverag
             scene.points[position], PlateRows(*(a[deployment] for a in stacked)),
             scene.grid, scene.pdf, scene.intrinsics, scene.params,
         )
-    return [
-        CoverageMap(points=scene.points, p_n=row, rel=scene.rel, n=scene.params.n, thold_p=scene.thold_p)
-        for row in p_n.reshape(m, n)
-    ]
+    return CoverageMap(
+        points=scene.points, p_n=p_n.reshape(m, n), rel=scene.rel, n=scene.params.n, thold_p=scene.thold_p
+    )
 
 
 def evaluate_coverage(scene: Scene, deployment) -> CoverageMap:
-    """n-fold coverage probability at every reachable grid position: ``evaluate_coverages`` with m = 1."""
-    return evaluate_coverages(scene, Deployment.of(deployment), 1)[0]
+    """n-fold coverage probability at every reachable grid position: ``evaluate_coverages``' row at m = 1."""
+    stack = evaluate_coverages(scene, Deployment.of(deployment), 1)
+    return replace(stack, p_n=stack.p_n[0])
 
 
 def cost(scene: Scene, deployment) -> float:
@@ -337,9 +339,9 @@ def cost(scene: Scene, deployment) -> float:
 
 
 def metrics(coverage_map: CoverageMap) -> DeploymentMetrics:
-    """Qualified ratio plus average/maximum coverage probability."""
-    if coverage_map.p_n.size == 0:
-        raise ValueError("coverage map is empty")
+    """Qualified ratio plus average/maximum coverage probability of one deployment's map."""
+    if coverage_map.p_n.ndim != 1 or coverage_map.p_n.size == 0:
+        raise ValueError(f"metrics take one deployment's non-empty map, got shape {coverage_map.p_n.shape}")
     total = math.fsum(coverage_map.rel.tolist())
     if total <= 0:
         raise ValueError("total relevance must be positive")

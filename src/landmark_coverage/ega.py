@@ -230,8 +230,8 @@ def run(
     When an initial deployment is given it seeds the first chromosome and
     fixes the landmark count. Generation 0 is that encoded row, if any,
     followed by one block of uniform draws; history[0] describes it.
-    Each generation's chromosomes are scored in one batch, whose
-    (chromosome, position) rows run in ``evaluate_coverages``' serial passes.
+    Each generation is scored as one stacked ``evaluate_coverages`` map,
+    whose (m,) ``cost`` holds the chromosomes' fitnesses.
     """
     if mode not in ("ega", "sga"):
         raise ValueError("mode must be 'ega' or 'sga'")
@@ -253,8 +253,7 @@ def run(
     genes = np.vstack(seeded + [drawn])
 
     def fitnesses(rows: np.ndarray) -> np.ndarray:
-        maps = evaluate_coverages(scene, space.decode(rows), len(rows))
-        return np.array([c.cost for c in maps])
+        return evaluate_coverages(scene, space.decode(rows), len(rows)).cost
 
     fits = fitnesses(genes)
     history = [GenStats(0, float(np.max(fits)), float(np.mean(fits)), float(np.min(fits)))]

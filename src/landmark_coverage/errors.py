@@ -27,6 +27,10 @@ class TrajectoryOutOfRegionError(RuntimeError):
     """A simulated camera position left the reachable region."""
 
 
+class EstimateDivergedError(RuntimeError):
+    """A simulated observer estimate left the float range."""
+
+
 class MissingDependencyError(ImportError):
     """An optional dependency that a command needs is not installed."""
 

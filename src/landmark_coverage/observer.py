@@ -30,6 +30,7 @@ import numpy as np
 from .coverage import axis_strengths, gate_passes
 from .deployment import MAX_STEPS, Scene
 from .errors import (
+    EstimateDivergedError,
     SchemaError,
     TrajectoryOutOfRegionError,
     check_schema as _check_schema,
@@ -239,6 +240,13 @@ def _check_total_steps(total: int, dt: float, context: str) -> None:
         )
 
 
+def _check_step_angle(omega, dt: float, context: str) -> None:
+    """Reject a rotation rate whose ``|omega·dt|²`` overflows, where ``se3_exp_rows`` takes sin(inf)."""
+    x, y, z = (w * dt for w in omega)
+    if not math.isfinite(x * x + y * y + z * z):
+        raise SchemaError(f"{context}: {math.hypot(*omega)!r} rad/s overflows |omega * dt|^2 at dt {dt!r} s")
+
+
 @dataclass(eq=False)
 class TrajectorySpec:
     """Piecewise-constant body twists applied from an initial pose."""
@@ -345,6 +353,8 @@ def simulate(
     Each step is ``observer_step``'s, taken on pose rows, with the Gram
     terms of its visible set computed at the set's first step; ``er`` is
     taken after the loop, a block of poses per ``frobenius_error`` call.
+    An estimate that diverges past the float range raises
+    EstimateDivergedError naming the first step whose ``er`` is not finite.
     """
     plates = Deployment.of(deployment)
     k = len(plates)
@@ -377,22 +387,29 @@ def simulate(
     true_rows = xs.reshape(count, 16)
     xh = x_hat[:3].ravel().tolist()
     grams = {}  # the Gram terms of each distinct visible set, by its mask
-    for i in range(count):
-        if per_step:
-            visible[i] = pose_strengths(x_hats[i], *gates)
-        if i < len(twists):
-            key = visible[i].tobytes()
-            terms = grams.get(key)
-            if terms is None:
-                terms = grams[key] = _gram_terms(c_h[:, visible[i]])
-            xh = _estimate_step(xh, true_rows[i, :12].tolist(), twist_coords(twists[i]), terms, config)
-            hat_rows[i + 1, :12] = xh
-
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged estimate is raised below
+        try:
+            for i in range(count):
+                if per_step:
+                    visible[i] = pose_strengths(x_hats[i], *gates)
+                if i < len(twists):
+                    key = visible[i].tobytes()
+                    terms = grams.get(key)
+                    if terms is None:
+                        terms = grams[key] = _gram_terms(c_h[:, visible[i]])
+                    xh = _estimate_step(xh, true_rows[i, :12].tolist(), twist_coords(twists[i]), terms, config)
+                    hat_rows[i + 1, :12] = xh
+        except ValueError:  # sin(inf) in se3_exp_rows: the correction twist overflowed
+            x_hats[i + 1:] = math.nan
+        er = np.empty(count)
+        for start in range(0, count, _ERROR_BLOCK):
+            stop = start + _ERROR_BLOCK
+            er[start:stop] = frobenius_error(x_hats[start:stop], xs[start:stop])
     qualified = visible.sum(axis=1) >= scene.params.n
-    er = np.empty(count)
-    for start in range(0, count, _ERROR_BLOCK):
-        stop = start + _ERROR_BLOCK
-        er[start:stop] = frobenius_error(x_hats[start:stop], xs[start:stop])
+    finite = np.isfinite(er)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise EstimateDivergedError(f"the observer estimate diverged: its error is {er[i]} at step {i} (t={t[i]:.4f})")
     return ObserverTrace(t=t, x=xs, x_hat=x_hats, er=er, visible=visible, qualified=qualified)
 
 
@@ -524,6 +541,9 @@ def trajectory_from_json(doc: dict, scene: Scene, dt: float, context: str = "tra
         steps = _check_whole_steps(duration, dt, f"{where}.duration_s")
         _check_total_steps(steps, dt, f"{where}.duration_s")
         _check_whole_steps(segment, dt, f"{where}.segment_duration_s")
+        # a walk draws rotation rates up to ang_speed about random axes
+        ang_speed = _number(spec.get("ang_speed_rad_s", 0.6), f"{where}.ang_speed_rad_s")
+        _check_step_angle((ang_speed, 0.0, 0.0), dt, f"{where}.ang_speed_rad_s")
         with _schema_errors(where):
             walk = random_walk_trajectory(
                 scene,
@@ -531,7 +551,7 @@ def trajectory_from_json(doc: dict, scene: Scene, dt: float, context: str = "tra
                 seed=seed,
                 segment_duration=segment,
                 lin_speed=_number(spec.get("lin_speed_cm_s", 30.0), f"{where}.lin_speed_cm_s"),
-                ang_speed=_number(spec.get("ang_speed_rad_s", 0.6), f"{where}.ang_speed_rad_s"),
+                ang_speed=ang_speed,
                 initial=initial,
                 margin=_number(spec.get("margin_cm", 0.0), f"{where}.margin_cm"),
                 dt=dt,
@@ -551,6 +571,7 @@ def trajectory_from_json(doc: dict, scene: Scene, dt: float, context: str = "tra
         steps += _check_whole_steps(duration, dt, f"{where}.duration_s")
         _check_total_steps(steps, dt, f"{where}.duration_s")
         omega = _numbers(entry.get("omega_rad_s", [0.0, 0.0, 0.0]), f"{where}.omega_rad_s", length=3)
+        _check_step_angle(omega.tolist(), dt, f"{where}.omega_rad_s")
         velocity = _numbers(entry.get("velocity_cm_s", [0.0, 0.0, 0.0]), f"{where}.velocity_cm_s", length=3)
         segments.append((duration, twist(omega, velocity)))
     with _schema_errors(context):

@@ -257,6 +257,34 @@ def test_optimize_outputs_match_pinned_digests(tmp_path, capsys):
         assert {name: hashlib.sha256(files[name]).hexdigest() for name in digests} == digests, label
 
 
+def test_table3_analyze_outputs_match_pinned_digests(tmp_path, capsys):
+    # sha256 of Table 3 outputs from the per-map reduction code they were
+    # first computed with; two runs of today's code cannot show a drift. The
+    # solid-angle pdf takes each row's fsum, the uniform pdf one count per row.
+    table3 = CONFIG_DIR / "table3_room.json"
+    plates = tmp_path / "plates"
+    run_ok(["generate", "--scene", str(table3), "--kind", "random", "--count", "90", "--seed", "0",
+            "--out-dir", str(plates)], capsys)
+    solid = tmp_path / "solid.json"
+    solid.write_text(json.dumps(dict(json.loads(table3.read_text(encoding="utf-8")), pdf="solid-angle")))
+    runs = {
+        "solid-angle": (solid, {
+            "coverage.csv": "902cd6d06a091516ae0f9670027a562f9d15347f68b82a1521d0f6fe23a4b7f5",
+            "metrics.json": "2567f9d71e1291a1abebbcc49feeaf18157082d39b17562241524c143f203cce",
+        }),
+        "uniform": (table3, {
+            "coverage.csv": "077734d5e813b5e1ed4161e96d831c34a8ddfc0933c2015d556323614141c3eb",
+            "metrics.json": "a2428d113e0f7ee0615765c848c975f84987000a9c01d4f2ce9f777ad3f5d327",
+        }),
+    }
+    for label, (scene, digests) in runs.items():
+        out = tmp_path / label
+        run_ok(["analyze", "--scene", str(scene), "--deployment", str(plates / "deployment.json"),
+                "--out-dir", str(out)], capsys)
+        files = read_all(out)
+        assert {name: hashlib.sha256(files[name]).hexdigest() for name in digests} == digests, label
+
+
 def test_optimize_sga_defaults_to_no_elites(tmp_path, capsys):
     out = tmp_path / "out"
     run_ok(
@@ -359,6 +387,33 @@ def test_simulate_out_of_region_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "left the reachable region" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("position, gain, step", [
+    # an estimate whose error squares past the float range at t = 0
+    pytest.param([1e200, 0.0, 0.0], "1.0", 0, id="estimate-1e200"),
+    # a correction twist too large to integrate: sin(inf) on the first step
+    pytest.param([380.0, 250.0, 300.0], "1e308", 1, id="k_i-1e308"),
+])
+def test_diverging_estimate_exits_3_naming_the_step(tmp_path, capsys, position, gain, step):
+    dep_dir = tmp_path / "dep"
+    run_ok(["generate", "--scene", DESK, "--count", "12", "--out-dir", str(dep_dir)], capsys)
+    trajectory = tmp_path / "offset.json"
+    trajectory.write_text(json.dumps({
+        "schema": 1,
+        "initial": {"position": [375.0, 250.0, 300.0]},
+        "initial_estimate": {"position": position},
+        "segments": [{"duration_s": 0.1}],
+    }))
+    out = tmp_path / "out"
+    code = main(["simulate", "--scene", DESK, "--deployment", str(dep_dir / "deployment.json"),
+                 "--trajectory", str(trajectory), "--visibility", "ideal", "--k-i", gain,
+                 "--out-dir", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error:") and f"at step {step} (t=" in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -492,6 +547,11 @@ MALFORMED_INPUTS = [
     ("trajectory", "random_walk.seed", -1, "seed must be a non-negative integer, got -1"),
     # and for a uniform layout too, which draws nothing but records the seed
     ("generate", "--seed", -1, "seed must be a non-negative integer, got -1"),
+    # relevance whose total, and so some cost, overflows
+    ("scene", "rel", {"values": [1e308] * DESK_POINTS}, "rel weights"),
+    # a rotation rate whose |omega * dt|^2 overflows, which the integrator meets as sin(inf)
+    ("segments", "segments.0.omega_rad_s", [1e308, 0.0, 0.0], "segments[0].omega_rad_s"),
+    ("trajectory", "random_walk.ang_speed_rad_s", 1e308, "random_walk.ang_speed_rad_s"),
 ]
 
 

@@ -23,6 +23,7 @@ from landmark_coverage.coverage import (
     focus_criterion,
     focus_depths,
     fov_criterion,
+    masked_fsum,
     nple_probability,
     occlusion_criterion,
     resolution_criterion,
@@ -363,6 +364,39 @@ def test_uniform_reduction_equals_fsum_for_every_count(monkeypatch, n_yaw, n_pit
     p = coverage_probabilities(np.zeros((g + 1, 3)), [], grid, pdf, TABLE3, params)
     want = np.array([math.fsum(pdf.weights[row].tolist()) for row in covered])
     assert p.dtype == want.dtype and p.tobytes() == want.tobytes()
+
+
+REDUCTION_WEIGHTS = {
+    "uniform": lambda grid, rng: OrientationPdf.uniform(grid).weights,
+    "solid-angle": lambda grid, rng: OrientationPdf.solid_angle(grid).weights,
+    "skewed": lambda grid, rng: rng.random(grid.n_cells) ** 8,
+    "with-zeros": lambda grid, rng: np.where(rng.random(grid.n_cells) < 0.3, 0.0, rng.random(grid.n_cells)),
+    # exponents from the subnormal range up to 1
+    "subnormal-to-1": lambda grid, rng: np.ldexp(1.0 + rng.random(grid.n_cells),
+                                                 rng.integers(-1075, 0, grid.n_cells)),
+    "all-0.5": lambda grid, rng: np.full(grid.n_cells, 0.5),
+    "all-3.0": lambda grid, rng: np.full(grid.n_cells, 3.0),
+}
+
+
+@pytest.mark.parametrize("n_yaw, n_pitch", [(3, 1), (12, 6), (24, 12)])
+@pytest.mark.parametrize("kind", list(REDUCTION_WEIGHTS))
+def test_masked_fsum_equals_fsum_per_row_bitwise(kind, n_yaw, n_pitch):
+    grid = OrientationGrid.from_cells(n_yaw, n_pitch)
+    g = grid.n_cells
+    rng = np.random.default_rng(g)
+    weights = REDUCTION_WEIGHTS[kind](grid, rng)
+    # rows of every density, the all-false and the all-true row among them
+    masks = rng.random((40, g)) < np.linspace(0.0, 1.0, 40)[:, None]
+    masks[0], masks[-1] = False, True
+    want = np.array([math.fsum(weights[row].tolist()) for row in masks])
+    got = masked_fsum(masks, weights)
+    assert got.dtype == want.dtype and got.shape == (40,) and got.tobytes() == want.tobytes()
+    for row, total in zip(masks, want):
+        one = masked_fsum(row, weights)
+        assert isinstance(one, float) and np.float64(one).tobytes() == total.tobytes()
+    empty = masked_fsum(masks[:0], weights)
+    assert empty.dtype == np.float64 and empty.shape == (0,)
 
 
 @pytest.mark.parametrize("kind", ["solid-angle", "uniform"])

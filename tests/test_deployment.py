@@ -336,6 +336,14 @@ def test_cost_and_metrics():
     assert np.array_equal(stricter.p_n, cov.p_n)
 
 
+def test_metrics_refuse_a_stacked_map():
+    scene = small_scene()
+    stack = dep.evaluate_coverages(scene, dep.generate_uniform(scene, 8), 2)
+    assert stack.p_n.shape == stack.qualified.shape == (2, scene.n_points) and stack.cost.shape == (2,)
+    with pytest.raises(ValueError, match="one deployment's non-empty map, got shape"):
+        dep.metrics(stack)
+
+
 def test_a_position_at_exactly_thold_p_qualifies():
     scene = small_scene()
     deployment = dep.generate_uniform(scene, 8)

@@ -407,10 +407,32 @@ def test_generation_costs_equal_per_deployment_costs_bitwise(monkeypatch, encodi
     for span_rows in (None, 3):
         if span_rows is not None:
             monkeypatch.setattr(coverage_module, "_CHUNK_ELEMENTS", span_rows * grid_width * count)
-        maps = dep.evaluate_coverages(scene, space.decode(block), len(block))
-        assert [c.cost for c in maps] == expected
-        for c, row in zip(maps, block):
-            assert c.p_n.tobytes() == dep.evaluate_coverage(scene, space.decode(row)).p_n.tobytes()
+        stack = dep.evaluate_coverages(scene, space.decode(block), len(block))
+        assert stack.cost.tolist() == expected
+        for p_n, row in zip(stack.p_n, block):
+            assert p_n.tobytes() == dep.evaluate_coverage(scene, space.decode(row)).p_n.tobytes()
+
+
+def test_run_builds_one_coverage_map_per_scored_generation(monkeypatch):
+    # A generation's chromosomes are the rows of one stacked map, not one map each.
+    real_init, real_next = dep.CoverageMap.__post_init__, ega._next_generation
+    generations = [[]]  # the p_n shape of each map built, per generation
+
+    def counting_init(self):
+        generations[-1].append(self.p_n.shape)
+        real_init(self)
+
+    def marking_next(*args):
+        generations.append([])
+        return real_next(*args)
+
+    monkeypatch.setattr(dep.CoverageMap, "__post_init__", counting_init)
+    monkeypatch.setattr(ega, "_next_generation", marking_next)
+    scene = generation_scene("solid-angle")
+    params = ega.EgaParams(m=6, q=2, upsilon_min=2, upsilon_max=6, iterations=3, seed=0)
+    ega.run(scene, params, count=4)
+    n = scene.n_points
+    assert generations == [[(6, n)], [(5, n)], [(5, n)], [(5, n)]]
 
 
 def test_evaluate_coverages_refuses_uneven_stacks():
