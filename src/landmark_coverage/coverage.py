@@ -17,12 +17,16 @@ plate).  A row is a camera position with its own plates (``PlateRows``):
 one deployment shares its plates across all rows, and a stack of
 deployments, such as a search generation, gives each (deployment,
 position) row the plates of its deployment, so a plate only ever occludes
-plates of its own row.  The kernel tests the window first: it computes
-``z`` for the (row, plate) pairs that face the camera and whose window is
-not empty, with the scalar path's expressions and operation order, a few
-cells at a time.  Only the pairs with a passing cell then go to the
-occlusion pass, against all K plates of their row, since a plate that
-fails its own gates still blocks in the scalar rule.  The mask
+plates of its own row.  The kernel tests the window first, for the (row,
+plate) pairs that face the camera and whose window is not empty.  With
+one set of axes for every row, one matrix product ranks each cell as
+surely inside or surely outside the window, by a margin wider than a
+proven bound on its float error; only the cells within the margin get
+``z``, with the scalar path's expressions and operation order, which
+per-row axes (a stack of poses) get for every pair.  Only the pairs with
+a passing cell then go to the occlusion pass, against all K plates of
+their row, since a plate that fails its own gates still blocks in the
+scalar rule.  The mask
 (``strengths_grid``, ``axis_strengths``) and the per-cell counts
 (``cell_counts``) come from that one core and equal the scalar criteria
 bit for bit.  Each of those calls is one pass; ``gate_passes`` cuts a
@@ -344,12 +348,12 @@ class CapSet:
 np.empty(1 << 20)
 
 # Cap on rows x max(cells, plates) x plates per gate-core pass. The core's
-# float temporaries are at most (L, plates) blocks over the L <= rows x
-# plates (row, plate) pairs with a non-empty depth window: the (cells, L)
-# depths, computed at most `plates` cells at a time, and the occlusion
-# blocks over the pairs with a passing cell. No block then exceeds 2^18
-# float64 elements, 2 MiB, so one pass stays under the thresholds set above
-# and reuses heap memory rather than faulting it in anew.
+# float temporaries are blocks over the L <= rows x plates (row, plate)
+# pairs with a non-empty depth window: the (cells, L) product that
+# classifies the window, and the (L, plates) occlusion blocks over the
+# pairs with a passing cell. No block then exceeds 2^18 float64 elements,
+# 2 MiB, so one pass stays under the thresholds set above and reuses heap
+# memory rather than faulting it in anew.
 _CHUNK_ELEMENTS = 262_144
 
 
@@ -493,9 +497,11 @@ def _live_gates(
     passes when ``lo <= z <= hi``, where ``lo = max(range * fov_cos,
     z_near)`` per (row, plate) and ``hi = min(z_far, z_res)`` is one
     scalar from ``_depth_cuts``. The pairs that face the camera and have
-    ``lo <= hi`` get a z first. Only those with a passing cell go to the
-    occlusion pass, against all K plates of their row, and a blocked
-    pair's column is cleared. The pairs are returned in row order.
+    ``lo <= hi`` get their window tested first, by ``_classify_window``
+    for shared axes and by ``_in_window`` for per-row axes. Only those with
+    a passing cell go to the occlusion pass, against all K plates of their
+    row, and a blocked pair's column is cleared. The pairs are returned in
+    row order.
     """
     z_near, z_far, z_res = _depth_cuts(
         *focus_depths(intrinsics, delta),
@@ -516,9 +522,11 @@ def _live_gates(
     del facing  # the (B, K) arrays left are the ones the occlusion pass reads
     lo = lo[b, k]
 
-    # Axis component rows are (G, 1) when shared, or gathered per pair.
-    rows = axes[0].T[:, :, None] if axes.shape[0] == 1 else axes[b].transpose(2, 1, 0)
-    gate = _window_gate(rows, dx[b, k], dy[b, k], dz[b, k], lo, hi, max(1, plates.nu.shape[1]))
+    px, py, pz = dx[b, k], dy[b, k], dz[b, k]
+    if axes.shape[0] == 1:
+        gate = _classify_window(axes[0], px, py, pz, ranges[b, k], lo, hi)
+    else:  # one axis row per position, gathered per pair: (3, G, L)
+        gate = _in_window(axes[b].transpose(2, 1, 0), px, py, pz, lo, hi)
     # occlusion cannot change a column that no cell passes
     seen = np.flatnonzero(gate.any(axis=0))
     nu = np.broadcast_to(plates.nu, dx.shape)
@@ -526,22 +534,61 @@ def _live_gates(
     return b, k, gate
 
 
-def _window_gate(rows, px, py, pz, lo, hi, step: int) -> np.ndarray:
-    """The (G, L) mask ``lo <= z <= hi`` of z = (a0 dx + a1 dy) + a2 dz.
+def _in_window(a, px, py, pz, lo, hi) -> np.ndarray:
+    """``lo <= z <= hi`` for the depth z = (a0 dx + a1 dy) + a2 dz, in the scalar order.
 
-    ``rows`` holds the axis components, (3, G, 1 or L). The mask is built
-    ``step`` cells at a time so that no float block outgrows an (L, K)
-    occlusion block, and the blocks are freed on return, before the
-    occlusion pass.
+    ``a`` holds the three axis components, each broadcasting against the
+    pair arrays ``px``, ``py``, ``pz`` and ``lo``.
     """
-    gate = np.empty((rows.shape[1], px.size), dtype=bool)
-    for cells in (slice(g, g + step) for g in range(0, gate.shape[0], step)):
-        z = rows[0, cells] * px
-        scratch = rows[1, cells] * py
-        z += scratch
-        z += np.multiply(rows[2, cells], pz, out=scratch)
-        np.greater_equal(z, lo, out=gate[cells])
-        gate[cells] &= z <= hi
+    z = (a[0] * px + a[1] * py) + a[2] * pz
+    return (z >= lo) & (z <= hi)
+
+
+# The depth-window classifier's margin, relative to s·range + mid + half.
+# A pair's window lo <= z <= hi is |z - mid| <= half, with mid = 0.5 lo +
+# 0.5 hi and half = 0.5 hi - 0.5 lo; when hi is infinite it is lo - z <= 0,
+# and mid = lo, half = 0. The classifier takes c = [a 1] . [d; -mid] from a
+# matrix product and e = |c| - half (e = -c one-sided): a cell surely
+# passes where e < -m and surely fails where e > m. It compares |c| (or
+# -c) with half - m and half + m, the same test up to one more rounding.
+# The bound: let u = 2^-53, s the largest axis 1-norm of the call, so that
+# no unit axis is assumed, and S = sum |a_i d_i| <= s·range. A four-term
+# dot product in any summation order, with or without FMA, is within
+# 4u (S + mid) of the exact a.d - mid (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2002, §3.1); the scalar-order z is within 3u S of
+# a.d; the roundings of mid, of half and of half -/+ m add u mid, u half
+# and u (half + m). So e is within 8u (s·range + mid + half) + u m of the
+# exact |z - mid| - half (lo - z), to first order in u, and the margin
+# 2^-44 = 512u leaves a factor 64 of slack for the rest, the rounding of m
+# itself included. The floor 2^-1022 covers the absolute error of products
+# that underflow.
+_DEPTH_MARGIN = 2.0**-44
+
+
+def _classify_window(axes, px, py, pz, ranges, lo, hi) -> np.ndarray:
+    """``_in_window``'s (G, L) mask for G shared axis rows ``axes`` (G, 3), from one product.
+
+    With e and m as in ``_DEPTH_MARGIN``'s comment, a cell surely passes
+    where ``e < -m`` and surely fails where ``e > m``. The product never
+    supplies a z: the cells between, or with e not a number, are resolved
+    by ``_in_window``. ``lo`` is at least z_near, so it and mid are positive.
+    """
+    finite = hi < math.inf
+    mid = 0.5 * lo + 0.5 * hi if finite else lo
+    half = 0.5 * hi - 0.5 * lo if finite else 0.0
+    s = float(np.abs(axes).sum(axis=1).max(initial=0.0))
+    m = _DEPTH_MARGIN * (s * ranges + mid + half) + 2.0**-1022
+    a = np.ones((axes.shape[0], 4))
+    a[:, :3] = axes
+    c = a @ np.stack((px, py, pz, -mid))
+    (np.abs if finite else np.negative)(c, out=c)  # e + half
+    gate = c < half - m
+    band = ~(c > half + m)
+    band ^= gate  # neither surely in nor surely out
+    band = np.flatnonzero(band)
+    if band.size:
+        g, l = np.divmod(band, px.size)
+        gate[g, l] = _in_window(axes[g].T, px[l], py[l], pz[l], lo[l], hi)
     return gate
 
 

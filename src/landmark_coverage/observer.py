@@ -23,7 +23,7 @@ set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -240,19 +240,24 @@ def _check_total_steps(total: int, dt: float, context: str) -> None:
         )
 
 
-def _check_step_angle(omega, dt: float, context: str) -> None:
-    """Reject a rotation rate whose ``|omega·dt|²`` overflows, where ``se3_exp_rows`` takes sin(inf)."""
+def _check_step_angle(omega, dt: float, context: str, error=SchemaError) -> None:
+    """Raise ``error`` for a rotation rate whose ``|omega·dt|²`` overflows, where ``se3_exp_rows`` takes sin(inf)."""
     x, y, z = (w * dt for w in omega)
     if not math.isfinite(x * x + y * y + z * z):
-        raise SchemaError(f"{context}: {math.hypot(*omega)!r} rad/s overflows |omega * dt|^2 at dt {dt!r} s")
+        raise error(f"{context}: {math.hypot(*omega)!r} rad/s overflows |omega * dt|^2 at dt {dt!r} s")
 
 
 @dataclass(eq=False)
 class TrajectorySpec:
-    """Piecewise-constant body twists applied from an initial pose."""
+    """Piecewise-constant body twists applied from an initial pose.
+
+    A random walk's spec also keeps the poses it checked, as ``(dt, poses)``,
+    for the initial pose and segments it was made with.
+    """
 
     initial: np.ndarray
     segments: list[tuple[float, np.ndarray]]
+    _path: tuple[float, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.initial = np.asarray(self.initial, dtype=float)
@@ -276,10 +281,17 @@ class TrajectorySpec:
 
         Each segment takes ``round(duration / dt)`` steps of its twist, at
         least one, integrated by ``se3_path`` from the previous segment's
-        end pose. The poses have shape (steps + 1, 4, 4), the initial pose first.
+        end pose. The poses have shape (steps + 1, 4, 4), the initial pose
+        first. A random walk sampled at its own ``dt`` returns the read-only
+        poses it checked, which are those. A segment whose rotation rate
+        overflows ``|omega·dt|²`` raises ValueError naming its index.
         """
         steps = [_segment_steps(duration, dt) for duration, _ in self.segments]
         twists = [u for (_, u), n in zip(self.segments, steps) for _ in range(n)]
+        if self._path is not None and self._path[0] == dt:
+            return twists, self._path[1]
+        for i, (_, u) in enumerate(self.segments):
+            _check_step_angle(twist_coords(u)[:3], dt, f"segment {i}", ValueError)
         poses = np.empty((len(twists) + 1, 4, 4))
         poses[0] = self.initial
         end = 0
@@ -433,6 +445,9 @@ def random_walk_trajectory(
     When no initial pose is given the walk starts at the region center with
     a seed-drawn orientation, so a batch of seeds samples the same yaw and
     pitch space the coverage probability integrates over.
+    The checked poses are written into one array, which the spec's
+    ``sample(dt)`` returns instead of integrating the segments again. An
+    ``ang_speed`` whose ``|ang_speed·dt|²`` overflows raises ValueError.
     """
     for name, value in (("duration", duration), ("segment_duration", segment_duration), ("dt", dt)):
         if not (value > 0 and math.isfinite(value)):
@@ -440,6 +455,8 @@ def random_walk_trajectory(
     for name, value in (("lin_speed", lin_speed), ("ang_speed", ang_speed)):
         if not (value >= 0 and math.isfinite(value)):
             raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+    # the largest rate a segment can draw, checked once for the walk
+    _check_step_angle((ang_speed, 0.0, 0.0), dt, "ang_speed", ValueError)
     if not math.isfinite(margin):
         raise ValueError(f"margin must be finite, got {margin!r}")
     rng = np.random.default_rng(_check_seed(seed))
@@ -455,19 +472,25 @@ def random_walk_trajectory(
     if np.any(lo >= hi):
         raise ValueError("margin leaves no room inside the reachable region")
 
-    def segment_ok(x, u, n_steps):
-        path = se3_path(x, u, dt, n_steps)
-        p = path[:, :3, 3]
-        if not ((p >= lo) & (p <= hi)).all():
-            return None
-        return path[-1]
-
-    segments = []
-    x = x0
+    lengths = []  # segment durations, the last one cut to end the walk at duration
     elapsed = 0.0
     while elapsed < duration - 1e-9:
-        seg = min(segment_duration, duration - elapsed)
-        n_steps = _segment_steps(seg, dt)
+        lengths.append(min(segment_duration, duration - elapsed))
+        elapsed += lengths[-1]
+    steps = [_segment_steps(seg, dt) for seg in lengths]
+    poses = np.empty((sum(steps) + 1, 4, 4))
+    poses[0] = x0
+
+    def segment_ok(start, u, n_steps):
+        """Integrate ``u`` from ``poses[start]`` into the poses after it; whether they stay inside."""
+        path = poses[start + 1:start + n_steps + 1]
+        path[...] = se3_path(poses[start], u, dt, n_steps)
+        p = path[:, :3, 3]
+        return bool(((p >= lo) & (p <= hi)).all())
+
+    segments = []
+    start = 0
+    for seg, n_steps in zip(lengths, steps):
         chosen = None
         for _ in range(40):
             axis = rng.normal(size=3)
@@ -477,27 +500,27 @@ def random_walk_trajectory(
             norm = float(np.linalg.norm(direction))
             linear = (direction / norm) * float(rng.uniform(0.0, lin_speed)) if norm > 0 else np.zeros(3)
             u = twist(omega, linear)
-            end = segment_ok(x, u, n_steps)
-            if end is not None:
-                chosen = (u, end)
+            if segment_ok(start, u, n_steps):
+                chosen = u
                 break
         if chosen is None:
+            x = poses[start]
             r_c = x[:3, :3].T
             to_center = scene.center - x[:3, 3]
             dist = float(np.linalg.norm(to_center))
             if dist == 0.0:
-                u = twist(np.zeros(3), np.zeros(3))
+                chosen = twist(np.zeros(3), np.zeros(3))
             else:
                 speed = min(lin_speed, dist / seg)
-                u = twist(np.zeros(3), r_c @ (to_center / dist) * speed)
-            end = segment_ok(x, u, n_steps)
-            if end is None:
+                chosen = twist(np.zeros(3), r_c @ (to_center / dist) * speed)
+            if not segment_ok(start, chosen, n_steps):
                 raise TrajectoryOutOfRegionError("random walk could not stay inside the region")
-            chosen = (u, end)
-        segments.append((seg, chosen[0]))
-        x = chosen[1]
-        elapsed += seg
-    return TrajectorySpec(initial=x0, segments=segments)
+        segments.append((seg, chosen))
+        start += n_steps
+    poses.setflags(write=False)
+    walk = TrajectorySpec(initial=x0, segments=segments)
+    walk._path = (dt, poses)
+    return walk
 
 
 # ---------------------------------------------------------------------------

@@ -663,6 +663,107 @@ def test_depth_cuts_are_the_last_floats_that_pass(intr, thold):
             assert holds(cut) and not holds(math.nextafter(cut, math.inf))
 
 
+def plate_at_depth(rng, point, axis, depth, spread):
+    """A plate facing ``point`` whose scalar-order depth along ``axis`` is exactly ``depth``.
+
+    It sits up to ``spread * depth`` off the axis; one coordinate is
+    stepped a float at a time until the depth lands, or None if it skips over.
+    """
+    side = rng.normal(size=3)
+    side -= (side @ axis) * axis
+    q = point + depth * (axis + rng.uniform(0.0, spread) * side / np.linalg.norm(side))
+    i = int(np.argmax(np.abs(axis)))
+    for _ in range(200):
+        dx, dy, dz = (q - point).tolist()
+        z = (axis[0] * dx + axis[1] * dy) + axis[2] * dz
+        if z == depth:
+            return facing_landmark(q, point)
+        q[i] = math.nextafter(q[i], math.copysign(math.inf, (depth - z) * axis[i]))
+    return None
+
+
+def test_depths_at_the_window_edges_match_scalar_criteria(monkeypatch):
+    """Plates whose depth is z_near or hi exactly, or one float either side, on tilted cells.
+
+    The classifier's product may reorder the depth's terms, so its rank of
+    these cells is within rounding of either side: they must fall in the
+    margin band and get the scalar-order depth. With the margin shrunk to 0
+    some of them are misclassified.
+    """
+    rng = np.random.default_rng(31)
+    grid = OrientationGrid.from_cells(7, 5)
+    rotations = grid.rotations()
+    tilted = [g for g in range(grid.n_cells) if g // grid.n_pitch > 0 and g % grid.n_pitch != 2]
+    cases = []
+    for intr, thold in ((TABLE3, 0.2), (TABLE3, 0.0), (FULL_HD, 0.0), (FULL_HD, 0.2)):
+        z_near, z_far, z_res = depth_cuts(intr, thold)
+        hi = min(z_far, z_res)
+        for edge in [z_near] + ([hi] if hi < math.inf else []):
+            for g in rng.choice(tilted, 6, replace=False):
+                point = rng.uniform(-100.0, 100.0, 3)
+                pose = Pose6(point, yaw=grid.cell_angles(g)[0], pitch=grid.cell_angles(g)[1])
+                for depth in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+                    plate = None
+                    while plate is None:
+                        plate = plate_at_depth(rng, point, rotations[g, 2], depth, 0.5 * intr.min_fov_tan)
+                    strength = coverage_strength(0, [plate], pose, intr, 4.0)
+                    scalar = strength > 0 and strength >= thold
+                    assert scalar == (z_near <= depth <= hi)  # the depth alone decides
+                    cases.append((point, g, plate, intr, thold, scalar))
+    assert len(cases) == 126 and 0 < sum(case[-1] for case in cases) < len(cases)
+
+    def misclassified():
+        return sum(
+            strengths_grid(point[None], rotations, [plate], intr, 4.0, thold)[0, g, 0] != scalar
+            for point, g, plate, intr, thold, scalar in cases
+        )
+
+    assert misclassified() == 0
+    monkeypatch.setattr(coverage_module, "_DEPTH_MARGIN", 0.0)
+    assert misclassified() > 0
+
+
+def test_axes_of_any_norm_are_classified_by_their_norm():
+    """Axes of norm 4096 go to ``strengths_grid`` as they are, checked per element.
+
+    The plates lie within a few floats of the FOV cone's edge, where
+    z = range * fov_cos, nearly perpendicular to their cell's axis, so each
+    depth is a difference of products some 4096 times larger than itself.
+    The classifier's margin grows with the largest axis norm; a margin for
+    unit axes misclassifies some of these cells.
+    """
+    rng = np.random.default_rng(29)
+    intr, thold, norm, count = TABLE3, 0.2, 4096.0, 4000
+    rotations = OrientationGrid.from_cells(7, 5).rotations() * norm  # an exact scaling
+    axes = rotations[:, 2]
+    points = rng.uniform(-50.0, 50.0, (count, 3))
+    cell = rng.integers(len(axes), size=count)
+    unit = axes[cell] / norm
+    side = rng.normal(size=(count, 3))
+    side -= (side * unit).sum(axis=1)[:, None] * unit
+    side /= np.linalg.norm(side, axis=1)[:, None]
+    z_near, z_far, z_res = depth_cuts(intr, thold)
+    hi = min(z_far, z_res)
+    cos = intr.fov_cos / norm * (1.0 + rng.uniform(-1e-13, 1e-13, count))
+    ranges = rng.uniform(1.01 * z_near / intr.fov_cos, 0.99 * hi, count)
+    d = ranges[:, None] * (cos[:, None] * unit + np.sqrt(1.0 - cos * cos)[:, None] * side)
+    # one plate per row, facing its camera, so that none occludes another
+    plates = coverage_module.PlateRows(
+        (points + d)[:, None], -(d / ranges[:, None])[:, None], np.full((count, 1), 10.0)
+    )
+    mask = strengths_grid(points, rotations, plates, intr, 4.0, thold)[:, :, 0]
+
+    dx, dy, dz = (plates.positions[:, 0] - points).T
+    lo = np.maximum(np.sqrt((dx * dx + dy * dy) + dz * dz) * intr.fov_cos, z_near)
+    expected = np.empty((count, len(axes)), dtype=bool)
+    for g, (a0, a1, a2) in enumerate(axes.tolist()):
+        z = (a0 * dx + a1 * dy) + a2 * dz  # elementwise, in the scalar order
+        expected[:, g] = (z >= lo) & (z <= hi)
+    on_edge = expected[np.arange(count), cell]
+    assert 0.3 < on_edge.mean() < 0.7
+    assert np.array_equal(mask, expected)
+
+
 def test_resolution_cut_below_the_near_cut_passes_nothing():
     z_near, _, z_res = depth_cuts(FULL_HD, 0.5)
     assert z_res < z_near

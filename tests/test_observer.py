@@ -621,6 +621,55 @@ def test_random_walk_names_a_bad_argument(argument, value):
         obs.random_walk_trajectory(scene, **kw)
 
 
+def test_random_walk_refuses_an_ang_speed_that_overflows():
+    scene = build_tiny_scene()
+    with pytest.raises(ValueError, match=r"ang_speed: .* overflows \|omega \* dt\|\^2"):
+        obs.random_walk_trajectory(scene, duration=0.5, seed=0, ang_speed=1e308)
+
+
+def test_sample_refuses_a_segment_rate_that_overflows():
+    still = np.zeros((4, 4))
+    spec = obs.TrajectorySpec(
+        initial=np.eye(4), segments=[(0.1, still), (0.1, twist([1e308, 0.0, 0.0], [0.0, 0.0, 0.0]))]
+    )
+    with pytest.raises(ValueError, match=r"segment 1: .* overflows \|omega \* dt\|\^2"):
+        spec.sample(0.01)
+    # a rate whose |omega * dt|^2 stays finite still integrates
+    spec = obs.TrajectorySpec(initial=np.eye(4), segments=[(0.1, twist([1e150, 0.0, 0.0], [0.0, 0.0, 0.0]))])
+    assert spec.sample(0.01)[1].shape == (11, 4, 4)
+
+
+def test_walk_sample_returns_the_checked_poses(monkeypatch):
+    """A walk sampled at its own dt integrates nothing again, and equals a fresh integration."""
+    scene = build_tiny_scene()
+    dt = 0.02
+    walk = obs.random_walk_trajectory(
+        scene, duration=1.5, seed=6, segment_duration=0.25, lin_speed=4.0, ang_speed=1.0, margin=0.1, dt=dt,
+    )
+    fresh = obs.TrajectorySpec(initial=walk.initial, segments=walk.segments)
+    se3_path = obs.se3_path
+    calls = []
+
+    def counting(x, u, dt, steps):
+        calls.append(steps)
+        return se3_path(x, u, dt, steps)
+
+    monkeypatch.setattr(obs, "se3_path", counting)
+    twists, poses = walk.sample(dt)
+    assert calls == [] and not poses.flags.writeable
+    expected_twists, expected = fresh.sample(dt)
+    assert calls == [round(duration / dt) for duration, _ in walk.segments]
+    assert poses.tobytes() == expected.tobytes()
+    assert len(twists) == len(expected_twists)
+    assert all(np.array_equal(u, v) for u, v in zip(twists, expected_twists))
+
+    # another step size integrates the segments
+    calls.clear()
+    _, finer = walk.sample(dt / 2)
+    assert calls == [round(duration / (dt / 2)) for duration, _ in walk.segments]
+    assert finer.tobytes() == fresh.sample(dt / 2)[1].tobytes()
+
+
 def test_random_walk_containment_rejects_a_nan_position(monkeypatch):
     """A segment whose positions are not all inside (NaN included) is redrawn."""
     scene = build_tiny_scene()
