@@ -26,12 +26,12 @@ proven bound on its float error; only the cells within the margin get
 per-row axes (a stack of poses) get for every pair.  Only the pairs with
 a passing cell then go to the occlusion pass, against all K plates of
 their row, since a plate that fails its own gates still blocks in the
-scalar rule.  The mask
-(``strengths_grid``, ``axis_strengths``) and the per-cell counts
-(``cell_counts``) come from that one core and equal the scalar criteria
-bit for bit.  Each of those calls is one pass; ``gate_passes`` cuts a
-larger batch of rows into passes whose temporaries stay small, and the
-callers run them one after another.
+scalar rule.  The core scatters the surviving pairs once into a dense
+(row, plate, cell) mask: ``strengths_grid`` and ``axis_strengths`` return
+a view of it and ``cell_counts`` its sum over plates, so both equal the
+scalar criteria bit for bit.  Each of those calls is one pass;
+``gate_passes`` cuts a larger batch of rows into passes whose temporaries
+stay small, and the callers run them one after another.
 """
 
 from __future__ import annotations
@@ -353,7 +353,9 @@ np.empty(1 << 20)
 # classifies the window, and the (L, plates) occlusion blocks over the
 # pairs with a passing cell. No block then exceeds 2^18 float64 elements,
 # 2 MiB, so one pass stays under the thresholds set above and reuses heap
-# memory rather than faulting it in anew.
+# memory rather than faulting it in anew. The pass's (rows, plates, cells)
+# bool mask, built after the occlusion blocks are freed, is at most 2^18
+# bytes.
 _CHUNK_ELEMENTS = 262_144
 
 
@@ -426,12 +428,8 @@ def axis_strengths(
     (B, 1, 3), for a stack of poses.  Otherwise as ``strengths_grid``, whose
     (B, G, K) mask this is, bit for bit.
     """
-    points = np.asarray(points, dtype=float)
-    plates = PlateRows.of(landmarks)
-    out = np.zeros((points.shape[0], axes.shape[1], plates.nu.shape[1]), dtype=bool)
-    b, k, gate = _live_gates(points, axes, plates, intrinsics, delta, thold)
-    out[b, :, k] = gate.T
-    return out
+    mask = _live_gates(points, axes, PlateRows.of(landmarks), intrinsics, delta, thold)
+    return mask.transpose(0, 2, 1)
 
 
 def _bits_float(bits: int) -> float:
@@ -490,8 +488,8 @@ def _live_gates(
     intrinsics: CameraIntrinsics,
     delta: float,
     thold: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The gate core: pair indices ``b``, ``k`` (L,) and their (G, L) mask.
+) -> np.ndarray:
+    """The gate core: the (B, K, G) bool mask of measurable (row, plate, cell) triples.
 
     Every gate bounds the camera depth z = axis . (landmark - camera): z
     passes when ``lo <= z <= hi``, where ``lo = max(range * fov_cos,
@@ -500,8 +498,9 @@ def _live_gates(
     ``lo <= hi`` get their window tested first, by ``_classify_window``
     for shared axes and by ``_in_window`` for per-row axes. Only those with
     a passing cell go to the occlusion pass, against all K plates of their
-    row, and a blocked pair's column is cleared. The pairs are returned in
-    row order.
+    row, and a blocked pair's column is cleared. The surviving (G, L)
+    columns are scattered once into the dense mask, which is allocated
+    only after the occlusion blocks are freed.
     """
     z_near, z_far, z_res = _depth_cuts(
         *focus_depths(intrinsics, delta),
@@ -510,6 +509,7 @@ def _live_gates(
         thold,
     )
     hi = min(z_far, z_res)
+    points = np.asarray(points, dtype=float)
     # landmark - camera, one (B, K) array per coordinate
     dx, dy, dz = (plates.positions[:, :, i] - points[:, i, None] for i in range(3))
     ranges = np.sqrt((dx * dx + dy * dy) + dz * dz)
@@ -531,7 +531,9 @@ def _live_gates(
     seen = np.flatnonzero(gate.any(axis=0))
     nu = np.broadcast_to(plates.nu, dx.shape)
     gate[:, seen[_occluded(dx, dy, dz, ranges, nu, b[seen], k[seen])]] = False
-    return b, k, gate
+    mask = np.zeros((points.shape[0], plates.nu.shape[1], axes.shape[1]), dtype=bool)
+    mask[b, k] = gate.T
+    return mask
 
 
 def _in_window(a, px, py, pz, lo, hi) -> np.ndarray:
@@ -659,21 +661,15 @@ def cell_counts(
 ) -> np.ndarray:
     """Covered-landmark counts per (position, cell), shape (B, G).
 
-    The same gate core as ``strengths_grid``, whose mask summed over plates
-    these counts are, but summed per position over its live pairs only.
+    The gate core's (B, K, G) mask, the one ``strengths_grid`` views,
+    summed over its K plates. The counts are ``uint8`` below 256 plates,
+    which no row can exceed, and ``np.intp`` from 256 plates up.
     """
-    points = np.asarray(points, dtype=float)
-    plates = PlateRows.of(landmarks)
-    b, _, gate = _live_gates(
-        points, grid.rotations()[None, :, 2, :], plates, intrinsics, params.delta, params.thold
-    )
-    counts = np.zeros((points.shape[0], grid.n_cells), dtype=np.intp)
-    if b.size:
-        first = np.flatnonzero(np.diff(b, prepend=-1))  # each position's first pair
-        # a position counts at most its own K plates
-        dtype = np.uint8 if plates.nu.shape[1] < 256 else np.intp
-        counts[b[first]] = np.add.reduceat(gate.view(np.uint8), first, axis=1, dtype=dtype).T
-    return counts
+    axes = grid.rotations()[None, :, 2, :]
+    mask = _live_gates(points, axes, PlateRows.of(landmarks), intrinsics, params.delta, params.thold)
+    # a position counts at most its own K plates
+    dtype = np.uint8 if mask.shape[1] < 256 else np.intp
+    return mask.view(np.uint8).sum(axis=1, dtype=dtype)
 
 
 def coverage_probabilities(

@@ -146,13 +146,12 @@ class Scene:
         p = np.asarray(position, dtype=float)
         return np.all((p >= lo) & (p <= hi), axis=-1)
 
-    def with_coverage(self, n=None, thold_p=None, thold=None, delta=None) -> "Scene":
+    def with_coverage(self, n=None, thold_p=None, thold=None) -> "Scene":
         """A copy sharing all arrays, with coverage settings overridden."""
         params = replace(
             self.params,
             n=self.params.n if n is None else n,
             thold=self.params.thold if thold is None else thold,
-            delta=self.params.delta if delta is None else delta,
         )
         return replace(
             self, params=params, thold_p=self.thold_p if thold_p is None else thold_p

@@ -21,12 +21,16 @@ from dataclasses import dataclass, field, replace as _dc_replace
 
 import numpy as np
 
-from .deployment import Deployment, Scene, evaluate_coverages
+from .deployment import MAX_POSITIONS, Deployment, Scene, evaluate_coverages
 from .errors import check_seed
 
 logger = logging.getLogger(__name__)
 
 GENES_PER_LANDMARK = 5
+
+# Caps on one generation: M x positions rows <= MAX_POSITIONS, and M x
+# plates stacked <= this, which keeps its gene block within 40 MB.
+MAX_GENERATION_PLATES = 1 << 20
 
 
 @dataclass(eq=False)
@@ -231,7 +235,8 @@ def run(
     fixes the landmark count. Generation 0 is that encoded row, if any,
     followed by one block of uniform draws; history[0] describes it.
     Each generation is scored as one stacked ``evaluate_coverages`` map,
-    whose (m,) ``cost`` holds the chromosomes' fitnesses.
+    whose (m,) ``cost`` holds the chromosomes' fitnesses. A larger
+    generation than the caps allow is refused before it is drawn.
     """
     if mode not in ("ega", "sga"):
         raise ValueError("mode must be 'ega' or 'sga'")
@@ -241,6 +246,12 @@ def run(
         count = len(initial)
     if count is None:
         raise ValueError("either a landmark count or an initial deployment is required")
+    for size, per, cap in ((scene.n_points, "positions", MAX_POSITIONS), (count, "plates", MAX_GENERATION_PLATES)):
+        if params.m * size > cap:
+            raise ValueError(
+                f"population size --m {params.m} x {size} {per} is {params.m * size} {per} "
+                f"per generation, above the cap of {cap}"
+            )
     space = GeneSpace(scene, count, encoding)
     if params.upsilon_max > space.length:
         raise ValueError(

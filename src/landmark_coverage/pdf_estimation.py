@@ -30,6 +30,10 @@ from .errors import (
 
 _HALF_PI = math.pi / 2
 _MIN_EXPECTED = 5.0
+# The yaw and pitch ranges the histograms span, and the p-value below which
+# a test rejects independence or uniformity.
+_RANGES = ((-math.pi, math.pi), (-_HALF_PI, _HALF_PI))
+_P_THRESHOLD = 0.05
 
 
 def _scipy_stats():
@@ -142,14 +146,8 @@ class IndependenceResult:
     bins: tuple[int, int]
 
 
-def independence_test(
-    alpha,
-    beta,
-    bins: tuple[int, int] = (24, 12),
-    ranges=((-math.pi, math.pi), (-_HALF_PI, _HALF_PI)),
-    p_threshold: float = 0.05,
-) -> IndependenceResult:
-    """Chi-squared contingency test of yaw/pitch independence.
+def independence_test(alpha, beta, bins: tuple[int, int] = (24, 12)) -> IndependenceResult:
+    """Chi-squared contingency test of yaw/pitch independence at p = 0.05.
 
     Bins are halved until every expected cell count reaches 5; if that never
     happens the sample is too small and the test raises.
@@ -159,7 +157,7 @@ def independence_test(
     beta = np.asarray(beta, dtype=float).ravel()
     bx, by = bins
     while True:
-        counts, _, _ = np.histogram2d(alpha, beta, bins=[bx, by], range=ranges)
+        counts, _, _ = np.histogram2d(alpha, beta, bins=[bx, by], range=_RANGES)
         rows = counts.sum(axis=1) > 0
         cols = counts.sum(axis=0) > 0
         table = counts[rows][:, cols]
@@ -169,7 +167,7 @@ def independence_test(
                 return IndependenceResult(
                     statistic=float(result.statistic),
                     p_value=float(result.pvalue),
-                    independent=bool(result.pvalue >= p_threshold),
+                    independent=bool(result.pvalue >= _P_THRESHOLD),
                     bins=(bx, by),
                 )
         if bx <= 2 and by <= 2:
@@ -214,28 +212,22 @@ def estimate_orientation_pdf(
     n_pitch: int = 12,
     seed: int = 0,
     mean_gap: float | None = None,
-    p_threshold: float = 0.05,
 ) -> tuple[OrientationPdf, EstimationReport]:
     """Orientation-cell density estimated from a logged yaw/pitch trace."""
     grid = OrientationGrid.from_cells(n_yaw, n_pitch)  # checks the cell cap first
     if mean_gap is None:
         mean_gap = _default_mean_gap(samples)
     kept = random_interval_resample(samples, seed=seed, mean_gap=mean_gap)
-    ranges = ((-math.pi, math.pi), (-_HALF_PI, _HALF_PI))
-    indep = independence_test(
-        kept.alpha, kept.beta, bins=(n_yaw, n_pitch), ranges=ranges, p_threshold=p_threshold
-    )
-    yaw_pdf = histogram_density(kept.alpha, n_yaw, ranges[0])
-    pitch_pdf = histogram_density(kept.beta, n_pitch, ranges[1])
+    indep = independence_test(kept.alpha, kept.beta, bins=(n_yaw, n_pitch))
+    yaw_pdf = histogram_density(kept.alpha, n_yaw, _RANGES[0])
+    pitch_pdf = histogram_density(kept.beta, n_pitch, _RANGES[1])
     _, yaw_p = fit_uniform(yaw_pdf)
     _, pitch_p = fit_uniform(pitch_pdf)
-    uniform = indep.independent and yaw_p >= p_threshold and pitch_p >= p_threshold
+    uniform = indep.independent and yaw_p >= _P_THRESHOLD and pitch_p >= _P_THRESHOLD
     if uniform:
         pdf = OrientationPdf.uniform(grid)
     else:
-        counts, _, _ = np.histogram2d(
-            kept.alpha, kept.beta, bins=[n_yaw, n_pitch], range=ranges
-        )
+        counts, _, _ = np.histogram2d(kept.alpha, kept.beta, bins=[n_yaw, n_pitch], range=_RANGES)
         total = counts.sum()
         if total == 0:
             raise ValueError("no samples fall inside the orientation ranges")

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import CONFIG_DIR
 from landmark_coverage import deployment as deployment_module
+from landmark_coverage import ega as ega_module
 from landmark_coverage import observer as observer_module
 from landmark_coverage.cli import main
 from landmark_coverage.geometry import Landmark
@@ -714,6 +715,27 @@ def test_step_and_plate_caps_hold_at_the_boundary(tmp_path, capsys, monkeypatch)
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err and "10 steps" in err
         assert not out.exists()
+
+
+def test_population_caps_hold_at_the_boundary(tmp_path, capsys, monkeypatch):
+    # 8 chromosomes of 3 plates on the desk's 48 positions: 384 rows, 24 plates
+    optimize = ["optimize", "--scene", DESK, "--count", "3", "--m", "8", "--iterations", "0"]
+    out = tmp_path / "out"
+    for name, at_cap in (("MAX_POSITIONS", 8 * DESK_POINTS), ("MAX_GENERATION_PLATES", 8 * 3)):
+        monkeypatch.setattr(ega_module, name, at_cap)
+        run_ok(optimize + ["--out-dir", str(tmp_path / "at-cap")], capsys)
+        monkeypatch.setattr(ega_module, name, at_cap - 1)
+        assert main(optimize + ["--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--m 8" in err and f"cap of {at_cap - 1}" in err
+        assert not out.exists()
+        monkeypatch.undo()
+
+    # refused before the population is drawn, not by a failed allocation
+    huge = ["optimize", "--scene", DESK, "--count", "12", "--m", str(10**15), "--out-dir", str(out)]
+    assert main(huge) == 2
+    assert "--m" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _run_python(argv, timeout=120):

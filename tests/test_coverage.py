@@ -411,6 +411,22 @@ def test_coverage_probabilities_match_scalar_reduction_bitwise(desk_scene, kind)
         assert p[b] == nple_probability(coverage_caps(point, plates, grid, *args), pdf)
 
 
+@pytest.mark.parametrize("n", [0, 12, 13, 255, 256, 10**30])
+def test_uint8_counts_compare_with_any_n(desk_scene, n):
+    # 12 plates count in uint8, the scalar caps in intp; the two must
+    # compare alike with any Python integer n, past uint8 and int64 too.
+    grid, pdf = desk_scene.grid, OrientationPdf.solid_angle(desk_scene.grid)
+    plates = generate_uniform(desk_scene, 12)
+    params = dataclasses.replace(desk_scene.params, n=n)
+    assert cell_counts(desk_scene.points, plates, grid, desk_scene.intrinsics, params).dtype == np.uint8
+    p = coverage_probabilities(desk_scene.points, plates, grid, pdf, desk_scene.intrinsics, params)
+    want = [nple_probability(coverage_caps(point, plates, grid, desk_scene.intrinsics, params), pdf)
+            for point in desk_scene.points]
+    assert p.tobytes() == np.array(want).tobytes()
+    if n > 12:
+        assert not p.any()
+
+
 def test_capset_validation():
     with pytest.raises(ValueError):
         CapSet(masks=np.zeros((2, 4), dtype=bool), n=1, nple=np.zeros(3, dtype=bool))
