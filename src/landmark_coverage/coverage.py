@@ -19,11 +19,12 @@ deployments, such as a search generation, gives each (deployment,
 position) row the plates of its deployment, so a plate only ever occludes
 plates of its own row.  The kernel tests the window first, for the (row,
 plate) pairs that face the camera and whose window is not empty.  With
-one set of axes for every row, one matrix product ranks each cell as
-surely inside or surely outside the window, by a margin wider than a
-proven bound on its float error; only the cells within the margin get
-``z``, with the scalar path's expressions and operation order, which
-per-row axes (a stack of poses) get for every pair.  Only the pairs with
+one set of axes for every row, one float32 matrix product of inputs
+scaled by powers of two ranks each cell as surely inside or surely
+outside the window, by a margin wider than a proven bound on its float
+error; only the cells within the margin get ``z``, in float64 with the
+scalar path's expressions and operation order, which per-row axes (a
+stack of poses) get for every pair.  Only the pairs with
 a passing cell then go to the occlusion pass, against all K plates of
 their row, since a plate that fails its own gates still blocks in the
 scalar rule.  The core scatters the surviving pairs once into a dense
@@ -31,7 +32,9 @@ scalar rule.  The core scatters the surviving pairs once into a dense
 a view of it and ``cell_counts`` its sum over plates, so both equal the
 scalar criteria bit for bit.  Each of those calls is one pass;
 ``gate_passes`` cuts a larger batch of rows into passes whose temporaries
-stay small, and the callers run them one after another.
+stay small, and the callers run them one after another.  ``masked_fsum``
+turns the counts into P_n: an exact integer-limb product per pass,
+rounded once per row, as ``math.fsum`` rounds.
 """
 
 from __future__ import annotations
@@ -107,6 +110,7 @@ class OrientationGrid:
         if self.pitch[0] < -math.pi / 2 or self.pitch[-1] > math.pi / 2:
             raise ValueError("pitch samples must lie in [-pi/2, pi/2]")
         self._rotations = None
+        self._axes = None
 
     @classmethod
     def from_cells(cls, n_yaw: int, n_pitch: int) -> "OrientationGrid":
@@ -150,6 +154,23 @@ class OrientationGrid:
             self._rotations = mats
         return self._rotations
 
+    def axes(self) -> np.ndarray:
+        """Optical axes for every cell, shape (n_cells, 3): ``rotations()[:, 2]``, bit for bit.
+
+        Row 2 of ``rotation_from_angles(yaw, pitch, 0)`` is (cos p sin y,
+        cos p cos y, sin p) with the other terms exact zeros, so one libm
+        sine and cosine per sample and their outer products give it.
+        """
+        if self._axes is None:
+            sin_y, cos_y = (np.array([f(y) for y in self.yaw.tolist()]) for f in (math.sin, math.cos))
+            sin_p, cos_p = (np.array([f(p) for p in self.pitch.tolist()]) for f in (math.sin, math.cos))
+            axes = np.empty((self.n_yaw, self.n_pitch, 3))
+            axes[..., 0] = cos_p * sin_y[:, None]
+            axes[..., 1] = cos_p * cos_y[:, None]
+            axes[..., 2] = sin_p
+            self._axes = axes.reshape(-1, 3)
+        return self._axes
+
 
 _WEIGHT_SUM_TOL = 1e-9
 
@@ -181,6 +202,11 @@ class OrientationPdf:
         cos_pitch = np.cos(grid.pitch)
         w = np.repeat(cos_pitch[None, :], grid.n_yaw, axis=0).ravel()
         return cls(w / w.sum())
+
+    @functools.cached_property
+    def masked_fsum(self) -> "_MaskedFsum":
+        """``masked_fsum`` over these weights, split into limbs once, on first use."""
+        return _MaskedFsum(self.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +375,13 @@ np.empty(1 << 20)
 
 # Cap on rows x max(cells, plates) x plates per gate-core pass. The core's
 # float temporaries are blocks over the L <= rows x plates (row, plate)
-# pairs with a non-empty depth window: the (cells, L) product that
-# classifies the window, and the (L, plates) occlusion blocks over the
-# pairs with a passing cell. No block then exceeds 2^18 float64 elements,
-# 2 MiB, so one pass stays under the thresholds set above and reuses heap
-# memory rather than faulting it in anew. The pass's (rows, plates, cells)
-# bool mask, built after the occlusion blocks are freed, is at most 2^18
-# bytes.
+# pairs with a non-empty depth window: the float32 (cells, L) product that
+# classifies the window, and the float64 (L, plates) occlusion blocks over
+# the pairs with a passing cell. No block then exceeds 2^18 elements, 2 MiB
+# at float64 and 1 MiB for the product, so one pass stays under the
+# thresholds set above and reuses heap memory rather than faulting it in
+# anew. The pass's (rows, plates, cells) bool mask, built after the
+# occlusion blocks are freed, is at most 2^18 bytes.
 _CHUNK_ELEMENTS = 262_144
 
 
@@ -546,46 +572,63 @@ def _in_window(a, px, py, pz, lo, hi) -> np.ndarray:
     return (z >= lo) & (z <= hi)
 
 
-# The depth-window classifier's margin, relative to s·range + mid + half.
-# A pair's window lo <= z <= hi is |z - mid| <= half, with mid = 0.5 lo +
-# 0.5 hi and half = 0.5 hi - 0.5 lo; when hi is infinite it is lo - z <= 0,
-# and mid = lo, half = 0. The classifier takes c = [a 1] . [d; -mid] from a
-# matrix product and e = |c| - half (e = -c one-sided): a cell surely
-# passes where e < -m and surely fails where e > m. It compares |c| (or
-# -c) with half - m and half + m, the same test up to one more rounding.
-# The bound: let u = 2^-53, s the largest axis 1-norm of the call, so that
-# no unit axis is assumed, and S = sum |a_i d_i| <= s·range. A four-term
-# dot product in any summation order, with or without FMA, is within
-# 4u (S + mid) of the exact a.d - mid (Higham, Accuracy and Stability of
-# Numerical Algorithms, 2002, §3.1); the scalar-order z is within 3u S of
-# a.d; the roundings of mid, of half and of half -/+ m add u mid, u half
-# and u (half + m). So e is within 8u (s·range + mid + half) + u m of the
-# exact |z - mid| - half (lo - z), to first order in u, and the margin
-# 2^-44 = 512u leaves a factor 64 of slack for the rest, the rounding of m
-# itself included. The floor 2^-1022 covers the absolute error of products
-# that underflow.
-_DEPTH_MARGIN = 2.0**-44
+# The depth-window classifier's margin, relative to t = s1·range + mid +
+# half. A pair's window lo <= z <= hi is |z - mid| <= half, with mid =
+# 0.5 lo + 0.5 hi and half = 0.5 hi - 0.5 lo; when hi is infinite it is
+# lo - z <= 0, and mid = lo, half = 0. Let s be the largest axis 1-norm of
+# the call, s1 = max(s, 1), 2^p the power of two with s1·2^-p in [1/2, 1),
+# and 2^q the one with t·2^-q in [1/2, 1), per pair. The classifier takes
+# c = [a·2^-p  1] . [d·2^(p-q); -mid·2^-q] in float32, from a matrix product
+# of inputs rounded to float32 once each, so every scaled input is below 2
+# in magnitude and no float32 overflows; with e = |c| - half·2^-q (e = -c
+# one-sided) a cell surely passes where e < -m·2^-q and surely fails where
+# e > m·2^-q. It compares |c| (or -c) with the float32 roundings of
+# (half -/+ m)·2^-q. The bound, in units of 2^q, with v = 2^-24 and u =
+# 2^-53: let P = sum |a_i d_i|·2^-q <= s·range·2^-q and M = mid·2^-q. The
+# float32 roundings of the axes and of d add 2v P, that of mid v M; the
+# four-term float32 dot product, in any summation order, with or without
+# FMA, adds 4v (P + M) (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2002, §3.1); the scalar-order float64 z is within 3u P of
+# a.d; the float64 roundings of mid, half, t and half -/+ m add a few u t;
+# the float32 roundings of the thresholds add v (half + m)·2^-q. So e is
+# within 6v t + v m·2^-q + 8u t of the exact |z - mid| - half (lo - z), to
+# first order, as P + M + half·2^-q <= t. Float32 underflow, of a scaled
+# input, a product or a threshold, adds at most 2^-146 absolutely, below
+# 2^-145 t as t·2^-q >= 1/2; float64 underflow adds at most 2^-1071·2^-q.
+# The margin 2^-18 = 64v leaves a factor 10 of slack for these terms and
+# the second-order ones, and the floor 2^-1022 covers the float64 absolute
+# errors. A t that is not finite gives an infinite margin: its cells all
+# fall in the band.
+_DEPTH_MARGIN = 2.0**-18
 
 
 def _classify_window(axes, px, py, pz, ranges, lo, hi) -> np.ndarray:
-    """``_in_window``'s (G, L) mask for G shared axis rows ``axes`` (G, 3), from one product.
+    """``_in_window``'s (G, L) mask for G shared axis rows ``axes`` (G, 3), from one float32 product.
 
-    With e and m as in ``_DEPTH_MARGIN``'s comment, a cell surely passes
+    With c, e and m as in ``_DEPTH_MARGIN``'s comment, a cell surely passes
     where ``e < -m`` and surely fails where ``e > m``. The product never
     supplies a z: the cells between, or with e not a number, are resolved
-    by ``_in_window``. ``lo`` is at least z_near, so it and mid are positive.
+    by ``_in_window``. ``lo`` is at least z_near, so it, mid and t are positive.
     """
     finite = hi < math.inf
     mid = 0.5 * lo + 0.5 * hi if finite else lo
     half = 0.5 * hi - 0.5 * lo if finite else 0.0
-    s = float(np.abs(axes).sum(axis=1).max(initial=0.0))
-    m = _DEPTH_MARGIN * (s * ranges + mid + half) + 2.0**-1022
-    a = np.ones((axes.shape[0], 4))
-    a[:, :3] = axes
-    c = a @ np.stack((px, py, pz, -mid))
-    (np.abs if finite else np.negative)(c, out=c)  # e + half
-    gate = c < half - m
-    band = ~(c > half + m)
+    s1 = max(float(np.abs(axes).sum(axis=1).max(initial=0.0)), 1.0)
+    t = s1 * ranges + mid + half
+    m = _DEPTH_MARGIN * t + 2.0**-1022
+    p, q = math.frexp(s1)[1], np.frexp(t)[1]
+    a = np.ones((axes.shape[0], 4), dtype=np.float32)
+    cols = np.empty((4, px.size), dtype=np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):  # only where t is not finite
+        a[:, :3] = np.ldexp(axes, -p)
+        cols[:3] = np.ldexp(np.stack((px, py, pz)), p - q)
+        cols[3] = np.ldexp(-mid, -q)
+        lower = np.ldexp(half - m, -q).astype(np.float32)
+        upper = np.ldexp(half + m, -q).astype(np.float32)
+        c = a @ cols
+    (np.abs if finite else np.negative)(c, out=c)  # e + half·2^-q
+    gate = c < lower
+    band = ~(c > upper)
     band ^= gate  # neither surely in nor surely out
     band = np.flatnonzero(band)
     if band.size:
@@ -665,7 +708,7 @@ def cell_counts(
     summed over its K plates. The counts are ``uint8`` below 256 plates,
     which no row can exceed, and ``np.intp`` from 256 plates up.
     """
-    axes = grid.rotations()[None, :, 2, :]
+    axes = grid.axes()[None]
     mask = _live_gates(points, axes, PlateRows.of(landmarks), intrinsics, params.delta, params.thold)
     # a position counts at most its own K plates
     dtype = np.uint8 if mask.shape[1] < 256 else np.intp
@@ -681,17 +724,53 @@ def coverage_probabilities(
     params: CoverageParams,
 ) -> np.ndarray:
     """n-fold coverage probability for a batch of positions: ``nple_probability``'s sum per row."""
-    return masked_fsum(cell_counts(points, landmarks, grid, intrinsics, params) >= params.n, pdf.weights)
+    return pdf.masked_fsum(cell_counts(points, landmarks, grid, intrinsics, params) >= params.n)
 
 
 def masked_fsum(mask: np.ndarray, weights: np.ndarray):
     """Per row of a boolean (..., N) ``mask``, the ``math.fsum`` of the ``weights``
-    where it is set, bit for bit; a float for a 1-D mask. Equal weights ``w``
-    reduce as ``c * w``, the exact sum of ``c`` copies rounded once.
+    where it is set, bit for bit; a float for a 1-D mask.
     """
-    if (weights == weights[0]).all():
-        return np.count_nonzero(mask, axis=-1) * weights[0]
-    out = np.empty(mask.shape[:-1])
-    for row in np.ndindex(out.shape):
-        out[row] = math.fsum(weights[mask[row]].tolist())
-    return out[()]
+    return _MaskedFsum(weights)(mask)
+
+
+class _MaskedFsum:
+    """``masked_fsum`` over one weight vector, split into integer limbs once.
+
+    Weights that are finite, not negative and not -0.0 are split at one
+    binary exponent 2^E, E = min(frexp exponent) - 53, so that each is an
+    integer W < 2^(e_max - E) times 2^E. With N weights and limbs of b = 53
+    - ceil(log2(N + 1)) bits, W = W1·2^b + W0 whenever e_max - E <= 2b,
+    which equal weights meet for any N < 2^26. A row's limb sums S0 and S1, from one
+    float64 product of the mask with the (N, 2) limbs, are sums of at most
+    N integers below 2^b, so every partial sum is an integer below 2^53
+    and the product is exact in any order, with or without FMA. S1·2^b +
+    S0 is then the row's exact sum over 2^E, rounded once to float64 as
+    fsum rounds it, and its scaling by 2^E is exact: above 2^-1022 it stays
+    normal, and below, the exact sum is a multiple of 2^-1074 under
+    2^-1022, a subnormal, so neither step rounds. e_max + bit_length(N) <=
+    1023 rules out overflow. Wider spans take one ``math.fsum`` per row.
+    """
+
+    def __init__(self, weights):
+        self.weights = weights
+        self.limbs = None
+        width = 53 - len(weights).bit_length()
+        if width < 1 or not np.isfinite(weights).all() or np.signbit(weights).any():
+            return
+        exponents = np.frexp(weights[weights > 0] if weights.any() else 1.0)[1]  # zero weights: zero limbs
+        low, high = int(exponents.min()) - 53, int(exponents.max())
+        if high - low <= 2 * width and high + len(weights).bit_length() <= 1023:
+            whole = np.ldexp(weights, -low)
+            top = np.floor(np.ldexp(whole, -width))
+            self.limbs = np.stack((whole - np.ldexp(top, width), top), axis=1), 2.0**width, low
+
+    def __call__(self, mask: np.ndarray):
+        if self.limbs is not None:
+            limbs, scale, low = self.limbs
+            sums = mask @ limbs
+            return np.ldexp(sums[..., 1] * scale + sums[..., 0], low)[()]
+        out = np.empty(mask.shape[:-1])
+        for row in np.ndindex(out.shape):
+            out[row] = math.fsum(self.weights[mask[row]].tolist())
+        return out[()]

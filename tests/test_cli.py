@@ -286,6 +286,30 @@ def test_table3_analyze_outputs_match_pinned_digests(tmp_path, capsys):
         assert {name: hashlib.sha256(files[name]).hexdigest() for name in digests} == digests, label
 
 
+def test_desk_and_experiment_room_analyze_outputs_match_pinned_digests(tmp_path, capsys):
+    # sha256 of outputs from the float64 depth-window product and the
+    # per-row fsum reduction, before the window was classified in float32
+    # and P_n summed from integer limbs.
+    runs = {
+        "desk": (DESK, ["--count", "12"], [], {
+            "coverage.csv": "937a2c8b35c9819be95e4df895d882b079d0fb242533509f7cc6f06c245c39b7",
+            "metrics.json": "7e16756e0414dc31a2ed1c74e8a9f4037fea977e8bd5dff2d7b0f0566d2389e9",
+        }),
+        "experiment": (str(CONFIG_DIR / "experiment_room.json"), ["--count", "24", "--kind", "random"],
+                       ["--n", "1", "--thold-p", "0.01"], {
+            "coverage.csv": "2085927becfc82c5b5dd345e8501adfbe0debb8130bf7e30ff0b826e25b0e60e",
+            "metrics.json": "68b86118b18470aad4c658dfd319e6d7bcb6665f82600c8f8df00c6a5c69e6ee",
+        }),
+    }
+    for label, (scene, generate, analyze, digests) in runs.items():
+        plates, out = tmp_path / f"{label}-plates", tmp_path / label
+        run_ok(["generate", "--scene", scene, *generate, "--seed", "0", "--out-dir", str(plates)], capsys)
+        run_ok(["analyze", "--scene", scene, "--deployment", str(plates / "deployment.json"), *analyze,
+                "--out-dir", str(out)], capsys)
+        files = read_all(out)
+        assert {name: hashlib.sha256(files[name]).hexdigest() for name in digests} == digests, label
+
+
 def test_optimize_sga_defaults_to_no_elites(tmp_path, capsys):
     out = tmp_path / "out"
     run_ok(

@@ -30,7 +30,7 @@ from landmark_coverage.coverage import (
     strengths_grid,
 )
 from landmark_coverage.deployment import evaluate_coverage, generate_uniform, make_scene
-from landmark_coverage.geometry import CameraIntrinsics, Deployment, Landmark, Pose6, pose_to_se3
+from landmark_coverage.geometry import CameraIntrinsics, Deployment, Landmark, Pose6, cm_to_mm, pose_to_se3
 from landmark_coverage.observer import pose_strengths
 
 TABLE3 = CameraIntrinsics(
@@ -261,6 +261,29 @@ def test_grid_rotations_match_cell_angles_and_cache():
     assert grid.rotations() is mats
 
 
+@pytest.mark.parametrize("n_yaw, n_pitch", [(24, 12), (12, 6), (7, 5), (5, 3), (3, 1), (2, 2), (1, 1),
+                                            (360, 180), (1000, 999)])
+def test_grid_axes_are_the_rotations_third_rows_bitwise(n_yaw, n_pitch):
+    from landmark_coverage.geometry import rotation_from_angles
+
+    grid = OrientationGrid.from_cells(n_yaw, n_pitch)
+    axes = grid.axes()
+    assert axes.shape == (grid.n_cells, 3) and grid.axes() is axes
+    if grid.n_cells <= 288:
+        assert axes.tobytes() == grid.rotations()[:, 2].tobytes()
+        return
+    # the large grids' rotations take seconds to build: every yaw and every
+    # pitch sample, each against a random partner, and the grid's corners
+    rng = np.random.default_rng(grid.n_cells)
+    cells = np.concatenate([
+        np.arange(n_yaw) * n_pitch + rng.integers(n_pitch, size=n_yaw),
+        rng.integers(n_yaw, size=n_pitch) * n_pitch + np.arange(n_pitch),
+        [0, n_pitch - 1, grid.n_cells - n_pitch, grid.n_cells - 1],
+    ])
+    want = np.array([rotation_from_angles(*grid.cell_angles(int(g)), 0.0)[2] for g in cells])
+    assert axes[cells].tobytes() == want.tobytes()
+
+
 def test_flat_index_matches_histogram2d_convention():
     # The orientation density estimated via histogram2d must line up with
     # the grid's yaw-major flat indexing.
@@ -397,6 +420,35 @@ def test_masked_fsum_equals_fsum_per_row_bitwise(kind, n_yaw, n_pitch):
         assert isinstance(one, float) and np.float64(one).tobytes() == total.tobytes()
     empty = masked_fsum(masks[:0], weights)
     assert empty.dtype == np.float64 and empty.shape == (0,)
+
+
+LIMB_WEIGHTS = {
+    # (weights, whether two limbs cover them)
+    # subnormals within 2^30 of each other: rows sum to subnormals and normals
+    "all-subnormal": (lambda rng, g: np.ldexp(rng.integers(1 << 20, 1 << 50, g).astype(float), -1074), True),
+    # every row sums to a subnormal, which the limbs give exactly
+    "subnormal-sums": (lambda rng, g: np.ldexp(rng.integers(1, 1 << 40, g).astype(float), -1074), True),
+    # normal weights beside subnormal ones: sums on both sides of 2^-1022
+    "sums-across-2^-1022": (lambda rng, g: np.ldexp(1.0 + rng.random(g), rng.integers(-1040, -1020, g)), True),
+    # exponents 60 apart: more than two 46-bit limbs
+    "wide-span": (lambda rng, g: np.ldexp(1.0 + rng.random(g), rng.integers(-60, 1, g)), False),
+}
+
+
+@pytest.mark.parametrize("kind", list(LIMB_WEIGHTS))
+def test_masked_fsum_limbs_at_the_extremes_equal_fsum_bitwise(kind):
+    g = 72
+    rng = np.random.default_rng(7)
+    make, two_limbs = LIMB_WEIGHTS[kind]
+    weights = make(rng, g)
+    assert (coverage_module._MaskedFsum(weights).limbs is not None) == two_limbs
+    masks = rng.random((60, g)) < np.linspace(0.0, 1.0, 60)[:, None]
+    want = np.array([math.fsum(weights[row].tolist()) for row in masks])
+    assert masked_fsum(masks, weights).tobytes() == want.tobytes()
+    assert masked_fsum(masks.reshape(3, 20, g), weights).tobytes() == want.tobytes()
+    normal = want >= 2.0**-1022
+    if kind != "wide-span":
+        assert ((want > 0) & ~normal).any() and normal.any() == (kind != "subnormal-sums")
 
 
 @pytest.mark.parametrize("kind", ["solid-angle", "uniform"])
@@ -778,6 +830,108 @@ def test_axes_of_any_norm_are_classified_by_their_norm():
     on_edge = expected[np.arange(count), cell]
     assert 0.3 < on_edge.mean() < 0.7
     assert np.array_equal(mask, expected)
+
+
+def plates_near_axes(rng, point, axes, count, depths, spread):
+    """Plates facing ``point``, each up to ``spread`` rad off a random cell's axis."""
+    plates = []
+    for _ in range(count):
+        axis = axes[rng.integers(len(axes))]
+        side = rng.normal(size=3)
+        side -= (side @ axis) * axis
+        direction = axis + rng.uniform(0.0, spread) * side / np.linalg.norm(side)
+        depth = rng.uniform(*depths)
+        plates.append(facing_landmark(point + depth * (direction / np.linalg.norm(direction)), point))
+    return plates
+
+
+@pytest.mark.parametrize("scale", ["hi-1e77", "beyond-float32"])
+def test_extreme_depth_windows_match_scalar_criteria_bitwise(scale, monkeypatch):
+    """The float32 classifier on windows and coordinates far outside float32's range.
+
+    With ``thold`` 1e-77 the resolution cut, and so ``hi`` and the window's
+    midpoint, are about 1e77; in the second scene the cameras and plates lie
+    near 1e40 cm, and ``thold`` puts ``hi`` among the plates' depths. The
+    masks equal the scalar criteria's, with no warning.
+    """
+    rng = np.random.default_rng(41)
+    intr, delta = FULL_HD, 4.0  # focused at infinity, so z_res alone bounds the window
+    grid = OrientationGrid.from_cells(12, 6)
+    if scale == "hi-1e77":
+        thold, size = 1e-77, 1.0
+    else:
+        size = 1e40
+        thold = intr.magnification / (cm_to_mm(1.5 * size) * max(intr.s_u, intr.s_v))
+    z_near, z_far, z_res = depth_cuts(intr, thold, delta)
+    hi = min(z_far, z_res)
+    assert (hi > 1e76) if scale == "hi-1e77" else (size < hi < 2 * size)
+    points = rng.uniform(-size, size, (3, 3)) + (0.0 if scale == "hi-1e77" else 2 * size)
+    depths = (2000.0, 9000.0) if scale == "hi-1e77" else (0.5 * size, 2.5 * size)
+    plates = [p for point in points for p in plates_near_axes(rng, point, grid.axes(), 4, depths, 0.12)]
+    params = CoverageParams(thold=thold, delta=delta, n=1)
+    real_window, resolved = coverage_module._in_window, []
+
+    def counting_window(*args):
+        z = real_window(*args)
+        resolved.append(z.size)
+        return z
+
+    monkeypatch.setattr(coverage_module, "_in_window", counting_window)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mask = strengths_grid(points, grid.rotations(), plates, intr, delta, thold)
+        counts = cell_counts(points, plates, grid, intr, params)
+    scalar = np.array([
+        [
+            [coverage_strength(k, plates, Pose6(point, *grid.cell_angles(g)), intr, delta) for k in range(len(plates))]
+            for g in range(grid.n_cells)
+        ]
+        for point in points
+    ])
+    assert np.array_equal(mask, (scalar > 0) & (scalar >= thold))
+    assert 0 < mask.sum() and np.array_equal(counts, mask.sum(axis=2))
+    # Near 1e40 the scaled product still decides nearly every cell; with hi
+    # near 1e77 the margin, relative to the window's midpoint, spans every
+    # depth, so all cells take the scalar-order z.
+    if scale == "beyond-float32":
+        assert sum(resolved) < 0.01 * mask.size
+
+
+def test_float32_band_holds_under_one_percent_of_classified_cells(table3_scene, desk_scene, monkeypatch):
+    """The classifier's margin leaves the exact path a small share of the work.
+
+    A margin that is sound but far too wide would send most cells to
+    ``_in_window`` and lose the product's speed without failing any
+    exactness test; this counts both during one packaged Table 3 evaluation
+    and one 30-chromosome desk generation.
+    """
+    from landmark_coverage import deployment, ega
+
+    real_classify, real_window = coverage_module._classify_window, coverage_module._in_window
+    counts = {"classified": 0, "resolved": 0}
+
+    def counting_classify(axes, px, *args):
+        counts["classified"] += axes.shape[0] * px.size
+        return real_classify(axes, px, *args)
+
+    def counting_window(*args):
+        z = real_window(*args)
+        counts["resolved"] += z.size
+        return z
+
+    monkeypatch.setattr(coverage_module, "_classify_window", counting_classify)
+    monkeypatch.setattr(coverage_module, "_in_window", counting_window)
+    space = ega.GeneSpace(desk_scene, 12, "wall")
+    block = np.stack([space.random(np.random.default_rng(seed)) for seed in range(30)])
+    runs = (
+        lambda: deployment.evaluate_coverage(table3_scene, deployment.generate_random(table3_scene, 90, 0)),
+        lambda: deployment.evaluate_coverages(desk_scene, space.decode(block), len(block)),
+    )
+    for run in runs:
+        counts.update(classified=0, resolved=0)
+        run()
+        assert counts["classified"] > 1e5
+        assert counts["resolved"] < 0.01 * counts["classified"]
 
 
 def test_resolution_cut_below_the_near_cut_passes_nothing():
