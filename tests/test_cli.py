@@ -310,6 +310,89 @@ def test_desk_and_experiment_room_analyze_outputs_match_pinned_digests(tmp_path,
         assert {name: hashlib.sha256(files[name]).hexdigest() for name in digests} == digests, label
 
 
+def digests_of(out_dir):
+    return {name: hashlib.sha256(data).hexdigest() for name, data in read_all(out_dir).items()}
+
+
+def test_generate_outputs_match_pinned_digests(tmp_path, capsys, monkeypatch):
+    # sha256 of every output, manifest included, from the staged writer
+    # these files were first published with; run on relative paths so the
+    # manifest's recorded inputs do not depend on where the tests run.
+    monkeypatch.chdir(tmp_path)
+    for config in ("desk_room.json", "table3_room.json"):
+        (tmp_path / config).write_bytes((CONFIG_DIR / config).read_bytes())
+    runs = {
+        "desk-uniform-24": (["--scene", "desk_room.json", "--count", "24"], {
+            "deployment.json": "14a356d886ac3b75d23938156376a1e0663da010f53290bbf6c11b67730409cb",
+            "manifest.json": "3ca4d8ed4fc694c357cc632022afde6daa7f1095bd4f1665f6a5de74f66923c8",
+        }),
+        "desk-random-12": (["--scene", "desk_room.json", "--count", "12", "--kind", "random",
+                            "--seed", "3"], {
+            "deployment.json": "5c33a0488978fc6567b5636cb86f1d428266746d5ff06f639750cbe107ac57c5",
+            "manifest.json": "e2f465143b146caf21874fa05e671df12afd129f32647e85863e1d1ca800a024",
+        }),
+        "table3-random-90": (["--scene", "table3_room.json", "--count", "90", "--kind", "random"], {
+            "deployment.json": "ecdd48b850b6ae1aac76b705770f0eb256e58459856593aacb87c9b31e1e6f5b",
+            "manifest.json": "04041af5add13a45552a91071a567e42b1d73af79ac9eaf9bd69599fbab820bf",
+        }),
+    }
+    for label, (args, digests) in runs.items():
+        run_ok(["generate", *args, "--out-dir", label], capsys)
+        assert digests_of(tmp_path / label) == digests, label
+
+
+def test_simulate_outputs_match_pinned_digests(tmp_path, capsys, monkeypatch):
+    # sha256 of every output, manifest included, from the staged writer and
+    # the float SE(3) integrator these traces were first computed with: a
+    # 2 s camera-model walk on the desk, with and without estimate visibility.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "desk_room.json").write_bytes((CONFIG_DIR / "desk_room.json").read_bytes())
+    run_ok(["generate", "--scene", "desk_room.json", "--count", "12", "--out-dir", "plates"], capsys)
+    (tmp_path / "walk.json").write_text(json.dumps({
+        "schema": 1,
+        "random_walk": {"duration_s": 2.0, "seed": 2, "margin_cm": 10.0,
+                        "lin_speed_cm_s": 40.0, "ang_speed_rad_s": 2.0,
+                        "initial": {"position": [375.0, 250.0, 300.0], "yaw": 0.5}},
+        "initial_estimate": {"position": [372.0, 251.0, 298.0], "yaw": 0.55},
+    }))
+    runs = {
+        "true-pose": ([], {
+            "manifest.json": "69b1ee9c4eac232eed6cdce52a5a0eb7cf891ea0e334b4ae229624fc45481552",
+            "summary.json": "ab3f71a51f53a9567a11fd74636537d073efc5830f6a0f0e29ac26fa3693bee0",
+            "trace.csv": "5aa0e81892072c1dc302a8cc0e221740532f3b594f96e37a2f430d928e5507e3",
+        }),
+        "estimate": (["--use-estimate-visibility"], {
+            "manifest.json": "28127ca85019562d21254b60efe61ab45f5169226908d98f16192bfa60198190",
+            "summary.json": "6ae3d86f43a72ee38ca6987eb594aed8eb29bdd898ece42a8598959ada03e896",
+            "trace.csv": "97a5eed539fc171be4ddadddc6fc7e6317f1b3ad94b3560fcc9779271d052a3a",
+        }),
+    }
+    for label, (args, digests) in runs.items():
+        run_ok(["simulate", "--scene", "desk_room.json", "--deployment", "plates/deployment.json",
+                "--trajectory", "walk.json", "--k-i", "2e-5", *args, "--out-dir", label], capsys)
+        assert digests_of(tmp_path / label) == digests, label
+
+
+def test_estimate_pdf_outputs_match_pinned_digests(tmp_path, capsys, monkeypatch):
+    # sha256 of every output, manifest included, from the staged writer
+    # these files were first published with, for a fixed seeded sample file.
+    pytest.importorskip("scipy")
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(5)
+    alpha = rng.uniform(-math.pi, math.pi, 3000)
+    beta = rng.normal(0.2, 0.4, 3000).clip(-1.5, 1.5)
+    (tmp_path / "angles.csv").write_text("t,alpha,beta\n" + "".join(
+        f"{i * 0.01:.17g},{a:.17g},{b:.17g}\n" for i, (a, b) in enumerate(zip(alpha, beta))
+    ))
+    run_ok(["estimate-pdf", "--samples", "angles.csv", "--n-yaw", "12", "--n-pitch", "6",
+            "--seed", "1", "--mean-gap", "0.05", "--out-dir", "pdf"], capsys)
+    assert digests_of(tmp_path / "pdf") == {
+        "manifest.json": "b0941396b30c589048a38494c560d5442cbfba8141e239d0ed17dccf9c5a3b68",
+        "pdf.json": "922d87c84e829db3ff1fd207b05014d3187df021a06eb7a5fb803399d9d9fdca",
+        "report.json": "2376b7a2136b843193421c1c807d813d4acda33fd8652ca59e2a44ced7e3c03f",
+    }
+
+
 def test_optimize_sga_defaults_to_no_elites(tmp_path, capsys):
     out = tmp_path / "out"
     run_ok(
