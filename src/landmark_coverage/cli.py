@@ -4,16 +4,21 @@ Subcommands cover the full workflow: generate a baseline deployment,
 optimize one, analyze coverage of a deployment, simulate the pose observer
 along a trajectory, and estimate an orientation density from logged angles.
 
-Every run writes its outputs plus a manifest.json into --out-dir. Outputs
-are staged to temporary files and renamed into place only after the whole
-run succeeds, with the manifest renamed last: a manifest.json is present
-only beside a complete set of outputs from one run. Manifests carry no
-timestamps; rerunning a command reproduces every output byte for byte.
+Every command computes its results first and hands them, as text chunks
+per file, to one publish step (``_publish``), which writes them plus a
+manifest.json into --out-dir. Each file goes to a temporary name, and the
+files are renamed into place only once all are written, with the manifest
+renamed last: a manifest.json is present only beside a complete set of
+outputs from one run. Manifests carry no timestamps; rerunning a command
+reproduces every output byte for byte.
 
 Exit codes: 0 on success, 1 when a command needs an optional dependency
 that is not installed (scipy, for estimate-pdf), 2 for bad parameters or
-malformed input files, 3 for runtime invariant violations such as a
-trajectory leaving the reachable region or an observer estimate diverging.
+malformed input files, an --out-dir that exists and is not a directory
+(checked before any work) or that cannot be created (found at publish
+time, before any file is written), 3 for runtime invariant violations such
+as a trajectory leaving the reachable region or an observer estimate
+diverging.
 """
 
 from __future__ import annotations
@@ -60,75 +65,60 @@ def _ints(values):
     return map("{:d}".format, values)
 
 
-class _Stage:
-    """Staged output directory: write to temp names, then commit all.
+def _json(doc: dict):
+    """The text of ``doc`` as ``json.dump`` writes it, in its chunks, then a newline."""
+    yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
+    yield "\n"
 
-    Used as a context manager; whatever was staged but not committed is
-    removed on exit.
+
+def _csv(columns: dict):
+    """The lines of ``columns``, header -> cells, read in step: one line per cell."""
+    yield ",".join(columns) + "\n"
+    for row in zip(*columns.values()):
+        yield ",".join(row) + "\n"
+
+
+def _publish(out_dir: str, command: str, parameters: dict, inputs: dict, outputs: dict):
+    """Write ``outputs``, file name -> text chunks, and a manifest.json into ``out_dir``.
+
+    Each file is written to ``.tmp.<name>`` first. Then every previous
+    output is removed, the previous manifest first, and the new files are
+    renamed into place with the manifest last, so an interrupted run never
+    leaves a manifest describing a mixed set of outputs. No rename meets an
+    existing file, which on some file systems would flush the new data to
+    disk inside the rename. Any temp file a failure leaves is removed.
     """
-
-    def __init__(self, out_dir: str):
-        self.out_dir = out_dir
-        self.pending: list[str] = []
+    try:
         os.makedirs(out_dir, exist_ok=True)
-
-    def __enter__(self) -> "_Stage":
-        return self
-
-    def __exit__(self, *exc_info):
-        for name in self.pending:
+    except OSError as exc:
+        raise ValueError(f"--out-dir {out_dir}: cannot create it ({exc.strerror})") from exc
+    outputs = {**outputs, "manifest.json": _json({
+        "schema": 1,
+        "tool": {"name": "landmark-coverage", "version": __version__},
+        "command": command,
+        "parameters": parameters,
+        "inputs": inputs,
+        "outputs": sorted([*outputs, "manifest.json"]),
+    })}
+    staged = []
+    try:
+        for name, chunks in outputs.items():
+            staged.append(os.path.join(out_dir, f".tmp.{name}"))
+            with open(staged[-1], "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(chunks)
+        for name in reversed(outputs):
             try:
-                os.remove(os.path.join(self.out_dir, f".tmp.{name}"))
-            except OSError:
-                pass
-
-    def path(self, name: str) -> str:
-        self.pending.append(name)
-        return os.path.join(self.out_dir, f".tmp.{name}")
-
-    def commit(self, command: str, parameters: dict, inputs: dict):
-        """Write manifest.json listing the staged outputs, then rename all.
-
-        Every previous output is removed before any rename, the previous
-        manifest first, and the new manifest is renamed last, so an
-        interrupted commit never leaves a manifest describing a mixed set
-        of outputs. No rename meets an existing file, which on some file
-        systems would flush the new data to disk inside the rename.
-        """
-        manifest = {
-            "schema": 1,
-            "tool": {"name": "landmark-coverage", "version": __version__},
-            "command": command,
-            "parameters": parameters,
-            "inputs": inputs,
-            "outputs": sorted(self.pending + ["manifest.json"]),
-        }
-        _write_json(self.path("manifest.json"), manifest)
-        for name in reversed(self.pending):  # the manifest was staged last
-            try:
-                os.remove(os.path.join(self.out_dir, name))
+                os.remove(os.path.join(out_dir, name))
             except FileNotFoundError:
                 pass
-        for name in self.pending:
-            os.replace(
-                os.path.join(self.out_dir, f".tmp.{name}"),
-                os.path.join(self.out_dir, name),
-            )
-        self.pending = []
-
-
-def _write_json(path: str, doc: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_csv(path: str, columns: dict):
-    """Write ``columns``, header -> cells, read in step: one line per cell."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in zip(*columns.values()):
-            fh.write(",".join(row) + "\n")
+        for tmp, name in zip(staged, outputs):
+            os.replace(tmp, os.path.join(out_dir, name))
+    finally:
+        for tmp in staged:
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
 
 
 def _scene_with_overrides(args):
@@ -155,34 +145,30 @@ def _cmd_analyze(args) -> int:
     coverage = evaluate_coverage(scene, deployment)
     met = metrics(coverage)
 
-    with _Stage(args.out_dir) as stage:
-        x, y, z = coverage.points.T.tolist()
-        _write_csv(
-            stage.path("coverage.csv"),
-            {
+    x, y, z = coverage.points.T.tolist()
+    _publish(
+        args.out_dir,
+        "analyze",
+        {"n": scene.params.n, "thold_p": scene.thold_p},
+        {"scene": args.scene, "deployment": args.deployment, "pdf": args.pdf},
+        {
+            "coverage.csv": _csv({
                 "x": _fmt(x),
                 "y": _fmt(y),
                 "z": _fmt(z),
                 "p_n": _fmt(coverage.p_n.tolist()),
                 "qualified": _ints(coverage.qualified.tolist()),
-            },
-        )
-        _write_json(
-            stage.path("metrics.json"),
-            {
+            }),
+            "metrics.json": _json({
                 "average_cp": met.average_cp,
                 "cost": coverage.cost,
                 "maximum_cp": met.maximum_cp,
                 "n": scene.params.n,
                 "qualified_ratio": met.qualified_ratio,
                 "thold_p": scene.thold_p,
-            },
-        )
-        stage.commit(
-            "analyze",
-            {"n": scene.params.n, "thold_p": scene.thold_p},
-            {"scene": args.scene, "deployment": args.deployment, "pdf": args.pdf},
-        )
+            }),
+        },
+    )
     print(
         f"qualified_ratio={met.qualified_ratio:.6f} "
         f"average_cp={met.average_cp:.6f} maximum_cp={met.maximum_cp:.6f}"
@@ -197,13 +183,13 @@ def _cmd_generate(args) -> int:
         deployment = generate_uniform(scene, args.count)
     else:
         deployment = generate_random(scene, args.count, seed=args.seed)
-    with _Stage(args.out_dir) as stage:
-        _write_json(stage.path("deployment.json"), deployment_to_json(deployment))
-        stage.commit(
-            "generate",
-            {"kind": args.kind, "count": args.count, "seed": args.seed},
-            {"scene": args.scene},
-        )
+    _publish(
+        args.out_dir,
+        "generate",
+        {"kind": args.kind, "count": args.count, "seed": args.seed},
+        {"scene": args.scene},
+        {"deployment.json": _json(deployment_to_json(deployment))},
+    )
     print(f"generated {len(deployment)} landmarks ({args.kind})")
     return 0
 
@@ -246,31 +232,36 @@ def _cmd_optimize(args) -> int:
         initial=initial,
     )
 
-    with _Stage(args.out_dir) as stage:
-        _write_json(stage.path("deployment.json"), deployment_to_json(best))
-        _write_csv(
-            stage.path("history.csv"),
-            {
+    _publish(
+        args.out_dir,
+        "optimize",
+        {
+            "mode": args.mode,
+            "encoding": args.encoding,
+            "count": count,
+            **dataclasses.asdict(params),
+        },
+        {"scene": args.scene, "initial": args.initial},
+        {
+            "deployment.json": _json(deployment_to_json(best)),
+            "history.csv": _csv({
                 "generation": _ints(h.generation for h in history),
                 "best": _fmt(h.best for h in history),
                 "mean": _fmt(h.mean for h in history),
                 "worst": _fmt(h.worst for h in history),
-            },
-        )
-        stage.commit(
-            "optimize",
-            {
-                "mode": args.mode,
-                "encoding": args.encoding,
-                "count": count,
-                **dataclasses.asdict(params),
-            },
-            {"scene": args.scene, "initial": args.initial},
-        )
+            }),
+        },
+    )
     print(
         f"generations={history[-1].generation} best={history[-1].best:.6f} "
         f"mean={history[-1].mean:.6f}"
     )
+    if history[-1].best == 0:
+        print(
+            f"warning: no deployment reached a positive fitness; the highest P_n the "
+            f"search scored was {max(h.max_p_n for h in history):.6g}, at thold_p {scene.thold_p:.6g}",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -287,31 +278,27 @@ def _cmd_simulate(args) -> int:
     trajectory, x_hat0 = load_trajectory(args.trajectory, scene, config.dt)
     trace = simulate(scene, deployment, trajectory, config, x_hat0=x_hat0)
 
-    with _Stage(args.out_dir) as stage:
-        _write_csv(
-            stage.path("trace.csv"),
-            {
+    _publish(
+        args.out_dir,
+        "simulate",
+        dataclasses.asdict(config),
+        {"scene": args.scene, "deployment": args.deployment, "trajectory": args.trajectory},
+        {
+            "trace.csv": _csv({
                 "t": _fmt(trace.t.tolist()),
                 "er": _fmt(trace.er.tolist()),
                 "visible_count": _ints(trace.visible.sum(axis=1).tolist()),
                 "qualified": _ints(trace.qualified.tolist()),
-            },
-        )
-        _write_json(
-            stage.path("summary.json"),
-            {
+            }),
+            "summary.json": _json({
                 "duration": float(trace.t[-1]),
                 "final_error": trace.final_error,
                 "initial_error": float(trace.er[0]),
                 "qualified_time_ratio": trace.qualified_time_ratio,
                 "steps": int(trace.t.size - 1),
-            },
-        )
-        stage.commit(
-            "simulate",
-            dataclasses.asdict(config),
-            {"scene": args.scene, "deployment": args.deployment, "trajectory": args.trajectory},
-        )
+            }),
+        },
+    )
     print(
         f"steps={trace.t.size - 1} final_error={trace.final_error:.6e} "
         f"qualified_time_ratio={trace.qualified_time_ratio:.4f}"
@@ -328,19 +315,21 @@ def _cmd_estimate_pdf(args) -> int:
         seed=args.seed,
         mean_gap=args.mean_gap,
     )
-    with _Stage(args.out_dir) as stage:
-        _write_json(stage.path("pdf.json"), pdf_to_json(pdf, args.n_yaw, args.n_pitch))
-        _write_json(stage.path("report.json"), report.to_json())
-        stage.commit(
-            "estimate-pdf",
-            {
-                "n_yaw": args.n_yaw,
-                "n_pitch": args.n_pitch,
-                "seed": args.seed,
-                "mean_gap": args.mean_gap,
-            },
-            {"samples": args.samples},
-        )
+    _publish(
+        args.out_dir,
+        "estimate-pdf",
+        {
+            "n_yaw": args.n_yaw,
+            "n_pitch": args.n_pitch,
+            "seed": args.seed,
+            "mean_gap": args.mean_gap,
+        },
+        {"samples": args.samples},
+        {
+            "pdf.json": _json(pdf_to_json(pdf, args.n_yaw, args.n_pitch)),
+            "report.json": _json(report.to_json()),
+        },
+    )
     print(
         f"kept={report.n_kept}/{report.n_raw} uniform_adopted={report.uniform_adopted}"
     )
@@ -435,6 +424,8 @@ def main(argv=None) -> int:
         threads = getattr(args, "threads", 1)
         if not 1 <= threads <= 256:
             raise ValueError(f"thread count must be from 1 to 256, got {threads}")
+        if os.path.exists(args.out_dir) and not os.path.isdir(args.out_dir):
+            raise ValueError(f"--out-dir {args.out_dir} exists and is not a directory")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -164,10 +164,17 @@ class EgaParams:
 
 @dataclass
 class GenStats:
+    """One generation's fitness summary.
+
+    ``max_p_n`` is the highest P_n of the maps the generation scored; from
+    generation 1 on that leaves out the elite copy, which is not scored again.
+    """
+
     generation: int
     best: float
     mean: float
     worst: float
+    max_p_n: float
 
 
 def _next_generation(
@@ -263,23 +270,24 @@ def run(
     drawn = rng.uniform(space.draw_lo, space.draw_hi, size=(params.m - len(seeded), space.length))
     genes = np.vstack(seeded + [drawn])
 
-    def fitnesses(rows: np.ndarray) -> np.ndarray:
-        return evaluate_coverages(scene, space.decode(rows), len(rows)).cost
+    def scored(gen: int, rows: np.ndarray, elite=()) -> tuple[np.ndarray, GenStats]:
+        coverage = evaluate_coverages(scene, space.decode(rows), len(rows))
+        fits = np.concatenate((elite, coverage.cost))
+        peak = float(coverage.p_n.max(initial=0.0))
+        return fits, GenStats(gen, float(np.max(fits)), float(np.mean(fits)), float(np.min(fits)), peak)
 
-    fits = fitnesses(genes)
-    history = [GenStats(0, float(np.max(fits)), float(np.mean(fits)), float(np.min(fits)))]
+    fits, stats = scored(0, genes)
+    history = [stats]
     since_improve = 0
     for gen in range(1, params.iterations + 1):
         genes = _next_generation(genes, fits, space, params, rng)
-        new_fits = np.concatenate(([np.max(fits)], fitnesses(genes[1:])))
+        new_fits, stats = scored(gen, genes[1:], [np.max(fits)])
         if float(np.max(new_fits)) > float(np.max(fits)):
             since_improve = 0
         else:
             since_improve += 1
         fits = new_fits
-        history.append(
-            GenStats(gen, float(np.max(fits)), float(np.mean(fits)), float(np.min(fits)))
-        )
+        history.append(stats)
         if params.plateau is not None and since_improve >= params.plateau:
             break
     best = int(np.argmax(fits))

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import CONFIG_DIR
+from landmark_coverage import cli as cli_module
 from landmark_coverage import deployment as deployment_module
 from landmark_coverage import ega as ega_module
 from landmark_coverage import observer as observer_module
@@ -393,6 +394,21 @@ def test_estimate_pdf_outputs_match_pinned_digests(tmp_path, capsys, monkeypatch
     }
 
 
+def test_a_search_that_scores_nothing_says_so_on_stderr(tmp_path, capsys):
+    search = ["optimize", "--m", "8", "--q", "2", "--iterations", "2"]
+    blind = ["--scene", str(CONFIG_DIR / "experiment_room.json"), "--count", "4"]
+    assert main(search + blind + ["--out-dir", str(tmp_path / "blind")]) == 0
+    out, err = capsys.readouterr()
+    assert out == "generations=2 best=0.000000 mean=0.000000\n"
+    assert err == (
+        "warning: no deployment reached a positive fitness; the highest P_n the search "
+        "scored was 0.00347222, at thold_p 0.7\n"
+    )
+    assert main(search + ["--scene", DESK, "--count", "12", "--out-dir", str(tmp_path / "desk")]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("generations=2 best=15.000000") and err == ""
+
+
 def test_optimize_sga_defaults_to_no_elites(tmp_path, capsys):
     out = tmp_path / "out"
     run_ok(
@@ -561,6 +577,24 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     assert code == 2
     assert "Q + 1 <= M" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_out_dir_that_is_not_a_directory_exits_2(tmp_path, capsys, monkeypatch):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    generate = ["generate", "--scene", DESK, "--count", "6"]
+    # an --out-dir that is a file is refused before the scene is even read
+    real_load = cli_module.load_scene
+    monkeypatch.setattr(cli_module, "load_scene", lambda path: pytest.fail("read the scene"))
+    assert main(generate + ["--out-dir", str(taken)]) == 2
+    assert capsys.readouterr().err == f"error: --out-dir {taken} exists and is not a directory\n"
+    monkeypatch.setattr(cli_module, "load_scene", real_load)
+    # a directory that cannot be made is found when the outputs are published
+    under = taken / "report"
+    assert main(generate + ["--out-dir", str(under)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out-dir {under}: cannot create it") and "\n" not in err[:-1]
+    assert taken.read_text() == "not a directory\n" and sorted(os.listdir(tmp_path)) == ["taken"]
 
 
 def _edit(doc, path, value):

@@ -1,6 +1,7 @@
 """Visibility criteria, cap sets, and the batched strength kernel."""
 
 import dataclasses
+import itertools
 import math
 import sys
 import warnings
@@ -791,6 +792,55 @@ def test_depths_at_the_window_edges_match_scalar_criteria(monkeypatch):
     assert misclassified() > 0
 
 
+def test_margin_covers_float32_roundings_that_err_together(monkeypatch):
+    """Depths at the far cut, or one float past it, whose float32 inputs all round the same way.
+
+    Each axis component is 0.5 and each plate coordinate 256 in magnitude,
+    plus nearly half a float32 step, so the product sees 0.5 and 256: its
+    terms and every partial sum are exact in float32, in any order and with
+    or without FMA, and its depth falls short of the true one by nearly
+    2^-23 relative, about 2^-24 of t. The window's midpoint rounds up,
+    which adds to the shortfall. The margin 2^-18 sends these cells to the
+    exact path; a margin of 2^-24 ranks the cells past the cut as inside.
+    """
+    rng = np.random.default_rng(7)
+    v, intr, delta = 2.0**-24, TABLE3, 4.0
+    thold = intr.magnification / (cm_to_mm(384.0 * (1 + 1.85 * v)) * max(intr.s_u, intr.s_v))
+    z_near, z_far, z_res = depth_cuts(intr, thold, delta)
+    hi = min(z_far, z_res)
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+    axes = signs * 0.5 * (1 + rng.uniform(0.93, 0.97, (8, 3)) * v)
+    d = signs[np.arange(64) % 8] * 256.0 * (1 + rng.uniform(0.93, 0.97, (64, 3)) * v)
+    for r, (a, target) in enumerate(zip(axes[np.arange(64) % 8], 32 * [hi, math.nextafter(hi, math.inf)])):
+        d[r, 2] = (target - (a[0] * d[r, 0] + a[1] * d[r, 1])) / a[2]
+        for _ in range(100):  # step the last coordinate a float at a time onto the depth
+            z = (a[0] * d[r, 0] + a[1] * d[r, 1]) + a[2] * d[r, 2]
+            if z == target:
+                break
+            d[r, 2] = math.nextafter(d[r, 2], math.copysign(math.inf, (target - z) * a[2]))
+        assert z == target
+    assert np.all(np.abs(axes.astype(np.float32)) == 0.5) and np.all(np.abs(d.astype(np.float32)) == 256.0)
+    # one plate per camera at the origin, facing it, so none occludes another
+    plates = coverage_module.PlateRows(
+        d[:, None], -(d / np.linalg.norm(d, axis=1)[:, None])[:, None], np.full((64, 1), 10.0)
+    )
+    dx, dy, dz = d.T
+    lo = np.maximum(np.sqrt((dx * dx + dy * dy) + dz * dz) * intr.fov_cos, z_near)
+    expected = np.empty((64, 8), dtype=bool)
+    for g, (a0, a1, a2) in enumerate(axes.tolist()):
+        z = (a0 * dx + a1 * dy) + a2 * dz  # elementwise, in the scalar order
+        expected[:, g] = (z >= lo) & (z <= hi)
+    assert expected.sum() == 32
+
+    def misclassified():
+        mask = coverage_module.axis_strengths(np.zeros((64, 3)), axes[None], plates, intr, delta, thold)
+        return int((mask[:, :, 0] != expected).sum())
+
+    assert misclassified() == 0
+    monkeypatch.setattr(coverage_module, "_DEPTH_MARGIN", 2.0**-24)
+    assert misclassified() == 32
+
+
 def test_axes_of_any_norm_are_classified_by_their_norm():
     """Axes of norm 4096 go to ``strengths_grid`` as they are, checked per element.
 
@@ -891,10 +941,44 @@ def test_extreme_depth_windows_match_scalar_criteria_bitwise(scale, monkeypatch)
     assert np.array_equal(mask, (scalar > 0) & (scalar >= thold))
     assert 0 < mask.sum() and np.array_equal(counts, mask.sum(axis=2))
     # Near 1e40 the scaled product still decides nearly every cell; with hi
-    # near 1e77 the margin, relative to the window's midpoint, spans every
-    # depth, so all cells take the scalar-order z.
+    # near 1e77 the far cut is capped at the deepest depth each plate can
+    # reach, so the margin stays relative to the plates' depths.
     if scale == "beyond-float32":
         assert sum(resolved) < 0.01 * mask.size
+
+
+def test_a_far_cut_is_capped_at_the_deepest_reachable_depth(monkeypatch):
+    """With ``hi`` near 1e77, far beyond every plate, the product still decides nearly every cell.
+
+    ``_live_gates`` caps each pair's far cut at the deepest depth its plate
+    can reach, so the classifier's margin is relative to the plate's depth,
+    not to the window's midpoint near 5e76; uncapped, every cell fell in
+    the band and took the scalar-order z. The scene is the hi-1e77 one of
+    ``test_extreme_depth_windows_match_scalar_criteria_bitwise``.
+    """
+    rng = np.random.default_rng(41)
+    intr, delta, thold = FULL_HD, 4.0, 1e-77
+    assert min(depth_cuts(intr, thold, delta)[1:]) > 1e76
+    grid = OrientationGrid.from_cells(12, 6)
+    points = rng.uniform(-1.0, 1.0, (3, 3))
+    plates = [p for point in points for p in plates_near_axes(rng, point, grid.axes(), 4, (2000.0, 9000.0), 0.12)]
+    real_classify, real_window = coverage_module._classify_window, coverage_module._in_window
+    counts = {"classified": 0, "resolved": 0}
+
+    def counting_classify(axes, px, *args):
+        counts["classified"] += axes.shape[0] * px.size
+        return real_classify(axes, px, *args)
+
+    def counting_window(*args):
+        z = real_window(*args)
+        counts["resolved"] += z.size
+        return z
+
+    monkeypatch.setattr(coverage_module, "_classify_window", counting_classify)
+    monkeypatch.setattr(coverage_module, "_in_window", counting_window)
+    mask = strengths_grid(points, grid.rotations(), plates, intr, delta, thold)
+    assert mask.sum() > 0 and counts["classified"] > 1000
+    assert counts["resolved"] < 0.01 * counts["classified"]
 
 
 def test_float32_band_holds_under_one_percent_of_classified_cells(table3_scene, desk_scene, monkeypatch):
