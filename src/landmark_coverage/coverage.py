@@ -18,10 +18,10 @@ one deployment shares its plates across all rows, and a stack of
 deployments, such as a search generation, gives each (deployment,
 position) row the plates of its deployment, so a plate only ever occludes
 plates of its own row.  The kernel tests the window first, for the (row,
-plate) pairs that face the camera and whose window is not empty, each
-with its far cut capped at the deepest depth its plate can reach, so
-every window is two-sided.  With
-one set of axes for every row, one float32 matrix product of inputs
+plate) pairs that face the camera and whose window is not empty.  With
+one set of axes for every row, each pair's far cut is first capped at
+the deepest depth its plate can reach, so every window is two-sided, and
+one float32 matrix product of inputs
 scaled by powers of two ranks each cell as surely inside or surely
 outside the window, by a margin wider than a proven bound on its float
 error; only the cells within the margin get ``z``, in float64 with the
@@ -523,12 +523,10 @@ def _live_gates(
     passes when ``lo <= z <= hi``, where ``lo = max(range * fov_cos,
     z_near)`` per (row, plate) and ``hi = min(z_far, z_res)`` is one
     scalar from ``_depth_cuts``. The pairs that face the camera and have
-    ``lo <= hi`` get ``hi`` capped at the deepest z their plate can reach,
-    which moves no bit and leaves every window two-sided, and get their
-    window tested first, by ``_classify_window`` for shared axes and by
-    ``_in_window`` for per-row axes. Only those with a passing cell go to
-    the occlusion pass, against all K plates of their row, and a blocked
-    pair's column is cleared. The surviving (G, L)
+    ``lo <= hi`` get their window tested first, by ``_classify_window``
+    for shared axes and by ``_in_window`` for per-row axes. Only those with
+    a passing cell go to the occlusion pass, against all K plates of their
+    row, and a blocked pair's column is cleared. The surviving (G, L)
     columns are scattered once into the dense mask, which is allocated
     only after the occlusion blocks are freed.
     """
@@ -553,13 +551,8 @@ def _live_gates(
     lo = lo[b, k]
 
     px, py, pz = dx[b, k], dy[b, k], dz[b, k]
-    # no depth of the pair's plate passes its cap, as _DEPTH_MARGIN's comment proves
-    reach = np.maximum(np.maximum(np.abs(px), np.abs(py)), np.abs(pz))
-    s = float(np.abs(axes).sum(axis=-1).max(initial=0.0))
-    with np.errstate(over="ignore"):  # a cap that overflows is inf, still a bound
-        hi = np.minimum((reach * s) * (1.0 + 2.0**-40) + 2.0**-1022, hi)
     if axes.shape[0] == 1:
-        gate = _classify_window(axes[0], px, py, pz, reach, lo, hi, s)
+        gate = _classify_window(axes[0], px, py, pz, lo, hi)
     else:  # one axis row per position, gathered per pair: (3, G, L)
         gate = _in_window(axes[b].transpose(2, 1, 0), px, py, pz, lo, hi)
     # occlusion cannot change a column that no cell passes
@@ -582,29 +575,30 @@ def _in_window(a, px, py, pz, lo, hi) -> np.ndarray:
 
 
 # The depth-window classifier's margin, relative to t = s1·reach + mid +
-# half. A pair's window lo <= z <= hi is |z - mid| <= half, with mid =
-# 0.5 lo + 0.5 hi and half = 0.5 hi - 0.5 lo, where reach = max(|dx|, |dy|,
-# |dz|) and s is the largest axis 1-norm of the call, as computed. Every
-# window is two-sided: _live_gates caps hi at C = (reach·s)·(1 + 2^-40) +
-# 2^-1022, in float64, and no depth z of the pair exceeds C, so the cap
-# moves no bit. Proof, for any finite input: rounding is monotone and odd,
-# so |z| is at most the scalar-order depth Z of |a| along (reach, reach,
-# reach). With S = |a0| + |a1| + |a2| <= s/(1 - u)^2, each product rounding
-# at most (1 + u) times its value plus 2^-1075 (underflow) and each sum of
-# non-negative floats at most (1 + u) times its value (a sum that
-# underflows is exact), Z <= S·reach·(1 + u)^3 + 3·2^-1075·(1 + u)^2 <
-# s·reach·(1 + 6u) + 2^-1073. The computed C is at least
-# (s·reach·(1 - u)^2·(1 + 2^-40) - 2^-1074 + 2^-1022)(1 - u), above that
-# as 2^-40 = 2^13·u; a step that overflows makes C infinite, a bound too.
-# Let s1 = max(s, 1), 2^p the power of two with s1·2^-p in [1/2, 1), and
-# 2^q the one with t·2^-q in [1/2, 1), per pair. The classifier takes
-# c = [a·2^-p  1] . [d·2^(p-q); -mid·2^-q] in float32, from a matrix product
-# of inputs rounded to float32 once each, so every scaled input is below 2
-# in magnitude (|d_i| <= reach and 2^p <= 2 s1) and no float32 overflows;
+# half. A pair's window lo <= z <= hi is |z - mid| <= half, with mid = 0.5
+# lo + 0.5 hi and half = 0.5 hi - 0.5 lo, where reach = max(|dx|, |dy|,
+# |dz|) and s is the largest 1-norm of the call's axes, as computed. Every
+# window is two-sided: the classifier first caps each pair's hi at C =
+# (reach·s)·(1 + 2^-40) + 2^-1022, in float64. No depth z of the pair
+# exceeds C, so the cap moves no bit. Proof, for any finite input, with u
+# = 2^-53: rounding is monotone and odd, so |z| is at most the
+# scalar-order depth Z of |a| along (reach, reach, reach). Each product
+# rounds to at most (1 + u) times its value plus 2^-1075 (underflow), each
+# sum of non-negative floats to at most (1 + u) times its value (a sum
+# that underflows is exact), and S = |a0| + |a1| + |a2| <= s/(1 - u)^2, so
+# Z <= S·reach·(1 + u)^3 + 3·2^-1075·(1 + u)^2 < s·reach·(1 + 6u) +
+# 2^-1073. The computed C is at least (s·reach·(1 - u)^2·(1 + 2^-40) -
+# 2^-1073 + 2^-1022)·(1 - u), which is larger, as 2^-40 = 2^13·u; a step
+# that overflows makes C infinite, a bound too. Let s1 = max(s, 1), 2^p
+# the power of two with s1·2^-p in [1/2, 1), and 2^q the one with t·2^-q
+# in [1/2, 1), per pair. The classifier takes c = [a·2^-p  1] .
+# [d·2^(p-q); -mid·2^-q] in float32, from a matrix product of inputs
+# rounded to float32 once each, so every scaled input is below 2 in
+# magnitude (|d_i| <= reach and 2^p <= 2 s1) and no float32 overflows;
 # with e = |c| - half·2^-q a cell surely passes where e < -m·2^-q and
-# surely fails where e > m·2^-q. It compares |c| with the float32 roundings
-# of (half -/+ m)·2^-q. The bound, in units of 2^q, with v = 2^-24 and u =
-# 2^-53: let P = sum |a_i d_i|·2^-q <= s·reach·2^-q and M = mid·2^-q. The
+# surely fails where e > m·2^-q. It compares |c| with the float32
+# roundings of (half -/+ m)·2^-q. The bound, in units of 2^q, with v =
+# 2^-24: let P = sum |a_i d_i|·2^-q <= s·reach·2^-q and M = mid·2^-q. The
 # float32 roundings of the axes and of d add 2v P, that of mid v M; the
 # four-term float32 dot product, in any summation order, with or without
 # FMA, adds 4v (P + M) (Higham, Accuracy and Stability of Numerical
@@ -622,19 +616,23 @@ def _in_window(a, px, py, pz, lo, hi) -> np.ndarray:
 _DEPTH_MARGIN = 2.0**-18
 
 
-def _classify_window(axes, px, py, pz, reach, lo, hi, s) -> np.ndarray:
+def _classify_window(axes, px, py, pz, lo, hi) -> np.ndarray:
     """``_in_window``'s (G, L) mask for G shared axis rows ``axes`` (G, 3), from one float32 product.
 
-    With c, e and m as in ``_DEPTH_MARGIN``'s comment, a cell surely passes
-    where ``e < -m`` and surely fails where ``e > m``. The product never
-    supplies a z: the cells between, or with e not a number, are resolved
-    by ``_in_window``. ``lo`` is at least z_near, so it, mid and t are positive.
+    With C, c, e and m as in ``_DEPTH_MARGIN``'s comment, each pair's far
+    cut ``hi`` is capped at C; then a cell surely passes where ``e < -m``
+    and surely fails where ``e > m``. The product never supplies a z: the
+    cells between, or with e not a number, are resolved by ``_in_window``.
+    ``lo`` is at least z_near, so it, mid and t are positive.
     """
+    reach = np.maximum(np.maximum(np.abs(px), np.abs(py)), np.abs(pz))
+    s = float(np.abs(axes).sum(axis=1).max(initial=0.0))
     s1 = max(s, 1.0)
     p = math.frexp(s1)[1]
     a = np.ones((axes.shape[0], 4), dtype=np.float32)
     cols = np.empty((4, px.size), dtype=np.float32)
-    with np.errstate(over="ignore", invalid="ignore"):  # only where t is not finite
+    with np.errstate(over="ignore", invalid="ignore"):  # only where C or t is not finite
+        hi = np.minimum((reach * s) * (1.0 + 2.0**-40) + 2.0**-1022, hi)
         mid = 0.5 * lo + 0.5 * hi
         half = 0.5 * hi - 0.5 * lo
         t = s1 * reach + mid + half

@@ -950,8 +950,8 @@ def test_extreme_depth_windows_match_scalar_criteria_bitwise(scale, monkeypatch)
 def test_a_far_cut_is_capped_at_the_deepest_reachable_depth(monkeypatch):
     """With ``hi`` near 1e77, far beyond every plate, the product still decides nearly every cell.
 
-    ``_live_gates`` caps each pair's far cut at the deepest depth its plate
-    can reach, so the classifier's margin is relative to the plate's depth,
+    The classifier caps each pair's far cut at the deepest depth its plate
+    can reach, so its margin is relative to the plate's depth,
     not to the window's midpoint near 5e76; uncapped, every cell fell in
     the band and took the scalar-order z. The scene is the hi-1e77 one of
     ``test_extreme_depth_windows_match_scalar_criteria_bitwise``.
