@@ -106,7 +106,7 @@ def _publish(out_dir: str, command: str, parameters: dict, inputs: dict, outputs
             staged.append(os.path.join(out_dir, f".tmp.{name}"))
             with open(staged[-1], "w", encoding="utf-8", newline="") as fh:
                 fh.writelines(chunks)
-        for name in reversed(outputs):
+        for name in reversed(outputs):  # the manifest, added last, goes first
             try:
                 os.remove(os.path.join(out_dir, name))
             except FileNotFoundError:
