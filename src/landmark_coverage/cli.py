@@ -173,6 +173,12 @@ def _cmd_analyze(args) -> int:
         f"qualified_ratio={met.qualified_ratio:.6f} "
         f"average_cp={met.average_cp:.6f} maximum_cp={met.maximum_cp:.6f}"
     )
+    if scene.params.n > len(deployment):
+        print(
+            f"warning: n {scene.params.n} exceeds the deployment's {len(deployment)} plates, "
+            f"so P_n is 0 at every position",
+            file=sys.stderr,
+        )
     return 0
 
 

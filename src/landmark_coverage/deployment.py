@@ -318,7 +318,7 @@ def evaluate_coverages(scene: Scene, plates: Deployment, m: int) -> CoverageMap:
     for rows in gate_passes(m * n, scene.grid.n_cells, k):
         deployment, position = np.divmod(np.arange(rows.start, rows.stop), n)
         p_n[rows] = coverage_probabilities(
-            scene.points[position], PlateRows(*(a[deployment] for a in stacked)),
+            scene.points.take(position, axis=0), PlateRows(*(a.take(deployment, axis=0) for a in stacked)),
             scene.grid, scene.pdf, scene.intrinsics, scene.params,
         )
     return CoverageMap(

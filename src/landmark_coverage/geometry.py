@@ -164,25 +164,24 @@ class Landmark:
                 raise ValueError(message.format(value))
 
 
-def _facing_normal(rho: float, eta: float) -> tuple[float, float, float]:
-    # The one normal expression: libm's cos/sin, which numpy's SIMD
-    # versions are not guaranteed to match bit for bit.
-    cr, sr = math.cos(rho), math.sin(rho)
-    ce, se = math.cos(eta), math.sin(eta)
-    return (-sr * ce, cr * ce, -se)
-
-
 def landmark_normal(landmark: Landmark) -> np.ndarray:
-    """Unit facing normal of a plate with yaw ``rho`` and pitch ``eta``."""
-    return np.array(_facing_normal(landmark.rho, landmark.eta))
+    """Unit facing normal of a plate with yaw ``rho`` and pitch ``eta``.
+
+    The scalar reference for ``Deployment.normals``, which takes the same
+    expression on arrays of libm's cos and sin: numpy's SIMD versions are
+    not guaranteed to match libm bit for bit.
+    """
+    cr, sr = math.cos(landmark.rho), math.sin(landmark.rho)
+    ce, se = math.cos(landmark.eta), math.sin(landmark.eta)
+    return np.array((-sr * ce, cr * ce, -se))
 
 
 class Deployment:
     """An ordered set of plates, stored as read-only arrays.
 
     ``positions`` (K, 3) and ``rho``, ``eta``, ``mu``, ``nu`` (K,) are the
-    plates; ``normals`` (K, 3) come from the scalar expression that
-    ``landmark_normal`` uses, so the batched kernel sees exactly the values
+    plates; ``normals`` (K, 3) come from ``landmark_normal``'s expression
+    on the same libm values, so the batched kernel sees exactly the values
     the scalar criteria use. ``Deployment(landmarks)`` stacks a Landmark
     sequence and keeps it; for ``from_arrays`` the ``landmarks`` tuple is
     built only when something asks for it.
@@ -228,10 +227,11 @@ class Deployment:
 
     def _store(self, positions, rho, eta, mu, nu):
         self.positions, self.rho, self.eta, self.mu, self.nu = map(_read_only, (positions, rho, eta, mu, nu))
-        self.normals = _read_only(
-            np.array([_facing_normal(r, e) for r, e in zip(rho.tolist(), eta.tolist())])
-            .reshape(len(positions), 3)
-        )
+        # landmark_normal's expression on libm's values: IEEE products and
+        # negations give the same bits in numpy as on Python floats
+        cr, sr = (np.array(list(map(f, rho.tolist())), dtype=float) for f in (math.cos, math.sin))
+        ce, se = (np.array(list(map(f, eta.tolist())), dtype=float) for f in (math.cos, math.sin))
+        self.normals = _read_only(np.stack((-sr * ce, cr * ce, -se), axis=1))
 
     @property
     def landmarks(self) -> tuple[Landmark, ...]:

@@ -409,6 +409,21 @@ def test_a_search_that_scores_nothing_says_so_on_stderr(tmp_path, capsys):
     assert out.startswith("generations=2 best=15.000000") and err == ""
 
 
+def test_analyze_says_on_stderr_when_n_exceeds_the_plates(tmp_path, capsys):
+    run_ok(["generate", "--scene", DESK, "--count", "12", "--out-dir", str(tmp_path / "dep")], capsys)
+    base = ["analyze", "--scene", DESK, "--deployment", str(tmp_path / "dep" / "deployment.json")]
+    for run in ("over", "again"):
+        assert main(base + ["--n", "13", "--out-dir", str(tmp_path / run)]) == 0
+        out, err = capsys.readouterr()
+        assert out == "qualified_ratio=0.000000 average_cp=0.000000 maximum_cp=0.000000\n"
+        assert err == "warning: n 13 exceeds the deployment's 12 plates, so P_n is 0 at every position\n"
+    assert read_all(tmp_path / "over") == read_all(tmp_path / "again")
+    for n in ([], ["--n", "12"]):
+        assert main(base + n + ["--out-dir", str(tmp_path / "desk")]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("qualified_ratio=") and err == ""
+
+
 def test_optimize_sga_defaults_to_no_elites(tmp_path, capsys):
     out = tmp_path / "out"
     run_ok(

@@ -355,6 +355,22 @@ def test_coverage_caps_and_counts():
     assert np.array_equal(counts[0], caps.counts)
 
 
+@pytest.mark.parametrize("scene_name, count", [("desk_scene", 12), ("table3_scene", 90)])
+def test_caps_read_the_grid_axes_as_the_rotations_give_them(request, scene_name, count):
+    # coverage_caps scores the grid's optical axes; strengths_grid on the
+    # grid's rotations must give the same masks, position by position.
+    from landmark_coverage.deployment import generate_random
+
+    scene = request.getfixturevalue(scene_name)
+    plates = generate_random(scene, count, seed=4)
+    rotations, params = scene.grid.rotations(), scene.params
+    for point in scene.points[:: max(1, scene.n_points // 12)]:
+        caps = coverage_caps(point, plates, scene.grid, scene.intrinsics, params)
+        want = strengths_grid(point[None], rotations, plates, scene.intrinsics, params.delta, params.thold)[0].T
+        assert caps.masks.shape == want.shape and np.array_equal(caps.masks, want)
+        assert np.array_equal(caps.nple, want.sum(axis=0) >= params.n)
+
+
 def test_nple_probability_uniform_density():
     grid, params, camera, landmarks = simple_scene_pieces()
     caps = coverage_caps(camera, landmarks, grid, TABLE3, params)

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,6 +319,54 @@ def test_evaluate_coverage_without_plates():
     everywhere = dep.evaluate_coverage(scene.with_coverage(n=0), empty).p_n
     assert np.all(everywhere == math.fsum(scene.pdf.weights.tolist()))
     assert everywhere == pytest.approx(1.0)
+
+
+# tracemalloc's peak for one call, in bytes, measured with numpy 2.4 at
+# 7ed3b71, the commit before the gate core took its plate-major layout; the
+# blocks of its largest pass are most of it.
+PARENT_PEAK_BYTES = {"table3": 1_280_728, "desk": 1_332_884}
+
+
+@pytest.mark.parametrize("workload", ["table3", "desk"])
+def test_an_evaluation_holds_no_more_memory_than_its_passes_need(table3_scene, desk_scene, workload):
+    """One Table 3 evaluation and one 29-chromosome desk generation, under tracemalloc.
+
+    The traced peak stays within 10% of the value recorded above, and three more calls
+    leave no numpy array behind: a cache keyed on something each call makes
+    anew, such as a fresh view of the grid's axes, would grow here.
+    """
+    from landmark_coverage import ega
+
+    if workload == "table3":
+        plates = dep.generate_random(table3_scene, 90, 0)
+        call = lambda: dep.evaluate_coverage(table3_scene, plates)  # noqa: E731
+    else:
+        space = ega.GeneSpace(desk_scene, 12, "wall")
+        rng = np.random.default_rng(0)
+        block = space.decode(np.stack([space.random(rng) for _ in range(29)]))
+        call = lambda: dep.evaluate_coverages(desk_scene, block, 29)  # noqa: E731
+    call()  # first-use caches: the pdf's limbs, the grid's axes, the depth cuts
+    only_numpy = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+
+    def numpy_bytes_held():
+        return sum(t.size for t in tracemalloc.take_snapshot().filter_traces(only_numpy).traces)
+
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing this process")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+        held = [numpy_bytes_held()]
+        for _ in range(3):
+            call()
+            held.append(numpy_bytes_held())
+    finally:
+        tracemalloc.stop()
+    assert 0.5 * PARENT_PEAK_BYTES[workload] < peak <= 1.1 * PARENT_PEAK_BYTES[workload]
+    assert held == [held[0]] * 4
 
 
 def test_cost_and_metrics():

@@ -211,6 +211,26 @@ def test_deployment_plate_arrays_match_landmarks_bitwise():
         assert (plates.rho[k], plates.eta[k], plates.mu[k], plates.nu[k]) == (lm.rho, lm.eta, lm.mu, lm.nu)
 
 
+def test_deployment_normals_match_landmark_normal_bitwise(monkeypatch):
+    # Deployment takes libm's sines and cosines per plate and multiplies them
+    # as arrays; the products and negations must give landmark_normal's bits,
+    # signed zeros included. +pi is not a valid yaw, so the float below it
+    # stands in; numpy's own sin and cos are nudged by an ulp, as a SIMD
+    # build may differ from libm, and must not be used.
+    for name in ("sin", "cos"):
+        exact = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda x, *a, _f=exact, **k: np.nextafter(_f(x, *a, **k), np.inf))
+    rng = np.random.default_rng(9)
+    yaws = [-math.pi, math.nextafter(math.pi, 0.0), math.pi / 2, -math.pi / 2, 0.0, -0.0]
+    pitches = [math.pi / 2, -math.pi / 2, 0.0, -0.0]
+    rho = [r for r in yaws for _ in pitches] + rng.uniform(-math.pi, math.pi, 200).tolist()
+    eta = pitches * len(yaws) + rng.uniform(-math.pi / 2, math.pi / 2, 200).tolist()
+    plates = Deployment.from_arrays(np.zeros((len(rho), 3)), rho, eta, np.ones(len(rho)))
+    want = np.array([landmark_normal(Landmark(np.zeros(3), r, e)) for r, e in zip(rho, eta)])
+    assert plates.normals.dtype == want.dtype and plates.normals.tobytes() == want.tobytes()
+    assert np.signbit(plates.normals).any() and (plates.normals == 0.0).any()
+
+
 def test_deployment_of_converts_only_sequences():
     landmarks = random_landmarks(np.random.default_rng(6), 3)
     plates = Deployment(landmarks)

@@ -66,3 +66,41 @@ def test_no_module_runs_a_thread_pool():
     """Gate-core passes run serially: no module imports ``concurrent``."""
     importers = {path.name for path in SRC.glob("*.py") if imports_concurrent(path.read_text(encoding="utf-8"))}
     assert importers == set()
+
+
+def called_functions(source: str, root: str) -> set[str]:
+    """The module-level functions that ``root`` names, directly or through those functions.
+
+    A function counts when its name is loaded anywhere in a body on the
+    walk, whether it is called there or handed on as a callable.
+    """
+    functions = {node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    found, todo = set(), [root]
+    while todo:
+        for node in ast.walk(functions[todo.pop()]):
+            if isinstance(node, ast.Name) and node.id in functions and node.id not in found | {root}:
+                found.add(node.id)
+                todo.append(node.id)
+    return found
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("def _core():\n    return helper()\n\ndef helper():\n    return _leaf()\n\ndef _leaf():\n    return 1\n",
+     {"helper", "_leaf"}),
+    ("def _core():\n    return list(map(_leaf, []))\n\ndef _leaf(x):\n    return x\n\ndef public():\n    return _core()\n",
+     {"_leaf"}),
+])
+def test_called_functions_follow_the_helpers(source, expected):
+    assert called_functions(source, "_core") == expected
+
+
+def test_gate_core_calls_only_private_coverage_functions():
+    """Every ``coverage`` function that a gate-core pass runs starts with an underscore.
+
+    The benchmark's tracer wraps each public function of ``coverage`` in a
+    span, so a public helper called once per pass would add a span to every
+    pass and its cost to the traced figures.
+    """
+    called = called_functions((SRC / "coverage.py").read_text(encoding="utf-8"), "_live_gates")
+    assert {"_classify_window", "_occluded", "_depth_cuts"} <= called
+    assert sorted(name for name in called if not name.startswith("_")) == []
