@@ -57,25 +57,20 @@ from .pdf_estimation import (
     pdf_to_json,
 )
 
-def _fmt(values):
-    return map("{:.17g}".format, values)
-
-
-def _ints(values):
-    return map("{:d}".format, values)
-
-
 def _json(doc: dict):
     """The text of ``doc`` as ``json.dump`` writes it, in its chunks, then a newline."""
     yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
     yield "\n"
 
 
-def _csv(columns: dict):
-    """The lines of ``columns``, header -> cells, read in step: one line per cell."""
-    yield ",".join(columns) + "\n"
-    for row in zip(*columns.values()):
-        yield ",".join(row) + "\n"
+def _rows(header: str, fmt: str, *columns):
+    """The lines of a CSV file: ``header``, then one ``fmt`` line per row of ``columns``, read in step.
+
+    ``fmt`` formats a whole row, a ``{:.17g}`` field for a float and
+    ``{:d}`` for an integer, so each line is one ``str.format`` call.
+    """
+    yield header + "\n"
+    yield from map((fmt + "\n").format, *columns)
 
 
 def _publish(out_dir: str, command: str, parameters: dict, inputs: dict, outputs: dict):
@@ -152,13 +147,10 @@ def _cmd_analyze(args) -> int:
         {"n": scene.params.n, "thold_p": scene.thold_p},
         {"scene": args.scene, "deployment": args.deployment, "pdf": args.pdf},
         {
-            "coverage.csv": _csv({
-                "x": _fmt(x),
-                "y": _fmt(y),
-                "z": _fmt(z),
-                "p_n": _fmt(coverage.p_n.tolist()),
-                "qualified": _ints(coverage.qualified.tolist()),
-            }),
+            "coverage.csv": _rows(
+                "x,y,z,p_n,qualified", "{:.17g},{:.17g},{:.17g},{:.17g},{:d}",
+                x, y, z, coverage.p_n.tolist(), coverage.qualified.tolist(),
+            ),
             "metrics.json": _json({
                 "average_cp": met.average_cp,
                 "cost": coverage.cost,
@@ -250,12 +242,11 @@ def _cmd_optimize(args) -> int:
         {"scene": args.scene, "initial": args.initial},
         {
             "deployment.json": _json(deployment_to_json(best)),
-            "history.csv": _csv({
-                "generation": _ints(h.generation for h in history),
-                "best": _fmt(h.best for h in history),
-                "mean": _fmt(h.mean for h in history),
-                "worst": _fmt(h.worst for h in history),
-            }),
+            "history.csv": _rows(
+                "generation,best,mean,worst", "{:d},{:.17g},{:.17g},{:.17g}",
+                (h.generation for h in history), (h.best for h in history),
+                (h.mean for h in history), (h.worst for h in history),
+            ),
         },
     )
     print(
@@ -290,12 +281,11 @@ def _cmd_simulate(args) -> int:
         dataclasses.asdict(config),
         {"scene": args.scene, "deployment": args.deployment, "trajectory": args.trajectory},
         {
-            "trace.csv": _csv({
-                "t": _fmt(trace.t.tolist()),
-                "er": _fmt(trace.er.tolist()),
-                "visible_count": _ints(trace.visible.sum(axis=1).tolist()),
-                "qualified": _ints(trace.qualified.tolist()),
-            }),
+            "trace.csv": _rows(
+                "t,er,visible_count,qualified", "{:.17g},{:.17g},{:d},{:d}",
+                trace.t.tolist(), trace.er.tolist(), trace.visible.sum(axis=1).tolist(),
+                trace.qualified.tolist(),
+            ),
             "summary.json": _json({
                 "duration": float(trace.t[-1]),
                 "final_error": trace.final_error,

@@ -114,6 +114,7 @@ class OrientationGrid:
             raise ValueError("pitch samples must lie in [-pi/2, pi/2]")
         self._rotations = None
         self._axes = None
+        self._window_axes = None
 
     @classmethod
     def from_cells(cls, n_yaw: int, n_pitch: int) -> "OrientationGrid":
@@ -173,6 +174,12 @@ class OrientationGrid:
             axes[..., 2] = sin_p
             self._axes = axes.reshape(-1, 3)
         return self._axes
+
+    def window_axes(self) -> tuple:
+        """``axes()`` as the depth-window classifier scales them, built once: ``_window_axes(axes())``."""
+        if self._window_axes is None:
+            self._window_axes = _window_axes(self.axes())
+        return self._window_axes
 
 
 _WEIGHT_SUM_TOL = 1e-9
@@ -522,6 +529,7 @@ def _live_gates(
     intrinsics: CameraIntrinsics,
     delta: float,
     thold: float,
+    window: tuple | None = None,
 ) -> np.ndarray:
     """The gate core: the (K, B, G) bool mask of measurable (plate, row, cell) triples.
 
@@ -533,7 +541,9 @@ def _live_gates(
     (L, G) window is tested first, by ``_classify_window`` for shared axes
     and by ``_in_window`` for per-row axes; then the occlusion pass tests
     each pair against all K plates of its row, and a blocked pair's row is
-    cleared. Per-row axes drop the pairs with no passing cell first. With
+    cleared. Shared axes may come with ``window``, their ``_window_axes``
+    value, which is otherwise computed per pass. Per-row axes drop the
+    pairs with no passing cell first. With
     shared axes 95-98% of the pairs have a passing cell on the packaged
     Table 3 and desk scenes, so finding the others would cost more than
     their occlusion test. Each row is then copied once into the
@@ -562,7 +572,7 @@ def _live_gates(
     b, k = np.divmod(live, n_plates)
     px, py, pz, nk, lo = (a.ravel()[live] for a in (dx, dy, dz, ranges, lo))
     if axes.shape[0] == 1:
-        gate = _classify_window(axes[0], px, py, pz, lo, hi)
+        gate = _classify_window(axes[0], px, py, pz, lo, hi, window or _window_axes(axes[0]))
     else:  # one axis row per position, gathered per pair: (3, L, G)
         pair_axes = axes.take(b, axis=0).transpose(2, 0, 1)
         gate = _in_window(pair_axes, px[:, None], py[:, None], pz[:, None], lo[:, None], hi)
@@ -630,20 +640,34 @@ def _in_window(a, px, py, pz, lo, hi) -> np.ndarray:
 _DEPTH_MARGIN = 2.0**-18
 
 
-def _classify_window(axes, px, py, pz, lo, hi) -> np.ndarray:
+def _window_axes(axes) -> tuple:
+    """What ``_classify_window`` needs of G shared axis rows ``axes`` (G, 3).
+
+    With s, s1 and p as in ``_DEPTH_MARGIN``'s comment, returns ``(s, s1,
+    p, a)``, where ``a`` is the read-only (4, G) float32 block whose first
+    three rows are the axes scaled by 2^-p and whose last row is ones.
+    """
+    s = float(np.abs(axes).sum(axis=1).max(initial=0.0))
+    s1 = max(s, 1.0)
+    p = math.frexp(s1)[1]
+    a = np.ones((4, axes.shape[0]), dtype=np.float32)
+    a[:3] = np.ldexp(axes.T, -p)
+    a.setflags(write=False)
+    return s, s1, p, a
+
+
+def _classify_window(axes, px, py, pz, lo, hi, window) -> np.ndarray:
     """``_in_window``'s (L, G) mask for G shared axis rows ``axes`` (G, 3), from one float32 product.
 
-    With C, c, e and m as in ``_DEPTH_MARGIN``'s comment, each pair's far
+    ``window`` is ``_window_axes(axes)``. With C, c, e and m as in
+    ``_DEPTH_MARGIN``'s comment, each pair's far
     cut ``hi`` is capped at C; then a cell surely passes where ``e < -m``
     and surely fails where ``e > m``. The product never supplies a z: the
     cells between, or with e not a number, are resolved by ``_in_window``.
     ``lo`` is at least z_near, so it, mid and t are positive.
     """
     reach = np.maximum(np.maximum(np.abs(px), np.abs(py)), np.abs(pz))
-    s = float(np.abs(axes).sum(axis=1).max(initial=0.0))
-    s1 = max(s, 1.0)
-    p = math.frexp(s1)[1]
-    a = np.ones((4, axes.shape[0]), dtype=np.float32)
+    s, s1, p, a = window
     rows = np.empty((px.size, 4), dtype=np.float32)
     with np.errstate(over="ignore", invalid="ignore"):  # only where C or t is not finite
         hi = np.minimum((reach * s) * (1.0 + 2.0**-40) + 2.0**-1022, hi)
@@ -652,7 +676,6 @@ def _classify_window(axes, px, py, pz, lo, hi) -> np.ndarray:
         t = s1 * reach + mid + half
         m = _DEPTH_MARGIN * t + 2.0**-1022
         minus_q = -np.frexp(t)[1]
-        a[:3] = np.ldexp(axes.T, -p)
         d_exponent = minus_q + p
         for i, d in enumerate((px, py, pz)):
             np.ldexp(d, d_exponent, out=rows[:, i])
@@ -742,8 +765,10 @@ def cell_counts(
     summed over its K plates. The counts are ``uint8`` below 256 plates,
     which no row can exceed, and ``np.intp`` from 256 plates up.
     """
-    axes = grid.axes()[None]
-    mask = _live_gates(points, axes, PlateRows.of(landmarks), intrinsics, params.delta, params.thold)
+    mask = _live_gates(
+        points, grid.axes()[None], PlateRows.of(landmarks), intrinsics, params.delta, params.thold,
+        grid.window_axes(),
+    )
     # a position counts at most its own K plates
     dtype = np.uint8 if mask.shape[0] < 256 else np.intp
     return mask.view(np.uint8).sum(axis=0, dtype=dtype)
@@ -766,6 +791,13 @@ def masked_fsum(mask: np.ndarray, weights: np.ndarray):
     where it is set, bit for bit; a float for a 1-D mask.
     """
     return _MaskedFsum(weights)(mask)
+
+
+def split_weights(weights: np.ndarray) -> "_MaskedFsum":
+    """``weights`` split into integer limbs once: a callable that takes a
+    mask to ``masked_fsum(mask, weights)``, for weights summed many times.
+    """
+    return _MaskedFsum(weights)
 
 
 class _MaskedFsum:

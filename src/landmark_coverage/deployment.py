@@ -10,6 +10,7 @@ positions whose probability reaches the qualification threshold.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -25,7 +26,7 @@ from .coverage import (
     PlateRows,
     coverage_probabilities,
     gate_passes,
-    masked_fsum,
+    split_weights,
 )
 from .errors import (
     SCHEMA_VERSION,
@@ -131,6 +132,11 @@ class Scene:
     @property
     def center(self) -> np.ndarray:
         return self.room / 2.0
+
+    @functools.cached_property
+    def rel_fsum(self):
+        """``masked_fsum`` over the ``rel`` weights, split into limbs once, on first use."""
+        return split_weights(self.rel)
 
     @property
     def n_points(self) -> int:
@@ -265,6 +271,9 @@ class CoverageMap:
 
     ``p_n`` is (positions,), or (m, positions) for a stack of m deployments;
     ``qualified`` is derived, ``p_n >= thold_p``: the one place it is decided.
+    ``rel_fsum`` is ``masked_fsum`` over ``rel`` with the weights split
+    once, as a scene's ``rel_fsum`` gives it; a map built without it
+    splits ``rel`` itself.
     """
 
     points: np.ndarray
@@ -272,17 +281,20 @@ class CoverageMap:
     rel: np.ndarray
     n: int
     thold_p: float
+    rel_fsum: object = field(default=None, repr=False)
     qualified: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if np.any(self.p_n < 0) or np.any(self.p_n > 1 + 1e-9):
             raise ValueError("coverage probabilities must lie in [0, 1]")
         self.qualified = self.p_n >= self.thold_p
+        if self.rel_fsum is None:
+            self.rel_fsum = split_weights(self.rel)
 
     @property
     def cost(self):
         """Relevance-weighted count of qualified positions: a float, or (m,) for a stack."""
-        return masked_fsum(self.qualified, self.rel)
+        return self.rel_fsum(self.qualified)
 
     def with_threshold(self, thold_p: float) -> "CoverageMap":
         return replace(self, thold_p=thold_p)
@@ -322,7 +334,8 @@ def evaluate_coverages(scene: Scene, plates: Deployment, m: int) -> CoverageMap:
             scene.grid, scene.pdf, scene.intrinsics, scene.params,
         )
     return CoverageMap(
-        points=scene.points, p_n=p_n.reshape(m, n), rel=scene.rel, n=scene.params.n, thold_p=scene.thold_p
+        points=scene.points, p_n=p_n.reshape(m, n), rel=scene.rel, n=scene.params.n, thold_p=scene.thold_p,
+        rel_fsum=scene.rel_fsum,
     )
 
 

@@ -474,27 +474,42 @@ def se3_exp_rows(wx: float, wy: float, wz: float, vx: float, vy: float, vz: floa
     )
 
 
-def se3_compose_rows(p: tuple, e: tuple) -> tuple:
-    """The pose rows of the product ``P·E`` of two rigid transforms.
+def se3_product_rows(p: tuple, e: tuple) -> tuple:
+    """The pose rows of the product ``P·E`` of two rigid transforms, as computed.
 
-    When the product's rotation drifts from orthonormal (an entry of
-    ``RᵀR − I`` above ``_ORTHO_DRIFT_TOL``) it is replaced by
-    ``project_to_rotation``, which keeps long integrations on the group.
+    ``se3_compose_rows`` without its orthonormality check: a chain of these
+    products is ``se3_compose_rows``' chain, bit for bit, as long as
+    ``se3_rows_on_group`` accepts its poses.
     """
     p00, p01, p02, p03, p10, p11, p12, p13, p20, p21, p22, p23 = p
     e00, e01, e02, e03, e10, e11, e12, e13, e20, e21, e22, e23 = e
-    r00 = (p00 * e00 + p01 * e10) + p02 * e20
-    r01 = (p00 * e01 + p01 * e11) + p02 * e21
-    r02 = (p00 * e02 + p01 * e12) + p02 * e22
-    r10 = (p10 * e00 + p11 * e10) + p12 * e20
-    r11 = (p10 * e01 + p11 * e11) + p12 * e21
-    r12 = (p10 * e02 + p11 * e12) + p12 * e22
-    r20 = (p20 * e00 + p21 * e10) + p22 * e20
-    r21 = (p20 * e01 + p21 * e11) + p22 * e21
-    r22 = (p20 * e02 + p21 * e12) + p22 * e22
-    t0 = ((p00 * e03 + p01 * e13) + p02 * e23) + p03
-    t1 = ((p10 * e03 + p11 * e13) + p12 * e23) + p13
-    t2 = ((p20 * e03 + p21 * e13) + p22 * e23) + p23
+    return (
+        (p00 * e00 + p01 * e10) + p02 * e20,
+        (p00 * e01 + p01 * e11) + p02 * e21,
+        (p00 * e02 + p01 * e12) + p02 * e22,
+        ((p00 * e03 + p01 * e13) + p02 * e23) + p03,
+        (p10 * e00 + p11 * e10) + p12 * e20,
+        (p10 * e01 + p11 * e11) + p12 * e21,
+        (p10 * e02 + p11 * e12) + p12 * e22,
+        ((p10 * e03 + p11 * e13) + p12 * e23) + p13,
+        (p20 * e00 + p21 * e10) + p22 * e20,
+        (p20 * e01 + p21 * e11) + p22 * e21,
+        (p20 * e02 + p21 * e12) + p22 * e22,
+        ((p20 * e03 + p21 * e13) + p22 * e23) + p23,
+    )
+
+
+def se3_compose_rows(p: tuple, e: tuple) -> tuple:
+    """The pose rows of the product ``P·E`` of two rigid transforms.
+
+    It is ``se3_product_rows`` and a check: when the product's rotation
+    drifts from orthonormal (an entry of ``RᵀR − I`` above
+    ``_ORTHO_DRIFT_TOL``) it is replaced by ``project_to_rotation``, which
+    keeps long integrations on the group. A chain that checks its poses a
+    block at a time with ``se3_rows_on_group`` takes the same steps.
+    """
+    r = se3_product_rows(p, e)
+    r00, r01, r02, t0, r10, r11, r12, t1, r20, r21, r22, t2 = r
     tol = _ORTHO_DRIFT_TOL
     if (
         abs((r00 * r00 + r10 * r10) + r20 * r20 - 1.0) > tol
@@ -507,7 +522,47 @@ def se3_compose_rows(p: tuple, e: tuple) -> tuple:
         (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = project_to_rotation(
             [[r00, r01, r02], [r10, r11, r12], [r20, r21, r22]]
         ).tolist()
-    return (r00, r01, r02, t0, r10, r11, r12, t1, r20, r21, r22, t2)
+        return (r00, r01, r02, t0, r10, r11, r12, t1, r20, r21, r22, t2)
+    return r
+
+
+# What se3_rows_on_group leaves for the float error of the two evaluations
+# of RᵀR − I, relative to 1 + tol: a pose passes when every entry of its
+# stacked RᵀR − I is within tol − _GRAM_SLACK·(1 + tol). Proof, with u =
+# 2^-53 and c_i the columns of R: an entry of RᵀR is a three-term dot
+# product, which in any summation order, with or without FMA, is computed
+# within γ3·|c_i|·|c_j| of its value, γ3 = 3u/(1 − 3u) (Higham, Accuracy
+# and Stability of Numerical Algorithms, 2002, §3.1; |c_i|·|c_j| bounds the
+# sum of the terms' magnitudes), plus 3·2^-1075 from underflow. Where the
+# stacked diagonal passed, |c_i|² <= (1 + tol)/(1 − γ3). For tol < 1/2
+# every diagonal entry that either evaluation compares lies in [1/2, 2],
+# so subtracting 1 is exact (Sterbenz), and abs is exact. The scalar check
+# in se3_compose_rows and the stacked one thus differ by at most
+# 2γ3(1 + tol)/(1 − γ3) + 6·2^-1075 < 6.1u(1 + tol) per entry, and the
+# computed threshold is within u·tol of its value: 8u(1 + tol) covers
+# both. A tol of a few u makes the threshold negative, so every pose
+# fails and every block is taken step by step.
+_GRAM_SLACK = 8 * 2.0**-53
+
+
+def se3_rows_on_group(rows: np.ndarray) -> bool:
+    """Whether ``se3_compose_rows`` would keep every pose of ``rows`` as it is.
+
+    ``rows`` is an (n, 12) array of pose rows, each one
+    ``se3_product_rows``' product. One stacked ``RᵀR − I`` over their
+    rotations is tested against ``_ORTHO_DRIFT_TOL`` less ``_GRAM_SLACK``'s
+    allowance, so True means that no pose would be projected, whatever
+    the summation order of either evaluation. False may be wrong, and is
+    the answer for a rotation that is not a number.
+    """
+    if not len(rows):
+        return True
+    r = rows.reshape(-1, 3, 4)[:, :, :3]
+    drift = r.transpose(0, 2, 1) @ r
+    drift.reshape(-1, 9)[:, ::4] -= 1.0  # RᵀR − I
+    np.abs(drift, out=drift)
+    tol = _ORTHO_DRIFT_TOL
+    return bool(drift.max() <= tol - _GRAM_SLACK * (1.0 + tol))
 
 
 def se3_exp(U: np.ndarray, dt: float) -> np.ndarray:
@@ -516,8 +571,17 @@ def se3_exp(U: np.ndarray, dt: float) -> np.ndarray:
     return np.array([e[0:4], e[4:8], e[8:12], (0.0, 0.0, 0.0, 1.0)])
 
 
-# Poses that se3_path collects as rows before writing them into its output.
+# Poses that se3_path takes and checks as one block.
 _PATH_CHUNK = 64
+
+
+def _chain(x: tuple, e: tuple, steps: int, compose) -> list:
+    """The pose rows after each of ``steps`` products ``x ← compose(x, e)``."""
+    rows = []
+    for _ in range(steps):
+        x = compose(x, e)
+        rows.append(x)
+    return rows
 
 
 def se3_path(X: np.ndarray, U: np.ndarray, dt: float, steps: int) -> np.ndarray:
@@ -525,8 +589,11 @@ def se3_path(X: np.ndarray, U: np.ndarray, dt: float, steps: int) -> np.ndarray:
 
     Returns shape (steps, 4, 4); entry i is ``X`` advanced by ``(i + 1)·dt``.
     The exponential of ``U·dt`` is taken once and every step multiplies the
-    previous pose by it with ``se3_compose_rows``, on Python floats. The
-    rows go into the output ``_PATH_CHUNK`` poses at a time.
+    previous pose by it, on Python floats, as ``se3_compose_rows`` does. A
+    block of ``_PATH_CHUNK`` poses is taken with ``se3_product_rows`` alone,
+    written into the output and checked at once by ``se3_rows_on_group``;
+    a block that fails is taken again with ``se3_compose_rows``, so every
+    pose is the checked chain's, bit for bit.
     """
     e = se3_exp_rows(*twist_coords(U), dt)
     out = np.empty((steps, 4, 4))
@@ -534,11 +601,14 @@ def se3_path(X: np.ndarray, U: np.ndarray, dt: float, steps: int) -> np.ndarray:
     flat[:, 12:] = (0.0, 0.0, 0.0, 1.0)
     x = X[:3].ravel().tolist()
     for start in range(0, steps, _PATH_CHUNK):
-        rows = []
-        for _ in range(min(_PATH_CHUNK, steps - start)):
-            x = se3_compose_rows(x, e)
-            rows.append(x)
-        flat[start:start + len(rows), :12] = rows
+        n = min(_PATH_CHUNK, steps - start)
+        block = flat[start:start + n, :12]
+        rows = _chain(x, e, n, se3_product_rows)
+        block[...] = rows
+        if not se3_rows_on_group(block):
+            rows = _chain(x, e, n, se3_compose_rows)
+            block[...] = rows
+        x = rows[-1]
     return out
 
 

@@ -17,7 +17,12 @@ and the loop in ``simulate``, takes the same step on Python floats: the
 correction needs of the visible plates only the 4×4 Gram matrix
 ``M = C_h C_hᵀ`` and the sum ``C_h·1``, so a step costs the same for any
 number of plates, and ``simulate`` computes them once per distinct visible
-set.
+set. ``simulate`` runs in blocks of ``_ERROR_BLOCK`` steps: it takes the
+true poses' inverse rows from one numpy pass per block, multiplies each
+step's exponential in with ``se3_product_rows`` alone and checks the
+block's rotations at once with ``se3_rows_on_group``. A block that fails
+the check is taken again step by step with ``se3_compose_rows``, so the
+trace equals ``observer_step``'s chain bit for bit.
 """
 
 from __future__ import annotations
@@ -52,6 +57,8 @@ from .geometry import (
     se3_exp_rows,
     se3_inverse,
     se3_path,
+    se3_product_rows,
+    se3_rows_on_group,
     twist,
     twist_coords,
 )
@@ -123,46 +130,63 @@ class ObserverConfig:
 def _gram_terms(c_vis) -> tuple:
     """What the correction needs of a visible set ``C_h`` (4, K), as floats.
 
-    Returns the columns of ``M = C_h C_hᵀ`` as four 4-tuples, ``s = C_h·1``
-    and K. ``simulate`` computes them once per distinct visible set.
+    Returns ``M = C_h C_hᵀ`` as 16 floats in column order, ``s = C_h·1`` and
+    K. ``simulate`` computes them once per distinct visible set.
     """
-    m = (c_vis @ c_vis.T).tolist()
-    return tuple(zip(*m)), tuple(c_vis.sum(axis=1).tolist()), c_vis.shape[1]
+    m = c_vis @ c_vis.T
+    return tuple(m.T.ravel().tolist()), tuple(c_vis.sum(axis=1).tolist()), c_vis.shape[1]
 
 
-def _correction(xh, x, terms, k_i: float, k0: float) -> tuple:
+def _inverse_rows(xs: np.ndarray) -> list:
+    """The top rows ``[Rᵀ | j]`` of ``X⁻¹`` for each pose of an (n, 4, 4) stack, as lists of floats.
+
+    ``j = −Rᵀt`` is summed in the scalar order, ``j_k = −((r0k·t0 + r1k·t1)
+    + r2k·t2)``: numpy's elementwise products and sums round as Python's
+    float operations do, so the rows are those of a per-pose loop.
+    """
+    r, t = xs[:, :3, :3], xs[:, :3, 3:]
+    out = np.empty((len(xs), 3, 4))
+    out[:, :, :3] = r.transpose(0, 2, 1)
+    out[:, :, 3] = -((r[:, 0] * t[:, 0] + r[:, 1] * t[:, 1]) + r[:, 2] * t[:, 2])
+    return out.reshape(len(xs), 12).tolist()
+
+
+def _correction(xh, xi, terms, k_i: float, k0: float) -> tuple:
     """The rates ``twist_coords(epsilon + injection)`` on pose rows.
 
-    With ``D`` the top three rows of ``X̂⁻¹ − X⁻¹`` (its bottom row is
-    zero), the gradient ``err @ c_hatᵀ`` is ``B = D·M·X̂⁻ᵀ``, and
-    ``epsilon`` is ``project_to_twist(−k_i·B)``: the rotation rates come
-    from the skew part of B's 3×3 block and the linear rates are ``−k_i``
-    times its last column, which is the last column of ``A = D·M``. The
-    injection's outputs differ by ``q = D·s`` and its ``c_bar`` (here
-    ``cb``) is ``X̂⁻¹·s / K``.
+    ``xh`` holds the estimate's rows and ``xi`` those of the true pose's
+    inverse, ``_inverse_rows``' ``[Rᵀ | j]``. With ``D`` the top three rows
+    of ``X̂⁻¹ − X⁻¹`` (its bottom row is zero), the gradient ``err @
+    c_hatᵀ`` is ``B = D·M·X̂⁻ᵀ``, and ``epsilon`` is
+    ``project_to_twist(−k_i·B)``: the rotation rates come from the skew
+    part of B's 3×3 block and the linear rates are ``−k_i`` times its last
+    column, which is the last column of ``A = D·M``. The injection's
+    outputs differ by ``q = D·s`` and its ``c_bar`` (here ``cb``) is
+    ``X̂⁻¹·s / K``.
     """
-    (m0, m1, m2, m3), s, count = terms
+    (m00, m10, m20, m30, m01, m11, m21, m31, m02, m12, m22, m32, m03, m13, m23, m33), s, count = terms
     h00, h01, h02, h03, h10, h11, h12, h13, h20, h21, h22, h23 = xh
-    r00, r01, r02, r03, r10, r11, r12, r13, r20, r21, r22, r23 = x
-    # X̂⁻¹ = [R̂ᵀ | i], X⁻¹ = [Rᵀ | j] and the three rows (dk0, dk1, dk2, dk3) of D
+    # X̂⁻¹ = [R̂ᵀ | i] and the three rows (dk0, dk1, dk2, dk3) of D
     i0 = -((h00 * h03 + h10 * h13) + h20 * h23)
     i1 = -((h01 * h03 + h11 * h13) + h21 * h23)
     i2 = -((h02 * h03 + h12 * h13) + h22 * h23)
-    j0 = -((r00 * r03 + r10 * r13) + r20 * r23)
-    j1 = -((r01 * r03 + r11 * r13) + r21 * r23)
-    j2 = -((r02 * r03 + r12 * r13) + r22 * r23)
-    d00, d01, d02, d03 = h00 - r00, h10 - r10, h20 - r20, i0 - j0
-    d10, d11, d12, d13 = h01 - r01, h11 - r11, h21 - r21, i1 - j1
-    d20, d21, d22, d23 = h02 - r02, h12 - r12, h22 - r22, i2 - j2
-    # A = D·M, one column of M at a time
-    rows = []
-    for e0, e1, e2, e3 in (m0, m1, m2, m3):
-        rows.append((
-            ((d00 * e0 + d01 * e1) + d02 * e2) + d03 * e3,
-            ((d10 * e0 + d11 * e1) + d12 * e2) + d13 * e3,
-            ((d20 * e0 + d21 * e1) + d22 * e2) + d23 * e3,
-        ))
-    (a00, a10, a20), (a01, a11, a21), (a02, a12, a22), (a03, a13, a23) = rows
+    q00, q01, q02, q03, q10, q11, q12, q13, q20, q21, q22, q23 = xi
+    d00, d01, d02, d03 = h00 - q00, h10 - q01, h20 - q02, i0 - q03
+    d10, d11, d12, d13 = h01 - q10, h11 - q11, h21 - q12, i1 - q13
+    d20, d21, d22, d23 = h02 - q20, h12 - q21, h22 - q22, i2 - q23
+    # A = D·M
+    a00 = ((d00 * m00 + d01 * m10) + d02 * m20) + d03 * m30
+    a10 = ((d10 * m00 + d11 * m10) + d12 * m20) + d13 * m30
+    a20 = ((d20 * m00 + d21 * m10) + d22 * m20) + d23 * m30
+    a01 = ((d00 * m01 + d01 * m11) + d02 * m21) + d03 * m31
+    a11 = ((d10 * m01 + d11 * m11) + d12 * m21) + d13 * m31
+    a21 = ((d20 * m01 + d21 * m11) + d22 * m21) + d23 * m31
+    a02 = ((d00 * m02 + d01 * m12) + d02 * m22) + d03 * m32
+    a12 = ((d10 * m02 + d11 * m12) + d12 * m22) + d13 * m32
+    a22 = ((d20 * m02 + d21 * m12) + d22 * m22) + d23 * m32
+    a03 = ((d00 * m03 + d01 * m13) + d02 * m23) + d03 * m33
+    a13 = ((d10 * m03 + d11 * m13) + d12 * m23) + d13 * m33
+    a23 = ((d20 * m03 + d21 * m13) + d22 * m23) + d23 * m33
     # the off-diagonal entries B_kl = A_k·(row l of X̂⁻¹) of B's 3×3 block
     b01 = ((a00 * h01 + a01 * h11) + a02 * h21) + a03 * i1
     b02 = ((a00 * h02 + a01 * h12) + a02 * h22) + a03 * i2
@@ -192,13 +216,13 @@ def _correction(xh, x, terms, k_i: float, k0: float) -> tuple:
     return wx, wy, wz, vx, vy, vz
 
 
-def _estimate_step(xh, x, rates, terms, config: ObserverConfig) -> tuple:
-    """``observer_step`` on pose rows, the twist given by its rates."""
+def _estimate_step(xh, xi, rates, terms, config: ObserverConfig, compose) -> tuple:
+    """``observer_step`` on pose rows, the twist given by its rates; ``compose`` takes the product."""
     wx, wy, wz, vx, vy, vz = rates
     if terms[2]:
-        cwx, cwy, cwz, cvx, cvy, cvz = _correction(xh, x, terms, config.k_i, config.k0)
+        cwx, cwy, cwz, cvx, cvy, cvz = _correction(xh, xi, terms, config.k_i, config.k0)
         wx, wy, wz, vx, vy, vz = wx - cwx, wy - cwy, wz - cwz, vx - cvx, vy - cvy, vz - cvz
-    return se3_compose_rows(xh, se3_exp_rows(wx, wy, wz, vx, vy, vz, config.dt))
+    return compose(xh, se3_exp_rows(wx, wy, wz, vx, vy, vz, config.dt))
 
 
 def observer_step(x_hat, x, u, c_vis, config: ObserverConfig) -> np.ndarray:
@@ -208,8 +232,10 @@ def observer_step(x_hat, x, u, c_vis, config: ObserverConfig) -> np.ndarray:
     visible plates ``c_vis``, computed on Python floats through the Gram
     terms of ``c_vis``; the bottom rows of ``x_hat`` and ``x`` are not read.
     """
+    x = np.asarray(x, dtype=float)
     rows = _estimate_step(
-        x_hat[:3].ravel().tolist(), x[:3].ravel().tolist(), twist_coords(u), _gram_terms(c_vis), config
+        x_hat[:3].ravel().tolist(), _inverse_rows(x[None])[0], twist_coords(u), _gram_terms(c_vis), config,
+        se3_compose_rows,
     )
     return np.array([rows[0:4], rows[4:8], rows[8:12], (0.0, 0.0, 0.0, 1.0)])
 
@@ -321,9 +347,10 @@ class ObserverTrace:
         return float(self.er[-1])
 
 
-# Poses per stacked frobenius_error call in simulate. One call over the whole
-# run would hold an (N, 4, 4) temporary beside the trace and raise the peak
-# memory of a run by that much.
+# Steps per block of simulate's loop, and poses per stacked frobenius_error
+# call. One block over the whole run would hold its Python rows, or an
+# (N, 4, 4) temporary, beside the trace and raise the peak memory of a run
+# by that much.
 _ERROR_BLOCK = 256
 
 
@@ -363,7 +390,10 @@ def simulate(
     poses is computed for the whole path before the loop; visibility from
     the estimate depends on the previous step, so it is computed per step.
     Each step is ``observer_step``'s, taken on pose rows, with the Gram
-    terms of its visible set computed at the set's first step; ``er`` is
+    terms of its visible set computed at the set's first step. The steps
+    run in blocks of ``_ERROR_BLOCK``, checked as the module docstring
+    says; a block that fails is taken again, visibility from the estimate
+    included, so only one block of Python rows is held at a time. ``er`` is
     taken after the loop, a block of poses per ``frobenius_error`` call.
     An estimate that diverges past the float range raises
     EstimateDivergedError naming the first step whose ``er`` is not finite.
@@ -374,7 +404,7 @@ def simulate(
     x_hat = np.array(trajectory.initial if x_hat0 is None else x_hat0, dtype=float)
     if not is_rigid_transform(x_hat, tol=1e-8):
         raise ValueError("initial estimate must be a rigid transform")
-    twists, xs = trajectory.sample(config.dt)
+    _, xs = trajectory.sample(config.dt)
     count = len(xs)
     t = np.arange(count) * config.dt
     inside = scene.contains_reachable(xs[:, :3, 3])
@@ -396,23 +426,51 @@ def simulate(
     x_hats[0] = x_hat
     hat_rows = x_hats.reshape(count, 16)
     hat_rows[1:, 12:] = (0.0, 0.0, 0.0, 1.0)
-    true_rows = xs.reshape(count, 16)
-    xh = x_hat[:3].ravel().tolist()
+    # the twist rates of every step, taken once per segment
+    rates = [r for duration, u in trajectory.segments
+             for r in (twist_coords(u),) * _segment_steps(duration, config.dt)]
     grams = {}  # the Gram terms of each distinct visible set, by its mask
-    with np.errstate(over="ignore", invalid="ignore"):  # a diverged estimate is raised below
+
+    def advance(xh, inverses, start, compose):
+        """The estimate rows after each step from ``start`` on, and whether no step overflowed."""
+        rows = []
         try:
-            for i in range(count):
+            for i, xi in enumerate(inverses, start):
                 if per_step:
+                    hat_rows[i, :12] = xh
                     visible[i] = pose_strengths(x_hats[i], *gates)
-                if i < len(twists):
-                    key = visible[i].tobytes()
-                    terms = grams.get(key)
-                    if terms is None:
-                        terms = grams[key] = _gram_terms(c_h[:, visible[i]])
-                    xh = _estimate_step(xh, true_rows[i, :12].tolist(), twist_coords(twists[i]), terms, config)
-                    hat_rows[i + 1, :12] = xh
+                key = visible[i].tobytes()
+                terms = grams.get(key)
+                if terms is None:
+                    terms = grams[key] = _gram_terms(c_h[:, visible[i]])
+                xh = _estimate_step(xh, xi, rates[i], terms, config, compose)
+                rows.append(xh)
         except ValueError:  # sin(inf) in se3_exp_rows: the correction twist overflowed
-            x_hats[i + 1:] = math.nan
+            return rows, False
+        return rows, True
+
+    def write(start, rows):
+        """Write the estimate rows after step ``start`` into ``x_hats``; their (n, 12) view."""
+        block = hat_rows[start + 1:start + 1 + len(rows), :12]
+        if rows:  # none when the block's first step overflowed
+            block[...] = rows
+        return block
+
+    xh = x_hat[:3].ravel().tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged estimate is raised below
+        for start in range(0, len(rates), _ERROR_BLOCK):
+            inverses = _inverse_rows(xs[start:min(start + _ERROR_BLOCK, len(rates))])
+            rows, finished = advance(xh, inverses, start, se3_product_rows)
+            if not se3_rows_on_group(write(start, rows)):
+                rows, finished = advance(xh, inverses, start, se3_compose_rows)
+                write(start, rows)
+            if not finished:
+                x_hats[start + 1 + len(rows):] = math.nan
+                break
+            xh = rows[-1]
+        else:
+            if per_step:
+                visible[-1] = pose_strengths(x_hats[-1], *gates)
         er = np.empty(count)
         for start in range(0, count, _ERROR_BLOCK):
             stop = start + _ERROR_BLOCK

@@ -394,6 +394,22 @@ def test_estimate_pdf_outputs_match_pinned_digests(tmp_path, capsys, monkeypatch
     }
 
 
+def test_csv_lines_are_the_per_column_join_byte_for_byte():
+    """``_rows`` formats each line in one call; the bytes are those of formatting each cell and joining them."""
+    floats = [-0.0, 5e-324, 1e16, 1e-5, math.nan, math.inf, -math.inf, 0.1, 1.0 / 3.0, 2.0**1023]
+    ints = [0, 1, -7, True, False, 2**63, -(2**63) - 1, 10**30, 255, 256]
+    got = "".join(cli_module._rows("value,count", "{:.17g},{:d}", floats, ints))
+    want = "value,count\n" + "".join(
+        ",".join(["{:.17g}".format(f), "{:d}".format(n)]) + "\n" for f, n in zip(floats, ints)
+    )
+    assert got == want
+    assert got.splitlines()[1:8] == [
+        "-0,0", "4.9406564584124654e-324,1", "10000000000000000,-7", "1.0000000000000001e-05,1",
+        "nan,0", "inf,9223372036854775808", "-inf,-9223372036854775809",
+    ]
+    assert "".join(cli_module._rows("a,b", "{:.17g},{:d}", [], [])) == "a,b\n"
+
+
 def test_a_search_that_scores_nothing_says_so_on_stderr(tmp_path, capsys):
     search = ["optimize", "--m", "8", "--q", "2", "--iterations", "2"]
     blind = ["--scene", str(CONFIG_DIR / "experiment_room.json"), "--count", "4"]

@@ -285,6 +285,30 @@ def test_grid_axes_are_the_rotations_third_rows_bitwise(n_yaw, n_pitch):
     assert axes[cells].tobytes() == want.tobytes()
 
 
+def test_cell_counts_classify_with_the_grids_scaled_axes(monkeypatch):
+    """The classifier's per-grid constants are built once per grid, and each pass gets them."""
+    grid = OrientationGrid.from_cells(12, 6)
+    window = grid.window_axes()
+    s, s1, p, a = window
+    assert grid.window_axes() is window and not a.flags.writeable
+    fresh = coverage_module._window_axes(grid.axes())
+    assert (s, s1, p) == fresh[:3] and a.tobytes() == fresh[3].tobytes()
+    assert s1 == max(s, 1.0) and a.dtype == np.float32 and np.all(a[3] == 1.0)
+    windows, real = [], coverage_module._classify_window
+    monkeypatch.setattr(coverage_module, "_classify_window", lambda *args: windows.append(args[-1]) or real(*args))
+    rng = np.random.default_rng(8)
+    points = rng.uniform(-50.0, 50.0, (6, 3))
+    plates = [Landmark(rng.uniform(-400.0, 400.0, 3), float(rng.uniform(-3.0, 3.0)), 0.0) for _ in range(8)]
+    params = CoverageParams(thold=0.2, delta=4.0, n=1)
+    counts = cell_counts(points, plates, grid, TABLE3, params)
+    assert windows and all(w is window for w in windows)
+    # strengths_grid's shared axes come without the grid, so each pass scales them anew
+    windows.clear()
+    mask = strengths_grid(points, grid.rotations(), plates, TABLE3, params.delta, params.thold)
+    assert windows and all(w is not window for w in windows)
+    assert counts.any() and np.array_equal(counts, mask.sum(axis=2))
+
+
 def test_flat_index_matches_histogram2d_convention():
     # The orientation density estimated via histogram2d must line up with
     # the grid's yaw-major flat indexing.

@@ -462,6 +462,23 @@ def test_a_desk_generation_is_five_gate_core_calls(desk_scene, monkeypatch):
     assert generations == [[303] * 4 + [30 * 48 - 4 * 303], [303] * 4 + [29 * 48 - 4 * 303]]
 
 
+def test_a_search_splits_the_rel_weights_once(monkeypatch):
+    """Every generation's cost is ``math.fsum`` of its qualified rel weights, from one split per search."""
+    rel = np.random.default_rng(4).uniform(0.0, 3.0, 8) * 2.0 ** np.arange(-20, 20, 5)
+    scene = replace(generation_scene("solid-angle"), rel=rel)
+    splits, split = [], dep.split_weights
+    monkeypatch.setattr(dep, "split_weights", lambda w: splits.append(w) or split(w))
+    maps, batch = [], ega.evaluate_coverages
+    monkeypatch.setattr(ega, "evaluate_coverages", lambda *args: maps.append(batch(*args)) or maps[-1])
+    best, history = ega.run(scene, ega.EgaParams(m=6, q=2, iterations=4, seed=2), count=3)
+    assert len(splits) == 1 and splits[0] is rel
+    assert len(maps) == 5 and any(m.cost.any() for m in maps)
+    for coverage in maps:
+        want = [math.fsum(rel[row].tolist()) for row in coverage.qualified]
+        assert coverage.cost.tobytes() == np.array(want).tobytes()
+    assert dep.cost(scene, best) == history[-1].best
+
+
 def test_single_chromosome_search_scores_empty_generations(monkeypatch):
     # With m = 1 every later generation is the elite's copy alone, so its
     # batch has no rows, and the history repeats generation 0.

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import landmark_coverage.geometry as geometry
 from landmark_coverage.geometry import (
     CameraIntrinsics,
     Deployment,
@@ -468,6 +469,76 @@ def test_se3_path_matches_a_numpy_chain():
         assert np.abs(pose - x).max() <= 1e-13 * np.abs(x).max()
     assert projected >= 1
     assert is_rigid_transform(path[0], tol=1e-12)
+
+
+def checked_chain(x0, u, dt, steps):
+    """``se3_path``'s poses from one ``se3_compose_rows`` call per step."""
+    e = geometry.se3_exp_rows(*geometry.twist_coords(u), dt)
+    x, out = x0[:3].ravel().tolist(), []
+    for _ in range(steps):
+        x = geometry.se3_compose_rows(x, e)
+        out.append(np.array([x[0:4], x[4:8], x[8:12], (0.0, 0.0, 0.0, 1.0)]))
+    return np.array(out).reshape(steps, 4, 4)
+
+
+def spy_on(monkeypatch, name):
+    """Count the calls of a geometry function, as module-level callers look it up."""
+    calls, real = [], getattr(geometry, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(geometry, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("tol", [4e-16, 3e-15])
+def test_se3_path_replays_failed_blocks_exactly(monkeypatch, tol):
+    """A tolerance of a few ulps makes projections fire inside blocks; the path is still the checked chain."""
+    monkeypatch.setattr(geometry, "_ORTHO_DRIFT_TOL", tol)
+    x0 = pose_to_se3(Pose6(np.array([40.0, -25.0, 60.0]), yaw=0.7, pitch=-0.4, roll=0.2))
+    u = twist([0.9, -1.4, 0.6], [30.0, -12.0, 8.0])
+    want = checked_chain(x0, u, 0.01, 300)
+    checks = spy_on(monkeypatch, "se3_rows_on_group")
+    projections = spy_on(monkeypatch, "project_to_rotation")
+    path = se3_path(x0, u, 0.01, 300)
+    assert np.array_equal(path, want)
+    assert len(checks) == 5 and projections  # 300 steps in blocks of 64
+
+
+def test_a_block_inside_the_check_allowance_is_taken_step_by_step(monkeypatch):
+    """A Gram entry within the float-error allowance below the tolerance replays its block.
+
+    The rotation diag(1 + 2^-26, 1, 1) has the exact Gram drift d = 2^-25
+    + 2^-52 in any evaluation order, and a zero twist keeps every pose of
+    the path equal to it. With the tolerance at d plus half the allowance,
+    only the allowance makes the block fail the stacked check.
+    """
+    x0 = se3_matrix(np.diag([1.0 + 2.0**-26, 1.0, 1.0]), [1.0, 2.0, 3.0])
+    zero = np.zeros((4, 4))
+    monkeypatch.setattr(geometry, "_ORTHO_DRIFT_TOL", 2.0**-25 + 2.0**-52 + 0.5 * geometry._GRAM_SLACK)
+    want = checked_chain(x0, zero, 0.01, 10)
+    assert np.array_equal(want, np.broadcast_to(x0, (10, 4, 4)))  # nothing projected
+    composes = spy_on(monkeypatch, "se3_compose_rows")
+    assert np.array_equal(se3_path(x0, zero, 0.01, 10), want)
+    assert len(composes) == 10
+
+    # the same block passes when the check leaves no allowance
+    monkeypatch.setattr(geometry, "_GRAM_SLACK", 0.0)
+    composes.clear()
+    assert np.array_equal(se3_path(x0, zero, 0.01, 10), want)
+    assert composes == []
+
+
+def test_the_block_check_refuses_what_it_cannot_vouch_for():
+    x0 = pose_to_se3(Pose6(np.array([1.0, 2.0, 3.0]), yaw=0.4))
+    rows = np.tile(x0[:3].reshape(1, 12), (5, 1))
+    assert geometry.se3_rows_on_group(rows) and geometry.se3_rows_on_group(rows[:0])
+    rows[3, 5] = math.nan
+    assert not geometry.se3_rows_on_group(rows)
+    rows[3, 5] = 1.0 + 2e-9  # a drift the scalar check projects
+    assert not geometry.se3_rows_on_group(rows)
 
 
 def test_se3_step_zero_twist_is_identity():

@@ -8,6 +8,7 @@ from hypothesis import given, seed, settings, strategies as st
 from scipy.linalg import expm
 
 import landmark_coverage.coverage as cov
+import landmark_coverage.geometry as geometry
 import landmark_coverage.observer as obs
 from landmark_coverage.errors import SchemaError, TrajectoryOutOfRegionError
 from landmark_coverage.geometry import (
@@ -396,6 +397,88 @@ def test_simulate_matches_the_per_step_loop_bitwise(visibility, from_estimate):
             x_hat = obs.observer_step(x_hat, x, twists[i], c_h[:, mask], cfg)
     if visibility == "camera-model":
         assert 0 < trace.visible.sum() < trace.visible.size
+
+
+@pytest.mark.parametrize("from_estimate", [False, True], ids=["true-pose", "estimate"])
+@pytest.mark.parametrize("k0", [0.0, 0.5])
+def test_simulate_replays_failed_blocks_exactly(monkeypatch, from_estimate, k0):
+    """With a tolerance of a few ulps projections fire inside every block, and each block is taken again.
+
+    The trace still equals the chain of ``observer_step`` calls, with
+    visibility from the true pose or from the estimate, bit for bit.
+    """
+    monkeypatch.setattr(geometry, "_ORTHO_DRIFT_TOL", 4e-16)
+    scene, deployment = room_scene_and_plates()
+    walk = obs.random_walk_trajectory(
+        scene, duration=6.0, seed=5, segment_duration=0.25, lin_speed=20.0, ang_speed=1.5,
+    )
+    x_hat = walk.initial @ expm(twist([0.05, -0.04, 0.03], [2.0, -1.0, 1.5]))
+    cfg = obs.ObserverConfig(
+        k_i=2e-5, k0=k0, dt=0.01, visibility="camera-model", use_estimate_for_visibility=from_estimate
+    )
+    projections, project = [], geometry.project_to_rotation
+    monkeypatch.setattr(geometry, "project_to_rotation", lambda r: projections.append(r) or project(r))
+    trace = obs.simulate(scene, deployment, walk, cfg, x_hat0=x_hat)
+    assert len(trace.t) > 2 * obs._ERROR_BLOCK and projections
+
+    k = len(deployment)
+    c_h = np.vstack([deployment.positions.T, np.ones(k)])
+    gates = (deployment, scene.intrinsics, scene.params.delta, scene.params.thold)
+    twists, xs = walk.sample(cfg.dt)
+    for i, x in enumerate(xs):
+        assert np.array_equal(trace.x_hat[i], x_hat)
+        mask = obs.pose_strengths(x_hat if from_estimate else x, *gates)
+        assert np.array_equal(trace.visible[i], mask)
+        if i < len(twists):
+            x_hat = obs.observer_step(x_hat, x, twists[i], c_h[:, mask], cfg)
+    assert 0 < trace.visible.sum() < trace.visible.size
+
+
+# tracemalloc's peak for one bench-sized simulate call, in bytes, measured
+# with numpy 2.4 at f2ee8be, the commit before the loop ran in blocks; the
+# trace's arrays and the gate core's passes for 3001 poses are most of it.
+PARENT_SIMULATE_PEAK_BYTES = 1_703_712
+
+
+def test_simulate_holds_one_block_of_rows():
+    """A 30 s desk run, with the benchmark's inputs for seed 0, under tracemalloc.
+
+    The walk and the 24 uniform plates are built first, as the benchmark's
+    desk-simulate workload builds them. The traced peak of ``simulate``
+    stays within 10% of the value recorded above: a loop that held the
+    whole run's Python rows would add about 1.3 MB.
+    """
+    import tracemalloc
+
+    import landmark_coverage.deployment as dep
+    from conftest import CONFIG_DIR
+
+    scene = dep.load_scene(CONFIG_DIR / "desk_room.json")
+    deployment = dep.generate_uniform(scene, 24)
+    rng = np.random.default_rng(0)
+    position = scene.center + rng.uniform(-1.0, 1.0, 3) * np.array([30.0, 30.0, 10.0])
+    yaw, pitch = float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(-0.5, 0.5))
+    walk = obs.random_walk_trajectory(
+        scene, duration=30.0, seed=0, segment_duration=0.5, lin_speed=40.0, ang_speed=2.0,
+        initial=pose_to_se3(Pose6(position, yaw=yaw, pitch=pitch)), margin=10.0,
+    )
+    x_hat0 = pose_to_se3(Pose6(
+        position + np.array([3.0, -2.0, 2.0]), yaw=geometry.wrap_angle(yaw + 0.15), pitch=pitch - 0.1, roll=0.1,
+    ))
+    cfg = obs.ObserverConfig(k_i=2e-5, dt=0.01, visibility="camera-model")
+    obs.simulate(scene, deployment, walk, cfg, x_hat0=x_hat0)  # first-use caches
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing this process")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        trace = obs.simulate(scene, deployment, walk, cfg, x_hat0=x_hat0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert trace.t.size == 3001
+    assert 0.5 * PARENT_SIMULATE_PEAK_BYTES < peak <= 1.1 * PARENT_SIMULATE_PEAK_BYTES
 
 
 def test_simulate_steps_by_the_visible_set_not_its_size():
