@@ -14,7 +14,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -281,7 +281,7 @@ class CoverageMap:
     rel: np.ndarray
     n: int
     thold_p: float
-    rel_fsum: object = field(default=None, repr=False)
+    rel_fsum: Callable | None = field(default=None, repr=False)
     qualified: np.ndarray = field(init=False)
 
     def __post_init__(self):

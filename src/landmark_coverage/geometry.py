@@ -531,17 +531,18 @@ def se3_compose_rows(p: tuple, e: tuple) -> tuple:
 # stacked RᵀR − I is within tol − _GRAM_SLACK·(1 + tol). Proof, with u =
 # 2^-53 and c_i the columns of R: an entry of RᵀR is a three-term dot
 # product, which in any summation order, with or without FMA, is computed
-# within γ3·|c_i|·|c_j| of its value, γ3 = 3u/(1 − 3u) (Higham, Accuracy
-# and Stability of Numerical Algorithms, 2002, §3.1; |c_i|·|c_j| bounds the
-# sum of the terms' magnitudes), plus 3·2^-1075 from underflow. Where the
-# stacked diagonal passed, |c_i|² <= (1 + tol)/(1 − γ3). For tol < 1/2
-# every diagonal entry that either evaluation compares lies in [1/2, 2],
-# so subtracting 1 is exact (Sterbenz), and abs is exact. The scalar check
-# in se3_compose_rows and the stacked one thus differ by at most
-# 2γ3(1 + tol)/(1 − γ3) + 6·2^-1075 < 6.1u(1 + tol) per entry, and the
-# computed threshold is within u·tol of its value: 8u(1 + tol) covers
-# both. A tol of a few u makes the threshold negative, so every pose
-# fails and every block is taken step by step.
+# within γ3·|c_i|·|c_j| of its value, γ3 = 3u/(1 − 3u) (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2002, §3.1; |c_i|·|c_j| bounds the sum
+# of the terms' magnitudes), plus 3·2^-1075 from underflow. Where the
+# stacked diagonal passed, |c_i|² <= (1 + tol)/(1 − γ3). For tol < 1/2 a
+# passing stacked diagonal entry and its scalar twin lie in [1/2, 2], so
+# subtracting 1 is exact in both (Sterbenz), and abs is exact; a stacked
+# entry outside [1/2, 2] still differs from 1 by 1/2 or more after rounding,
+# so it fails. The scalar check in se3_compose_rows and the stacked one thus
+# differ by at most 2γ3(1 + tol)/(1 − γ3) + 6·2^-1075 < 6.1u(1 + tol) per
+# entry, and the computed threshold is within u·tol of its value: 8u(1 +
+# tol) covers both. A tol of a few u makes the threshold negative, so every
+# pose fails and every block is taken step by step.
 _GRAM_SLACK = 8 * 2.0**-53
 
 
@@ -555,14 +556,12 @@ def se3_rows_on_group(rows: np.ndarray) -> bool:
     the summation order of either evaluation. False may be wrong, and is
     the answer for a rotation that is not a number.
     """
-    if not len(rows):
-        return True
     r = rows.reshape(-1, 3, 4)[:, :, :3]
     drift = r.transpose(0, 2, 1) @ r
     drift.reshape(-1, 9)[:, ::4] -= 1.0  # RᵀR − I
     np.abs(drift, out=drift)
     tol = _ORTHO_DRIFT_TOL
-    return bool(drift.max() <= tol - _GRAM_SLACK * (1.0 + tol))
+    return bool(drift.max(initial=0.0) <= tol - _GRAM_SLACK * (1.0 + tol))
 
 
 def se3_exp(U: np.ndarray, dt: float) -> np.ndarray:

@@ -432,8 +432,13 @@ def simulate(
     grams = {}  # the Gram terms of each distinct visible set, by its mask
 
     def advance(xh, inverses, start, compose):
-        """The estimate rows after each step from ``start`` on, and whether no step overflowed."""
+        """Take the steps from ``start`` on and write the estimate rows after them into ``x_hats``.
+
+        Returns the (n, 12) view of the rows written, the last of them and
+        whether every step was taken: a step whose twist overflows ends it.
+        """
         rows = []
+        finished = True
         try:
             for i, xi in enumerate(inverses, start):
                 if per_step:
@@ -446,28 +451,23 @@ def simulate(
                 xh = _estimate_step(xh, xi, rates[i], terms, config, compose)
                 rows.append(xh)
         except ValueError:  # sin(inf) in se3_exp_rows: the correction twist overflowed
-            return rows, False
-        return rows, True
-
-    def write(start, rows):
-        """Write the estimate rows after step ``start`` into ``x_hats``; their (n, 12) view."""
+            finished = False
         block = hat_rows[start + 1:start + 1 + len(rows), :12]
-        if rows:  # none when the block's first step overflowed
+        if rows:  # none when the first step overflowed
             block[...] = rows
-        return block
+        return block, xh, finished
 
     xh = x_hat[:3].ravel().tolist()
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged estimate is raised below
         for start in range(0, len(rates), _ERROR_BLOCK):
             inverses = _inverse_rows(xs[start:min(start + _ERROR_BLOCK, len(rates))])
-            rows, finished = advance(xh, inverses, start, se3_product_rows)
-            if not se3_rows_on_group(write(start, rows)):
-                rows, finished = advance(xh, inverses, start, se3_compose_rows)
-                write(start, rows)
+            block, last, finished = advance(xh, inverses, start, se3_product_rows)
+            if not se3_rows_on_group(block):
+                block, last, finished = advance(xh, inverses, start, se3_compose_rows)
             if not finished:
-                x_hats[start + 1 + len(rows):] = math.nan
+                x_hats[start + 1 + len(block):] = math.nan
                 break
-            xh = rows[-1]
+            xh = last
         else:
             if per_step:
                 visible[-1] = pose_strengths(x_hats[-1], *gates)

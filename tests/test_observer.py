@@ -10,7 +10,7 @@ from scipy.linalg import expm
 import landmark_coverage.coverage as cov
 import landmark_coverage.geometry as geometry
 import landmark_coverage.observer as obs
-from landmark_coverage.errors import SchemaError, TrajectoryOutOfRegionError
+from landmark_coverage.errors import EstimateDivergedError, SchemaError, TrajectoryOutOfRegionError
 from landmark_coverage.geometry import (
     Deployment,
     Pose6,
@@ -432,6 +432,47 @@ def test_simulate_replays_failed_blocks_exactly(monkeypatch, from_estimate, k0):
         if i < len(twists):
             x_hat = obs.observer_step(x_hat, x, twists[i], c_h[:, mask], cfg)
     assert 0 < trace.visible.sum() < trace.visible.size
+
+
+def test_an_overflow_inside_a_block_keeps_the_checked_steps_before_it(monkeypatch):
+    """A step whose twist overflows ends the run there; the steps before it are the checked chain's.
+
+    Step 300 lies inside the second block. With a tolerance of a few ulps
+    the rows before it fail the block check, so they are taken again with
+    the checked compose before the run is cut.
+    """
+    monkeypatch.setattr(geometry, "_ORTHO_DRIFT_TOL", 4e-16)
+    scene, deployment = room_scene_and_plates()
+    walk = obs.random_walk_trajectory(
+        scene, duration=4.0, seed=5, segment_duration=0.25, lin_speed=20.0, ang_speed=1.5,
+    )
+    x_hat = walk.initial @ expm(twist([0.05, -0.04, 0.03], [2.0, -1.0, 1.5]))
+    cfg = obs.ObserverConfig(k_i=2e-5, dt=0.01, visibility="camera-model")
+    twists, xs = walk.sample(cfg.dt)
+    overflowing = obs._inverse_rows(xs[300:301])[0]
+    step = obs._estimate_step
+
+    def overflow_at_step_300(xh, xi, *args):
+        if xi == overflowing:
+            raise ValueError("math domain error")
+        return step(xh, xi, *args)
+
+    monkeypatch.setattr(obs, "_estimate_step", overflow_at_step_300)
+    blocks, error = [], obs.frobenius_error
+    monkeypatch.setattr(obs, "frobenius_error", lambda x_hat, x: blocks.append(x_hat.copy()) or error(x_hat, x))
+    with pytest.raises(EstimateDivergedError, match=r"at step 301 \(t=3\.0100\)"):
+        obs.simulate(scene, deployment, walk, cfg, x_hat0=x_hat)
+    x_hats = np.concatenate(blocks)
+    assert np.isnan(x_hats[301:]).all()
+
+    k = len(deployment)
+    c_h = np.vstack([deployment.positions.T, np.ones(k)])
+    gates = (deployment, scene.intrinsics, scene.params.delta, scene.params.thold)
+    for i in range(301):
+        assert np.array_equal(x_hats[i], x_hat)
+        if i < 300:
+            mask = obs.pose_strengths(xs[i], *gates)
+            x_hat = obs.observer_step(x_hat, xs[i], twists[i], c_h[:, mask], cfg)
 
 
 # tracemalloc's peak for one bench-sized simulate call, in bytes, measured
