@@ -27,9 +27,13 @@ ranks each cell as surely inside or surely outside the window, by a
 margin wider than a proven bound on its float error; only the cells
 within the margin get ``z``, in float64 with the scalar path's
 expressions and operation order, which per-row axes (a stack of poses)
-get for every pair.  The occlusion pass then tests each pair against all
-K plates of its row, since a plate that fails its own gates still blocks
-in the scalar rule.  The core copies each pair's row once into a dense
+get for every pair.  The occlusion pass then tests each pair against the
+plates of its row that the rows' occluder table keeps, or all K without
+one; a plate that fails its own gates still blocks in the scalar rule.
+``PlateRows.seen_from`` builds that table once per evaluation from the
+box of its camera positions: a plate is left out only where a ray-box
+bound, proven against the test's float rounding, shows it blocks no
+camera in the box.  The core copies each pair's row once into a dense
 plate-major (plate, row, cell) mask: ``strengths_grid`` and
 ``axis_strengths`` return a (row, cell, plate) view of it and
 ``cell_counts`` its sum over plates, so both equal the scalar criteria
@@ -391,12 +395,15 @@ np.empty(1 << 20)
 # Cap on rows x max(cells, plates) x plates per gate-core pass. The core's
 # float temporaries are blocks over the L <= rows x plates (row, plate)
 # pairs with a non-empty depth window: the float32 (L, cells) product that
-# classifies the window, and the float64 (L, plates) occlusion blocks. No
-# block then exceeds 2^18 elements, 2 MiB at float64 and 1 MiB for the
-# product, so one pass stays under the thresholds set above and reuses heap
-# memory rather than faulting it in anew. The pass's (plates, rows, cells)
-# bool mask, built after the occlusion blocks are freed, is at most 2^18
-# bytes.
+# classifies the window, and the occlusion pass's arrays over the (pair,
+# plate) elements its occluder table keeps, which are at most L x plates
+# and hold one index and a few floats each. No block then exceeds 2^18
+# elements, 2 MiB at float64 and 1 MiB for the product, so one pass stays
+# under the thresholds set above and reuses heap memory rather than
+# faulting it in anew. The occlusion pass and the table's build also take
+# their elements in blocks of at most 2^18. The pass's (plates, rows,
+# cells) bool mask, built after the occlusion arrays are freed, is at
+# most 2^18 bytes.
 _CHUNK_ELEMENTS = 262_144
 
 
@@ -417,11 +424,16 @@ class PlateRows(NamedTuple):
     A leading 1 shares one set of K plates among all rows; otherwise row r
     of the points is scored against its own plates ``[r]``, as a stack of
     deployments gathers them for each pass of ``gate_passes``.
+    ``occluders`` (R or 1, K, K), from ``seen_from``, is False at [r, k, j]
+    only where plate j cannot block plate k from any camera position the
+    table was built for, so the occlusion pass tests only the others; None
+    makes every plate of a row a candidate.
     """
 
     positions: np.ndarray
     normals: np.ndarray
     nu: np.ndarray
+    occluders: np.ndarray | None = None
 
     @classmethod
     def of(cls, landmarks) -> "PlateRows":
@@ -430,6 +442,11 @@ class PlateRows(NamedTuple):
             return landmarks
         plates = Deployment.of(landmarks)
         return cls(plates.positions[None], plates.normals[None], plates.nu[None])
+
+    @classmethod
+    def seen_from(cls, positions, normals, nu, points) -> "PlateRows":
+        """Plates (R or 1, K, ...) with their occluder table for cameras anywhere in the box of ``points`` (B, 3)."""
+        return cls(positions, normals, nu, _occluder_table(positions, nu, np.asarray(points, dtype=float)))
 
 
 def strengths_grid(
@@ -540,14 +557,15 @@ def _live_gates(
     ``lo <= hi`` are taken by flat index into the (B, K) arrays. Their
     (L, G) window is tested first, by ``_classify_window`` for shared axes
     and by ``_in_window`` for per-row axes; then the occlusion pass tests
-    each pair against all K plates of its row, and a blocked pair's row is
-    cleared. Shared axes may come with ``window``, their ``_window_axes``
-    value, which is otherwise computed per pass. Per-row axes drop the
-    pairs with no passing cell first. With
-    shared axes 95-98% of the pairs have a passing cell on the packaged
-    Table 3 and desk scenes, so finding the others would cost more than
-    their occlusion test. Each row is then copied once into the
-    plate-major mask, which is allocated only after the occlusion blocks
+    each pair against the plates of its row that ``plates.occluders``
+    keeps (all K when it is None; the core reads the table and never
+    builds one), and a blocked pair's row is cleared. Shared axes may come
+    with ``window``, their ``_window_axes`` value, which is otherwise
+    computed per pass. Per-row axes drop the pairs with no passing cell
+    first. With shared axes 95-98% of the pairs have a passing cell on the
+    packaged Table 3 and desk scenes, so finding the others would cost
+    more than their occlusion test. Each row is then copied once into the
+    plate-major mask, which is allocated only after the occlusion arrays
     are freed.
     """
     z_near, z_far, z_res = _depth_cuts(
@@ -582,7 +600,7 @@ def _live_gates(
         live, b, k, px, py, pz, nk, gate = (x.take(seen, axis=0) for x in (live, b, k, px, py, pz, nk, gate))
     # nu is (1, K) for shared plates, (B, K) for per-row ones
     nu = plates.nu.ravel()[live % plates.nu.size]
-    gate[_occluded(dx, dy, dz, ranges, b, px, py, pz, nk, nu)] = False
+    gate[_occluded(dx, dy, dz, ranges, plates.occluders, live, b, px, py, pz, nk, nu)] = False
     mask = np.zeros((n_plates, n_rows, axes.shape[1]), dtype=bool)
     mask.reshape(n_plates * n_rows, axes.shape[1])[k * n_rows + b] = gate
     return mask
@@ -693,38 +711,118 @@ def _classify_window(axes, px, py, pz, lo, hi, window) -> np.ndarray:
     return gate
 
 
-def _occluded(dx, dy, dz, ranges, b, px, py, pz, nk, nu) -> np.ndarray:
+def _occluded(dx, dy, dz, ranges, occluders, live, b, px, py, pz, nk, nu) -> np.ndarray:
     """Whether a plate of its own row b blocks each pair, shape (L,).
 
-    ``px``, ``py``, ``pz``, ``nk`` and ``nu`` are the pairs' own landmark -
-    camera coordinates, range and virtual diameter. Plate j of row b blocks
-    a pair when it is nearer along a sight line that passes within nu of
-    it; the pair's own plate never blocks, as nj < nk fails there. Every
-    plate of the row may block, whether or not it passes its own gates, as
-    in the scalar rule. The (L, K) blocks hold the dot products and nj; the
-    sight-line distance, in the scalar operation order, is taken only for
-    the elements with j in front of the pair's plate.
+    ``live`` holds the pairs' flat (row, plate) indices and ``px``, ``py``,
+    ``pz``, ``nk`` and ``nu`` their own landmark - camera coordinates, range
+    and virtual diameter. Plate j of row b blocks a pair when it is nearer
+    along a sight line that passes within nu of it; the pair's own plate
+    never blocks, as nj < nk fails there. Any plate of the row may block,
+    whether or not it passes its own gates, as in the scalar rule, but
+    only the (pair, j) elements that the ``occluders`` table keeps, all of
+    them when it is None, are computed: the dot product, nj < nk and the
+    sight-line distance, each in the scalar operation order. Pairs go in
+    blocks of at most ``_CHUNK_ELEMENTS`` candidate elements.
     """
-    # ndarray.take gathers rows faster than indexing or np.take with out=
-    dots = dx.take(b, axis=0)
-    dots *= px[:, None]
-    for d, p in ((dy, py), (dz, pz)):
-        term = d.take(b, axis=0)
-        term *= p[:, None]
-        dots += term
-        del term  # so that at most two (L, K) blocks are alive
-    nj = ranges.take(b, axis=0)
-    front = np.flatnonzero((dots > 0) & (nj < nk[:, None]))
-    pair = front // max(1, dots.shape[1])
-    c, nj = dots.ravel()[front], nj.ravel()[front]
-    del dots  # free the (L, K) blocks before the gathered arithmetic
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c /= nj * nk[pair]
-        s2 = np.subtract(1.0, np.multiply(c, c, out=c), out=c)
-        perp = np.multiply(nj, np.sqrt(np.maximum(s2, 0.0, out=s2), out=s2), out=s2)
-    blocked = np.zeros(b.size, dtype=bool)
-    blocked[pair[perp <= nu[pair]]] = True
+    n_plates = dx.shape[1]
+    table = None if occluders is None else occluders.reshape(len(occluders) * n_plates, n_plates)
+    blocked = np.zeros(live.size, dtype=bool)
+    step = max(1, _CHUNK_ELEMENTS // max(1, n_plates))
+    for start in range(0, live.size, step):
+        rows = live[start:start + step]
+        if table is None:
+            elements = np.arange(rows.size * n_plates)
+        else:
+            elements = np.flatnonzero(table.take(rows % len(table), axis=0))
+        pair, j = np.divmod(elements, n_plates)
+        pair += start
+        at = b.take(pair) * n_plates + j  # plate j of the pair's row
+        nj, n_k = ranges.take(at), nk.take(pair)
+        dots = (dx.take(at) * px.take(pair) + dy.take(at) * py.take(pair)) + dz.take(at) * pz.take(pair)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = dots / (nj * n_k)
+            perp = nj * np.sqrt(np.maximum(1.0 - c * c, 0.0))
+        blocked[pair[(dots > 0) & (nj < n_k) & (perp <= nu.take(pair))]] = True
     return blocked
+
+
+# The occluder table's margin. Plate j is left out of plate k's row of the
+# table only if the occlusion test above fails for it in float arithmetic
+# from every camera X in the box [lo, hi] of the table's points. Proof, with
+# u = 2^-53, S the largest magnitude of a plate or box coordinate, L = 4S,
+# which bounds every distance between such points, m = margin·L and nu' =
+# nu_k·(1 + margin) + m. The kernel rounds a_j = P_j - X and a_k = P_k - X
+# per component, so they are the exact vectors from X to points P'_j and
+# P'_k within u·L of P_j and P_k; let nj, nk, c and the distance be those of
+# these vectors, exactly. The scalar-order dot is within γ3·nj·nk of a_j·a_k
+# (Higham 2002, §3.1, with Cauchy–Schwarz), each range within 2.6u
+# relatively and c within 11u, so 1 - c² is within 25u absolutely: near c =
+# 1 this cancels, and its square root is within 5√u < 2^-24 of the exact
+# sine. A test that blocks therefore means nj < nk(1 + 6u), a_j·a_k >
+# -γ3·nj·nk, and a distance from P'_j to the sight line through X and P'_k
+# of at most nu_k·(1 + 5u) + 2^-24·nj <= nu'. Put P'_k at 0, v = P'_j with
+# s = |v|, and θ the angle between v and X, so that distance is s·sin θ <=
+# nu'; take s > nu' (the other case is below). The range test gives v·X > s²/2 - 7u·nk² > 0, as s >= m =
+# 2^-20·L and nk <= L, so θ < π/2; the dot test gives s·cos θ < nk(1 + 4u),
+# so t = nk·cos θ >= s·cos²θ·(1 - 4u) >= s - nu' - 4u·s. X then lies within
+# nk·sin θ <= (T + uL)·nu'/s of the point t·v/s, where T is P_k's distance
+# to the farthest corner of the box, and t <= T + uL. Moving P' back to P
+# moves s by 2uL, v/s by at most 2^-31 and that point by 2^-31·L + uL;
+# rounding s, T, the radius, the segment ends and the slab bounds adds under
+# 40u·L. So the table keeps j where the segment P_k + τ·v, τ in [(s - nu'
+# - 2m)/s, (T + 2m)/s], meets the box inflated by ρ = (T + m)·nu'/s + 2m in
+# every axis, which holds a ball of radius ρ around it: its radius and ends
+# exceed the bounds above by more than m. Where s <= nu' for P', ρ exceeds T
+# + m and τ = 0 is in range, so P_k itself, within T of every point of the
+# box, keeps j: a plate that close to its target needs no test of its own.
+# The slab test divides each axis's bounds by v_i. A zero v_i gives
+# infinite bounds whose signs leave τ free where P_k's coordinate lies
+# inside the inflated slab and leave no τ outside it, and 0/0 on its edge
+# gives not a number; a bound that overflows is infinite, which only widens
+# the box, and every comparison with not a number keeps j. Where S <=
+# 2^-400, S >= 2^500 or S is not a number, every plate is kept: between
+# them no square of the kernel overflows, every range the proof divides by
+# exceeds 2^-420, and where nj <= nu' the distance is at most nj whatever
+# underflow does.
+_OCCLUDER_MARGIN = 2.0**-20
+
+
+def _occluder_table(positions, nu, points) -> np.ndarray:
+    """The (R, K, K) occluder table of plates ``positions`` (R, K, 3) and ``nu`` (R, K) seen from ``points``.
+
+    ``[r, k, j]`` is False on the diagonal and where, by the bound in
+    ``_OCCLUDER_MARGIN``'s comment, plate j of row r blocks plate k from no
+    camera in the box of ``points`` (B, 3). The target rows go in blocks
+    whose (3, targets, K) arrays hold at most ``_CHUNK_ELEMENTS`` elements.
+    """
+    n = nu.shape[-1]
+    lo, hi = points.min(axis=0, initial=math.inf), points.max(axis=0, initial=-math.inf)
+    flat = positions.reshape(-1, 3)
+    scale = np.abs(np.concatenate((flat, (lo, hi)))).max()
+    table = np.ones((nu.size, n), dtype=bool)
+    if 2.0**-400 < scale < 2.0**500:
+        m = _OCCLUDER_MARGIN * 4.0 * scale
+        coords = np.ascontiguousarray(positions.transpose(2, 0, 1))  # (3, R, K)
+        box = np.stack((lo, hi))[:, :, None, None]
+        step = max(1, _CHUNK_ELEMENTS // (3 * max(1, n)))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # see the margin's comment
+            reach = nu.reshape(-1, 1) * (1.0 + _OCCLUDER_MARGIN) + m
+            far = np.sqrt(np.square(np.maximum(flat - lo, hi - flat)).sum(axis=1, keepdims=True))
+            for start in range(0, nu.size, step):
+                t = np.arange(start, min(start + step, nu.size))  # target rows r·K + k
+                p = flat[t].T[:, :, None]  # (3, targets, 1)
+                v = coords.take(t // n, axis=1) - p  # P_j - P_k, (3, targets, K)
+                s, r, f = np.sqrt(np.square(v).sum(axis=0)), reach[t], far[t]
+                inv = 1.0 / s
+                rho = ((f + m) * r) * inv + 2.0 * m
+                a, b = (box[0] - p - rho) / v, (box[1] - p + rho) / v
+                enter = np.maximum(np.minimum(a, b).max(axis=0), (s - r - 2.0 * m) * inv)
+                leave = np.minimum(np.maximum(a, b).min(axis=0), (f + 2.0 * m) * inv)
+                table[start:start + t.size] = ~(enter > leave)
+    table = table.reshape(nu.shape[0], n, n)
+    table[:, np.arange(n), np.arange(n)] = False
+    return table
 
 
 def coverage_caps(

@@ -322,8 +322,8 @@ def evaluate_coverages(scene: Scene, plates: Deployment, m: int) -> CoverageMap:
     k = len(plates) // m if m else 0
     if len(plates) != m * k:
         raise ValueError(f"{len(plates)} plates do not split into {m} deployments of equal size")
-    stacked = PlateRows(
-        plates.positions.reshape(m, k, 3), plates.normals.reshape(m, k, 3), plates.nu.reshape(m, k)
+    stacked = PlateRows.seen_from(
+        plates.positions.reshape(m, k, 3), plates.normals.reshape(m, k, 3), plates.nu.reshape(m, k), scene.points
     )
     n = scene.n_points
     p_n = np.empty(m * n)

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import CONFIG_DIR
 from landmark_coverage import cli as cli_module
+from landmark_coverage import coverage as coverage_module
 from landmark_coverage import deployment as deployment_module
 from landmark_coverage import ega as ega_module
 from landmark_coverage import observer as observer_module
@@ -489,6 +490,49 @@ def test_cli_commands_build_no_landmark(tmp_path, capsys, monkeypatch):
     run_ok(simulate + ["--out-dir", str(tmp_path / "s0")], capsys)
     run_ok(simulate + ["--use-estimate-visibility", "--out-dir", str(tmp_path / "s1")], capsys)
     assert built == []
+
+
+def test_occluder_tables_are_built_per_evaluation_and_pose_stack_only(tmp_path, capsys, monkeypatch):
+    """One occluder table per ``evaluate_coverages`` call and per stacked
+    ``pose_strengths`` call; none for the one-pose calls that
+    ``--use-estimate-visibility`` makes at every step."""
+    builds, evaluations, poses = [], [], []
+    build = coverage_module._occluder_table
+    monkeypatch.setattr(coverage_module, "_occluder_table", lambda *args: builds.append(1) or build(*args))
+    evaluate = deployment_module.evaluate_coverages
+
+    def counted(*args):
+        evaluations.append(1)
+        return evaluate(*args)
+
+    for module in (deployment_module, ega_module):
+        monkeypatch.setattr(module, "evaluate_coverages", counted)
+    visible = observer_module.pose_strengths
+    monkeypatch.setattr(observer_module, "pose_strengths",
+                        lambda x, *args: poses.append(np.ndim(x)) or visible(x, *args))
+
+    uniform = tmp_path / "uniform"
+    run_ok(["generate", "--scene", DESK, "--count", "8", "--out-dir", str(uniform)], capsys)
+    deployment = ["--deployment", str(uniform / "deployment.json")]
+    run_ok(["analyze", "--scene", DESK, *deployment, "--out-dir", str(tmp_path / "a")], capsys)
+    assert len(builds) == len(evaluations) == 1
+    run_ok(["optimize", "--scene", DESK, "--count", "4", "--m", "4", "--q", "1", "--iterations", "3",
+            "--out-dir", str(tmp_path / "o")], capsys)
+    assert len(builds) == len(evaluations) >= 4
+
+    trajectory = tmp_path / "trajectory.json"
+    trajectory.write_text(json.dumps({
+        "schema": 1, "initial": {"position": [375.0, 250.0, 300.0], "yaw": 0.5},
+        "segments": [{"duration_s": 0.05}],
+    }))
+    simulate = ["simulate", "--scene", DESK, *deployment, "--trajectory", str(trajectory),
+                "--k-i", "2e-5", "--visibility", "camera-model"]
+    builds.clear()
+    run_ok(simulate + ["--out-dir", str(tmp_path / "s0")], capsys)
+    assert builds == [1] and poses == [3]
+    builds.clear(), poses.clear()
+    run_ok(simulate + ["--use-estimate-visibility", "--out-dir", str(tmp_path / "s1")], capsys)
+    assert builds == [] and poses == [2] * 6
 
 
 def test_simulate_static_trajectory_and_rerun(tmp_path, capsys):

@@ -17,6 +17,7 @@ from landmark_coverage.coverage import (
     CoverageParams,
     OrientationGrid,
     OrientationPdf,
+    PlateRows,
     cell_counts,
     coverage_caps,
     coverage_probabilities,
@@ -30,7 +31,13 @@ from landmark_coverage.coverage import (
     resolution_criterion,
     strengths_grid,
 )
-from landmark_coverage.deployment import evaluate_coverage, generate_uniform, make_scene
+from landmark_coverage.deployment import (
+    evaluate_coverage,
+    evaluate_coverages,
+    generate_random,
+    generate_uniform,
+    make_scene,
+)
 from landmark_coverage.geometry import CameraIntrinsics, Deployment, Landmark, Pose6, cm_to_mm, pose_to_se3
 from landmark_coverage.observer import pose_strengths
 
@@ -739,6 +746,142 @@ def test_fuzzed_coverage_matches_scalar_criteria_bitwise(data):
             for b in range(len(points)):
                 caps = CapSet(masks=masks[b].T, n=n, nple=masks[b].sum(axis=1) >= n)
                 assert got[b] == nple_probability(caps, pdf)
+
+
+# ---------------------------------------------------------------------------
+# The occluder table
+
+
+def scalar_blockers(plates, cameras):
+    """The (k, j) pairs where the scalar occlusion loop finds plate j blocking plate k from some camera.
+
+    Plate k is first turned to face the camera, which changes no blocking
+    test: those read only the positions and the target's nu.
+    """
+    found = set()
+    for camera in cameras:
+        for k, target in enumerate(plates):
+            if np.array_equal(target.position, camera):
+                continue
+            facing = facing_landmark(target.position, camera, target.nu)
+            found.update((k, j) for j, other in enumerate(plates)
+                         if j != k and occlusion_criterion(0, [facing, other], camera) == 0)
+    return found
+
+
+def occluder_table(plates, cameras):
+    """``PlateRows.seen_from``'s (K, K) table of one deployment seen from ``cameras``."""
+    deployment = Deployment(plates)
+    rows = PlateRows.seen_from(deployment.positions[None], deployment.normals[None], deployment.nu[None], cameras)
+    return rows.occluders[0]
+
+
+def box_cameras(lo, size, inside):
+    """The corners of the box ``[lo, lo + size]``, the centres of its faces, and ``inside`` (n, 3) in units of size."""
+    units = [c for c in itertools.product((0.0, 0.5, 1.0), repeat=3) if c.count(0.5) in (0, 2)]
+    return lo + np.concatenate((units, inside)) * size
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@seed(20240)
+@given(data=st.data())
+def test_fuzzed_occluder_table_keeps_every_scalar_blocker(data):
+    # Cameras at the corners, on the faces and inside a box that may be one
+    # point or flat; blockers placed nu·(1 ± 2^-40) from a corner camera's
+    # sight line to a plate, on a plate's wall (equal coordinates, so a
+    # direction component is exactly 0) or within nu of a plate.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    scale = data.draw(st.sampled_from([1.0, 300.0, 1e5]), label="scale")
+    lo = rng.uniform(-1.0, 1.0, 3) * scale
+    size = rng.uniform(0.05, 1.0, 3) * scale
+    extent = data.draw(st.sampled_from(["box", "flat", "point"]), label="box")
+    if extent == "point":
+        size[:] = 0.0
+    elif extent == "flat":
+        size[rng.integers(3)] = 0.0
+    cameras = box_cameras(lo, size, rng.uniform(0.0, 1.0, (2, 3)))
+    corners = cameras[:8]
+    span = np.maximum(size, 0.5 * scale)
+    plates = []
+    for _ in range(data.draw(st.integers(2, 6), label="plates")):
+        kind = data.draw(st.sampled_from(["free", "sight", "wall", "near"]), label="kind")
+        nu = float(rng.uniform(0.002, 0.2) * scale)
+        position = lo + rng.uniform(-1.0, 2.0, 3) * span
+        if plates and kind == "sight":
+            camera, target = corners[rng.integers(8)], plates[rng.integers(len(plates))]
+            sight = target.position - camera
+            across = np.cross(sight, rng.normal(size=3))
+            miss = target.nu * (1.0 + rng.choice([-1.0, 1.0]) * 2.0**-40)
+            position = camera + rng.uniform(0.05, 0.95) * sight + miss * across / np.linalg.norm(across)
+        elif plates and kind == "wall":
+            position[rng.integers(3)] = plates[rng.integers(len(plates))].position[rng.integers(3)]
+        elif plates and kind == "near":
+            other = plates[rng.integers(len(plates))]
+            offset = rng.normal(size=3)
+            position = other.position + rng.uniform(0.0, 1.0) * other.nu * offset / np.linalg.norm(offset)
+        plates.append(Landmark(position, rho=rng.uniform(-math.pi, math.pi), eta=0.0, nu=nu))
+    table = occluder_table(plates, cameras)
+    assert not table.diagonal().any()
+    for k, j in scalar_blockers(plates, cameras):
+        assert table[k, j], (k, j)
+    # a stack gives each row the table its own plates give, when the stack's scale is theirs
+    turned = plates[::-1]
+    stack, k = Deployment(plates + turned), len(plates)
+    rows = PlateRows.seen_from(
+        stack.positions.reshape(2, k, 3), stack.normals.reshape(2, k, 3), stack.nu.reshape(2, k), cameras
+    )
+    assert np.array_equal(rows.occluders[0], table)
+    assert np.array_equal(rows.occluders[1], occluder_table(turned, cameras))
+
+
+def test_occluder_table_margin_covers_the_scalar_rounding(monkeypatch):
+    # A one-point box and a blocker about 2^-26·nj from the sight line to its
+    # target, 64 times its target's nu: near c = 1 the scalar test's 1 - c²
+    # cancels, so it blocks about a third of these. The table must keep every
+    # one; with a margin of 2^-34 in place of 2^-20 it drops nearly all.
+    rng = np.random.default_rng(26)
+    cases = []
+    for _ in range(100):
+        camera = rng.uniform(-300.0, 300.0, 3)
+        sight = rng.normal(size=3)
+        sight *= rng.uniform(200.0, 600.0) / np.linalg.norm(sight)
+        across = np.cross(sight, rng.normal(size=3))
+        ahead = rng.uniform(0.3, 0.9)
+        miss = rng.uniform(0.1, 2.0) * 2.0**-26 * ahead * np.linalg.norm(sight)
+        blocker = camera + ahead * sight + miss * across / np.linalg.norm(across)
+        plates = [facing_landmark(camera + sight, camera, miss / 64), facing_landmark(blocker, camera, miss / 64)]
+        cases.append((plates, camera[None]))
+    blocked = [case for case in cases if scalar_blockers(*case) == {(0, 1)}]
+    assert 10 <= len(blocked) <= len(cases) - 10
+    assert all(occluder_table(*case)[0, 1] for case in blocked)
+    monkeypatch.setattr(coverage_module, "_OCCLUDER_MARGIN", 2.0**-34)
+    assert sum(occluder_table(*case)[0, 1] for case in blocked) <= len(blocked) // 4
+
+
+@pytest.mark.parametrize("scale, nu, camera", [
+    (2.0**-410, 1e-130, 1.0),  # products could underflow
+    (2.0**510, 1.0, 1.0),  # squares could overflow
+    (1.0, sys.float_info.max, 1.0),  # nu·(1 + margin) overflows
+    (1.0, 0.01, math.nan),  # a camera that is not a number
+], ids=["tiny", "huge", "huge-nu", "nan-camera"])
+def test_occluder_table_keeps_every_plate_outside_its_proof(scale, nu, camera):
+    positions = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 0.5], [3.0, -1.0, 2.0]]) * scale
+    cameras = np.array([[5.0, 5.0, 5.0], [6.0, 5.0, camera]]) * scale
+    plates = [Landmark(p, rho=0.0, eta=0.0, nu=nu) for p in positions]
+    assert np.array_equal(occluder_table(plates, cameras), ~np.eye(3, dtype=bool))
+
+
+def test_blocks_of_targets_and_pairs_change_no_bit(table3_scene, monkeypatch):
+    # the table's target rows and the occlusion pass's pairs one per block,
+    # against one block each, for a stack of two deployments in which
+    # several dozen (position, plate) pairs are blocked
+    scene = dataclasses.replace(table3_scene, points=table3_scene.points[::20], rel=table3_scene.rel[::20])
+    stack = Deployment.of([lm for seed in (0, 1) for lm in generate_random(scene, 90, seed).landmarks])
+    whole = evaluate_coverages(scene, stack, 2)
+    table = occluder_table(stack.landmarks[:90], scene.points)
+    monkeypatch.setattr(coverage_module, "_CHUNK_ELEMENTS", 45)
+    assert np.array_equal(occluder_table(stack.landmarks[:90], scene.points), table)
+    assert np.array_equal(evaluate_coverages(scene, stack, 2).p_n, whole.p_n)
 
 
 def depth_cuts(intr, thold, delta=4.0):

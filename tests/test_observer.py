@@ -334,7 +334,7 @@ def test_simulate_kernel_calls_stay_within_the_block_cap(monkeypatch):
     kernel = obs.axis_strengths
 
     def spy(points, axes, landmarks, *args):
-        calls.append((len(points), len(landmarks)))
+        calls.append((len(points), landmarks.nu.shape[-1]))  # a Deployment's K plates, or PlateRows'
         return kernel(points, axes, landmarks, *args)
 
     monkeypatch.setattr(obs, "axis_strengths", spy)

@@ -104,3 +104,13 @@ def test_gate_core_calls_only_private_coverage_functions():
     called = called_functions((SRC / "coverage.py").read_text(encoding="utf-8"), "_live_gates")
     assert {"_classify_window", "_occluded", "_depth_cuts"} <= called
     assert sorted(name for name in called if not name.startswith("_")) == []
+
+
+def test_gate_core_builds_no_occluder_table():
+    """The occluder table is built once per evaluation or pose stack, by ``PlateRows.seen_from``.
+
+    The gate core only reads it: a table built per pass would cost about
+    as much as the occlusion tests it saves.
+    """
+    called = called_functions((SRC / "coverage.py").read_text(encoding="utf-8"), "_live_gates")
+    assert "_occluded" in called and "_occluder_table" not in called
