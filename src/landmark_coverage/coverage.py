@@ -11,37 +11,32 @@ the n-fold coverage probability of a position.
 
 The scalar criteria are the reference semantics.  Every gate bounds the
 plate's camera depth ``z``, and each bound is monotone in ``z``, so the
-batched kernel at the bottom turns near focus, far focus and resolution
-into exact float cuts on ``z`` and tests ``lo <= z <= hi`` per (row, cell,
-plate).  A row is a camera position with its own plates (``PlateRows``):
-one deployment shares its plates across all rows, and a stack of
-deployments, such as a search generation, gives each (deployment,
-position) row the plates of its deployment, so a plate only ever occludes
-plates of its own row.  The kernel tests the window first, for the (row,
-plate) pairs that face the camera and whose window is not empty, taken
-by flat index; each pair's window is one row of cells.  With one set of
-axes for every row, each pair's far cut is first capped at the deepest
-depth its plate can reach, so every window is two-sided, and one float32
-(pairs, 4) x (4, cells) matrix product of inputs scaled by powers of two
-ranks each cell as surely inside or surely outside the window, by a
-margin wider than a proven bound on its float error; only the cells
-within the margin get ``z``, in float64 with the scalar path's
-expressions and operation order, which per-row axes (a stack of poses)
-get for every pair.  The occlusion pass then tests each pair against the
-plates of its row that the rows' occluder table keeps, or all K without
-one; a plate that fails its own gates still blocks in the scalar rule.
-``PlateRows.seen_from`` builds that table once per evaluation from the
-box of its camera positions: a plate is left out only where a ray-box
-bound, proven against the test's float rounding, shows it blocks no
-camera in the box.  The core copies each pair's row once into a dense
-plate-major (plate, row, cell) mask: ``strengths_grid`` and
-``axis_strengths`` return a (row, cell, plate) view of it and
-``cell_counts`` its sum over plates, so both equal the scalar criteria
-bit for bit.  Each of those calls is one pass;
-``gate_passes`` cuts a larger batch of rows into passes whose temporaries
-stay small, and the callers run them one after another.  ``masked_fsum``
-turns the counts into P_n: an exact integer-limb product per pass,
-rounded once per row, as ``math.fsum`` rounds.
+batched kernel at the bottom turns near focus, far focus and resolution into
+exact float cuts on ``z`` and tests ``lo <= z <= hi`` per (row, cell,
+plate).  A row is a camera position with its own plates (``PlateRows``): one
+deployment shares its plates across all rows, and a stack of deployments,
+such as a search generation, scores each deployment's run of rows against
+its own plates, so a plate only ever occludes plates of its own row.  The
+kernel tests the window first, for the (row, plate) pairs that face the
+camera and whose window is not empty, taken by flat index.  Shared axes rank
+each cell of a pair's window as surely inside or surely outside by one
+float32 matrix product, with a margin wider than a proven bound on its float
+error (``_DEPTH_MARGIN``); only the cells within the margin get ``z``, in
+float64 with the scalar path's expressions and operation order, which
+per-row axes (a stack of poses) get for every pair.  The occlusion pass then
+tests each pair against the plates of its row that the call's occluder table
+keeps; a plate that fails its own gates still blocks in the scalar rule.  A
+call of more than one row builds the table from the box of its camera
+positions: a plate is left out only where a ray-box bound, proven against
+the test's float rounding, shows it blocks no camera in the box.  The core
+copies each pair's row once into a dense plate-major (plate, row, cell)
+mask: ``strengths_grid`` and ``axis_strengths`` return a (row, cell, plate)
+view of it and ``cell_counts`` its sum over plates, so both equal the scalar
+criteria bit for bit.  Every entry point runs the core through
+``_run_passes``, which cuts the call's rows into ``gate_passes``' passes,
+whose temporaries stay small, and reduces each pass before the next.
+``masked_fsum`` turns the counts into P_n: an exact integer-limb product per
+pass, rounded once per row, as ``math.fsum`` rounds.
 """
 
 from __future__ import annotations
@@ -419,15 +414,15 @@ def gate_passes(rows: int, cells: int, plates: int) -> list[slice]:
 
 
 class PlateRows(NamedTuple):
-    """Plates per kernel row: ``positions`` and ``normals`` (R or 1, K, 3), ``nu`` (R or 1, K).
+    """Plates per kernel row: ``positions`` and ``normals`` (R, K, 3), ``nu`` (R, K).
 
-    A leading 1 shares one set of K plates among all rows; otherwise row r
-    of the points is scored against its own plates ``[r]``, as a stack of
-    deployments gathers them for each pass of ``gate_passes``.
-    ``occluders`` (R or 1, K, K), from ``seen_from``, is False at [r, k, j]
-    only where plate j cannot block plate k from any camera position the
-    table was built for, so the occlusion pass tests only the others; None
-    makes every plate of a row a candidate.
+    The R sets score a call's B rows in R equal consecutive runs: R = 1
+    shares one set among all rows, R = B gives each row its own, and R = m
+    is m deployments at B / m positions each. ``occluders`` (R, K, K), from
+    ``seen_from``, is False at [r, k, j] only where plate j cannot block
+    plate k from any camera position the table was built for, so the
+    occlusion pass tests only the others; None makes every plate of a row
+    a candidate.
     """
 
     positions: np.ndarray
@@ -445,8 +440,34 @@ class PlateRows(NamedTuple):
 
     @classmethod
     def seen_from(cls, positions, normals, nu, points) -> "PlateRows":
-        """Plates (R or 1, K, ...) with their occluder table for cameras anywhere in the box of ``points`` (B, 3)."""
+        """Plates (R, K, ...) with their occluder table for cameras anywhere in the box of ``points`` (B, 3)."""
         return cls(positions, normals, nu, _occluder_table(positions, nu, np.asarray(points, dtype=float)))
+
+
+def _run_passes(points, axes, plates: PlateRows, intrinsics, delta, thold, out, reduce, window=None):
+    """The gate core over the B rows of ``points``: ``out[rows] = reduce(mask)`` per pass, in order.
+
+    ``axes`` is (B or 1, G, 3), ``window`` their ``_window_axes`` when shared.
+    Each pass takes its rows' sets of ``plates``, as ``PlateRows`` says, and
+    a table built from the box of the points when B > 1 and they have none:
+    one row tests every plate, as a table would cost it more than it saves.
+    """
+    points = np.asarray(points, dtype=float)
+    n_rows, sets = len(points), len(plates.nu)
+    if sets != 1 and n_rows != sets * (n_rows // max(sets, 1)):
+        raise ValueError(f"{sets} plate sets do not split {n_rows} rows into equal runs")
+    if plates.occluders is None and n_rows > 1:
+        plates = PlateRows.seen_from(*plates[:3], points)
+    shared = axes.shape[0] == 1
+    window = window or (_window_axes(axes[0]) if shared else None)
+    for rows in gate_passes(n_rows, axes.shape[1], plates.nu.shape[-1]):
+        run = None if sets == 1 else np.arange(rows.start, rows.stop) // (n_rows // sets)
+        out[rows] = reduce(_live_gates(
+            points[rows], axes if shared else axes[rows],
+            plates if run is None else PlateRows(*(a.take(run, axis=0) for a in plates)),
+            intrinsics, delta, thold, window,
+        ))
+    return out
 
 
 def strengths_grid(
@@ -486,8 +507,9 @@ def axis_strengths(
     (B, 1, 3), for a stack of poses.  Otherwise as ``strengths_grid``, whose
     (B, G, K) mask this is, bit for bit.
     """
-    mask = _live_gates(points, axes, PlateRows.of(landmarks), intrinsics, delta, thold)
-    return mask.transpose(1, 2, 0)
+    plates = PlateRows.of(landmarks)
+    out = np.empty((plates.nu.shape[-1], len(points), axes.shape[1]), dtype=bool).transpose(1, 2, 0)
+    return _run_passes(points, axes, plates, intrinsics, delta, thold, out, lambda mask: mask.transpose(1, 2, 0))
 
 
 def _bits_float(bits: int) -> float:
@@ -539,15 +561,7 @@ def _depth_cuts(
     return z_near, z_far, _last_positive(resolved)
 
 
-def _live_gates(
-    points: np.ndarray,
-    axes: np.ndarray,
-    plates: PlateRows,
-    intrinsics: CameraIntrinsics,
-    delta: float,
-    thold: float,
-    window: tuple | None = None,
-) -> np.ndarray:
+def _live_gates(points, axes, plates: PlateRows, intrinsics, delta, thold, window=None) -> np.ndarray:
     """The gate core: the (K, B, G) bool mask of measurable (plate, row, cell) triples.
 
     Every gate bounds the camera depth z = axis . (landmark - camera): z
@@ -555,18 +569,16 @@ def _live_gates(
     z_near)`` per (row, plate) and ``hi = min(z_far, z_res)`` is one
     scalar from ``_depth_cuts``. The L pairs that face the camera and have
     ``lo <= hi`` are taken by flat index into the (B, K) arrays. Their
-    (L, G) window is tested first, by ``_classify_window`` for shared axes
-    and by ``_in_window`` for per-row axes; then the occlusion pass tests
-    each pair against the plates of its row that ``plates.occluders``
-    keeps (all K when it is None; the core reads the table and never
-    builds one), and a blocked pair's row is cleared. Shared axes may come
-    with ``window``, their ``_window_axes`` value, which is otherwise
-    computed per pass. Per-row axes drop the pairs with no passing cell
-    first. With shared axes 95-98% of the pairs have a passing cell on the
-    packaged Table 3 and desk scenes, so finding the others would cost
-    more than their occlusion test. Each row is then copied once into the
-    plate-major mask, which is allocated only after the occlusion arrays
-    are freed.
+    (L, G) window is tested first, by ``_classify_window`` for shared axes,
+    with their ``window`` if given, and by ``_in_window`` for per-row axes.
+    Per-row axes, and plates without a table, then drop the pairs with no
+    passing cell; with shared axes and a table 95-98% of the pairs have one
+    on the packaged Table 3 and desk scenes, so finding the others would
+    cost more than their occlusion test. The occlusion pass tests each
+    pair against the plates of its row that ``plates.occluders`` keeps
+    (all K when it is None; the core reads the table and never builds
+    one), and a blocked pair's row is cleared. Each row is then copied once
+    into the plate-major mask, allocated after the occlusion arrays are freed.
     """
     z_near, z_far, z_res = _depth_cuts(
         *_focus_depths(intrinsics, delta),
@@ -575,7 +587,6 @@ def _live_gates(
         thold,
     )
     hi = min(z_far, z_res)
-    points = np.asarray(points, dtype=float)
     # landmark - camera, one (B, K) array per coordinate
     dx, dy, dz = (plates.positions[:, :, i] - points[:, i, None] for i in range(3))
     ranges = np.sqrt((dx * dx + dy * dy) + dz * dz)
@@ -594,8 +605,8 @@ def _live_gates(
     else:  # one axis row per position, gathered per pair: (3, L, G)
         pair_axes = axes.take(b, axis=0).transpose(2, 0, 1)
         gate = _in_window(pair_axes, px[:, None], py[:, None], pz[:, None], lo[:, None], hi)
-        # a pose sees few of its plates, and a pair with no passing cell
-        # adds nothing to the mask, so only the others go on
+    if axes.shape[0] > 1 or plates.occluders is None:
+        # a pair with no passing cell adds nothing to the mask
         seen = np.flatnonzero(gate.any(axis=1))
         live, b, k, px, py, pz, nk, gate = (x.take(seen, axis=0) for x in (live, b, k, px, py, pz, nk, gate))
     # nu is (1, K) for shared plates, (B, K) for per-row ones
@@ -797,7 +808,8 @@ def _occluder_table(positions, nu, points) -> np.ndarray:
     whose (3, targets, K) arrays hold at most ``_CHUNK_ELEMENTS`` elements.
     """
     n = nu.shape[-1]
-    lo, hi = points.min(axis=0, initial=math.inf), points.max(axis=0, initial=-math.inf)
+    ends = np.ascontiguousarray(points.T)  # min and max along (3, B) take a tenth of their time along (B, 3)
+    lo, hi = ends.min(axis=1, initial=math.inf), ends.max(axis=1, initial=-math.inf)
     flat = positions.reshape(-1, 3)
     scale = np.abs(np.concatenate((flat, (lo, hi)))).max()
     table = np.ones((nu.size, n), dtype=bool)
@@ -863,13 +875,7 @@ def cell_counts(
     summed over its K plates. The counts are ``uint8`` below 256 plates,
     which no row can exceed, and ``np.intp`` from 256 plates up.
     """
-    mask = _live_gates(
-        points, grid.axes()[None], PlateRows.of(landmarks), intrinsics, params.delta, params.thold,
-        grid.window_axes(),
-    )
-    # a position counts at most its own K plates
-    dtype = np.uint8 if mask.shape[0] < 256 else np.intp
-    return mask.view(np.uint8).sum(axis=0, dtype=dtype)
+    return _grid_passes(points, landmarks, grid, intrinsics, params, None)
 
 
 def coverage_probabilities(
@@ -881,7 +887,19 @@ def coverage_probabilities(
     params: CoverageParams,
 ) -> np.ndarray:
     """n-fold coverage probability for a batch of positions: ``nple_probability``'s sum per row."""
-    return pdf.masked_fsum(cell_counts(points, landmarks, grid, intrinsics, params) >= params.n)
+    return _grid_passes(points, landmarks, grid, intrinsics, params, pdf)
+
+
+def _grid_passes(points, landmarks, grid, intrinsics, params, pdf):
+    """``cell_counts``, or with a ``pdf`` ``coverage_probabilities``, per pass of ``_run_passes``."""
+    plates = PlateRows.of(landmarks)
+    dtype = np.uint8 if plates.nu.shape[-1] < 256 else np.intp  # a row counts at most its own K plates
+    out = np.empty((len(points), grid.n_cells), dtype) if pdf is None else np.empty(len(points))
+    finish = (lambda counts: counts) if pdf is None else (lambda counts: pdf.masked_fsum(counts >= params.n))
+    return _run_passes(
+        points, grid.axes()[None], plates, intrinsics, params.delta, params.thold, out,
+        lambda mask: finish(mask.view(np.uint8).sum(axis=0, dtype=dtype)), grid.window_axes(),
+    )
 
 
 def masked_fsum(mask: np.ndarray, weights: np.ndarray):

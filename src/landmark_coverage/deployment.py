@@ -25,7 +25,6 @@ from .coverage import (
     OrientationPdf,
     PlateRows,
     coverage_probabilities,
-    gate_passes,
     split_weights,
 )
 from .errors import (
@@ -315,26 +314,20 @@ def evaluate_coverages(scene: Scene, plates: Deployment, m: int) -> CoverageMap:
     """One coverage map of ``m`` deployments of equal size, stacked in ``plates``.
 
     Deployment i is plates ``[i * K, (i + 1) * K)``, K = len(plates) / m, and
-    row i of the map. Its rows are scored in ``gate_passes``' passes, which may
-    cut a deployment, each against its own deployment's plates only, so row i
-    equals deployment i's own ``evaluate_coverage``, ``cost`` included.
+    row i of the map: one ``coverage_probabilities`` call scores the scene's
+    positions m times over, each run against its own deployment's plates,
+    so row i equals deployment i's own ``evaluate_coverage``, ``cost`` included.
     """
     k = len(plates) // m if m else 0
     if len(plates) != m * k:
         raise ValueError(f"{len(plates)} plates do not split into {m} deployments of equal size")
-    stacked = PlateRows.seen_from(
-        plates.positions.reshape(m, k, 3), plates.normals.reshape(m, k, 3), plates.nu.reshape(m, k), scene.points
+    p_n = coverage_probabilities(
+        np.tile(scene.points, (m, 1)),
+        PlateRows(plates.positions.reshape(m, k, 3), plates.normals.reshape(m, k, 3), plates.nu.reshape(m, k)),
+        scene.grid, scene.pdf, scene.intrinsics, scene.params,
     )
-    n = scene.n_points
-    p_n = np.empty(m * n)
-    for rows in gate_passes(m * n, scene.grid.n_cells, k):
-        deployment, position = np.divmod(np.arange(rows.start, rows.stop), n)
-        p_n[rows] = coverage_probabilities(
-            scene.points.take(position, axis=0), PlateRows(*(a.take(deployment, axis=0) for a in stacked)),
-            scene.grid, scene.pdf, scene.intrinsics, scene.params,
-        )
     return CoverageMap(
-        points=scene.points, p_n=p_n.reshape(m, n), rel=scene.rel, n=scene.params.n, thold_p=scene.thold_p,
+        points=scene.points, p_n=p_n.reshape(m, scene.n_points), rel=scene.rel, n=scene.params.n, thold_p=scene.thold_p,
         rel_fsum=scene.rel_fsum,
     )
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coverage import PlateRows, axis_strengths, gate_passes
+from .coverage import axis_strengths
 from .deployment import MAX_STEPS, Scene
 from .errors import (
     EstimateDivergedError,
@@ -358,26 +358,15 @@ def pose_strengths(x, landmarks, intrinsics, delta: float, thold: float = 0.0) -
     """Measurable mask of all landmarks seen from the pose X, shape (K,).
 
     ``x`` may also be a stack of poses (N, 4, 4), giving (N, K); each pose
-    looks along its own optical axis, and every row equals the one-pose call
-    bit for bit. The poses go to the kernel in ``gate_passes``' passes,
-    each pose one row of one cell. A stack's passes share one occluder
-    table, built from the box of its positions (``PlateRows.seen_from``);
-    a one-pose call, as ``simulate`` makes per step from the estimate,
-    tests every plate instead, as building a table would cost more.
+    looks along its own optical axis, one cell of ``axis_strengths``, and
+    every row equals the one-pose call bit for bit.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-2:] != (4, 4) or x.ndim not in (2, 3):
         raise ValueError(f"expected a (4, 4) pose or an (N, 4, 4) stack, got shape {x.shape}")
     poses = x.reshape(-1, 4, 4)
-    plates = Deployment.of(landmarks)
-    positions = poses[:, :3, 3]
-    axes = poses[:, None, :3, 2]  # optical-axis rows of the world-to-camera rotations
-    shared = PlateRows.of(plates)
-    if x.ndim == 3:  # one occluder table for the stack; a one-pose call tests every plate
-        shared = PlateRows.seen_from(*shared[:3], positions)
-    out = np.empty((len(poses), len(plates)), dtype=bool)
-    for rows in gate_passes(len(poses), 1, len(plates)):
-        out[rows] = axis_strengths(positions[rows], axes[rows], shared, intrinsics, delta, thold)[:, 0]
+    # the optical axes are the third rows of the world-to-camera rotations
+    out = axis_strengths(poses[:, :3, 3], poses[:, None, :3, 2], landmarks, intrinsics, delta, thold)[:, 0]
     return out if x.ndim == 3 else out[0]
 
 

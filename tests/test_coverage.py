@@ -431,8 +431,11 @@ def test_uniform_reduction_equals_fsum_for_every_count(monkeypatch, n_yaw, n_pit
     # row c reaches n plates in c shuffled cells and stays below n elsewhere
     covered = rng.permuted(np.arange(g)[None, :] < np.arange(g + 1)[:, None], axis=1)
     counts = np.where(covered, rng.integers(2, 5, covered.shape), rng.integers(0, 2, covered.shape))
-    monkeypatch.setattr(coverage_module, "cell_counts", lambda *args: counts)
-    p = coverage_probabilities(np.zeros((g + 1, 3)), [], grid, pdf, TABLE3, params)
+    # four stacked plates whose sum is counts, handed out per pass by row:
+    # each point's x coordinate is its row index
+    stacked = np.arange(4)[:, None, None] < counts
+    monkeypatch.setattr(coverage_module, "_live_gates", lambda points, *args: stacked[:, points[:, 0].astype(int)])
+    p = coverage_probabilities(np.arange(g + 1.0)[:, None] * [1.0, 0.0, 0.0], [], grid, pdf, TABLE3, params)
     want = np.array([math.fsum(pdf.weights[row].tolist()) for row in covered])
     assert p.dtype == want.dtype and p.tobytes() == want.tobytes()
 
@@ -1351,3 +1354,150 @@ def test_coverage_params_validation():
         CoverageParams(thold=0.2, delta=0.0, n=1)
     with pytest.raises(ValueError):
         CoverageParams(thold=0.2, delta=4.0, n=-1)
+
+
+# ---------------------------------------------------------------------------
+# The pass runner behind every entry point
+
+ENTRY_POINTS = {
+    "strengths_grid": lambda scene, plates, points: strengths_grid(
+        points, scene.grid.rotations(), plates, scene.intrinsics, scene.params.delta, scene.params.thold),
+    # one optical axis per row, as a pose stack gives them; a run of rows repeats them
+    "axis_strengths": lambda scene, plates, points: coverage_module.axis_strengths(
+        points, scene.grid.axes()[np.arange(len(points)) % scene.n_points % scene.grid.n_cells, None], plates,
+        scene.intrinsics, scene.params.delta, scene.params.thold),
+    "cell_counts": lambda scene, plates, points: cell_counts(
+        points, plates, scene.grid, scene.intrinsics, scene.params),
+    "coverage_probabilities": lambda scene, plates, points: coverage_probabilities(
+        points, plates, scene.grid, scene.pdf, scene.intrinsics, scene.params),
+}
+
+
+def stacked_plates(deployments):
+    """``PlateRows`` with one set per deployment, for runs of rows of equal length."""
+    return PlateRows(*(np.stack([getattr(d, name) for d in deployments]) for name in ("positions", "normals", "nu")))
+
+
+def spy_gate_core(monkeypatch):
+    """Record the ``PlateRows`` and row count of every gate-core pass."""
+    passes, real = [], coverage_module._live_gates
+
+    def spy(points, axes, plates, *args):
+        passes.append((len(points), axes.shape[1], plates))
+        return real(points, axes, plates, *args)
+
+    monkeypatch.setattr(coverage_module, "_live_gates", spy)
+    return passes
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+@pytest.mark.parametrize("sets", [1, 3])
+def test_entry_points_cut_their_rows_into_passes_within_the_cap(desk_scene, monkeypatch, entry, sets):
+    """Over more rows than one pass, an entry point equals its one-pass result bit for bit.
+
+    The desk's 48 positions, ``sets`` times over: with 3 sets each run of
+    48 rows is scored against its own deployment, as that deployment's
+    own call scores it, and 7-row passes cut the runs mid-way.
+    """
+    k, call = 12, ENTRY_POINTS[entry]
+    deployments = [generate_random(desk_scene, k, seed) for seed in range(sets)]
+    plates = stacked_plates(deployments) if sets > 1 else deployments[0]
+    points = np.tile(desk_scene.points, (sets, 1))
+    whole = call(desk_scene, plates, points)
+    cap = 7 * max(desk_scene.grid.n_cells, k) * k
+    monkeypatch.setattr(coverage_module, "_CHUNK_ELEMENTS", cap)
+    passes = spy_gate_core(monkeypatch)
+    cut = call(desk_scene, plates, points)
+    assert len(passes) > 1 and sum(rows for rows, _, _ in passes) == len(points)
+    assert all(rows * max(cells, k) * k <= cap for rows, cells, _ in passes)
+    assert cut.shape == whole.shape and cut.dtype == whole.dtype and cut.tobytes() == whole.tobytes()
+    n = desk_scene.n_points
+    for i, deployment in enumerate(deployments):
+        own = call(desk_scene, deployment, points[i * n:(i + 1) * n])
+        assert own.tobytes() == cut[i * n:(i + 1) * n].tobytes()
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+@pytest.mark.parametrize("rows", [1, 2, 40])
+def test_an_entry_point_builds_one_occluder_table_per_call_of_many_rows(desk_scene, monkeypatch, entry, rows):
+    """A call of more than one row builds one table for all its passes; a one-row call builds none."""
+    plates = generate_random(desk_scene, 12, 0)
+    builds, build = [], coverage_module._occluder_table
+    monkeypatch.setattr(coverage_module, "_occluder_table", lambda *args: builds.append(args) or build(*args))
+    monkeypatch.setattr(coverage_module, "_CHUNK_ELEMENTS", 7 * 72 * 12)  # passes of 7 rows or more
+    passes = spy_gate_core(monkeypatch)
+    ENTRY_POINTS[entry](desk_scene, plates, desk_scene.points[:rows])
+    tables = [rows_plates.occluders for _, _, rows_plates in passes]
+    if rows == 1:
+        assert builds == [] and tables == [None]
+    else:
+        assert len(builds) == 1 and builds[0][2].tobytes() == desk_scene.points[:rows].tobytes()
+        assert tables[0] is not None and all(table is tables[0] for table in tables)
+
+
+def test_one_deployment_reaches_every_pass_shared_with_one_table(desk_scene, monkeypatch):
+    """``evaluate_coverage`` hands each pass the deployment's own (1, K, ...) plates, not a gathered copy."""
+    deployment = generate_random(desk_scene, 12, 0)
+    whole = evaluate_coverage(desk_scene, deployment).p_n
+    monkeypatch.setattr(coverage_module, "_CHUNK_ELEMENTS", 7 * 72 * 12)  # 7-row passes
+    passes = spy_gate_core(monkeypatch)
+    assert evaluate_coverage(desk_scene, deployment).p_n.tobytes() == whole.tobytes()
+    assert [rows for rows, _, _ in passes] == [7] * 6 + [6]
+    own = (deployment.positions, deployment.normals, deployment.nu)
+    for _, _, plates in passes:
+        assert plates.positions.shape == (1, 12, 3) and plates.occluders.shape == (1, 12, 12)
+        assert all(np.shares_memory(given, field) for given, field in zip(plates[:3], own))
+        assert plates.occluders is passes[0][2].occluders
+
+
+@pytest.mark.parametrize("sets, rows", [(3, 4), (2, 5), (4, 2), (0, 3)])
+def test_plate_sets_must_split_the_rows_into_equal_runs(sets, rows):
+    grid = OrientationGrid.from_cells(4, 2)
+    params = CoverageParams(thold=0.0, delta=4.0, n=1)
+    plates = PlateRows(np.full((sets, 1, 3), 200.0), np.full((sets, 1, 3), -1.0), np.full((sets, 1), 10.0))
+    points = np.zeros((rows, 3))
+    with pytest.raises(ValueError, match=f"^{sets} plate sets do not split {rows} rows into equal runs$"):
+        cell_counts(points, plates, grid, TABLE3, params)
+    with pytest.raises(ValueError, match=f"^{sets} plate sets do not split {rows} rows into equal runs$"):
+        strengths_grid(points, grid.rotations(), plates, TABLE3, 4.0)
+    assert cell_counts(points[:0], plates, grid, TABLE3, params).shape == (0, 8)
+
+
+def test_a_one_pose_call_sends_only_pairs_with_a_passing_cell_to_occlusion(desk_scene, monkeypatch):
+    """A one-row call has no occluder table, so it tests only the pairs that pass a cell against all K plates."""
+    plates = generate_uniform(desk_scene, 400)
+    gates = (desk_scene.intrinsics, desk_scene.params.delta, desk_scene.params.thold)
+    poses = np.array([pose_to_se3(Pose6(desk_scene.center + [20.0, -10.0, 5.0], yaw=y, pitch=0.2)) for y in (0.5, 2.0)])
+    stacked = pose_strengths(poses, plates, *gates)
+    # alone, no plate is occluded: its mask is its window and facing gates
+    passing = [sum(pose_strengths(x, Deployment([lm]), *gates)[0] for lm in plates.landmarks) for x in poses]
+    pairs, occluded = [], coverage_module._occluded
+    monkeypatch.setattr(coverage_module, "_occluded", lambda *args: pairs.append(args[5].size) or occluded(*args))
+    for x, want in zip(poses, stacked):
+        assert pose_strengths(x, plates, *gates).tobytes() == want.tobytes()
+    assert pairs == passing and 0 < stacked.sum(axis=1).min()
+    assert all(count < len(plates) // 4 for count in passing)
+
+
+def test_a_direct_cell_count_holds_one_pass_of_memory(table3_scene):
+    """``cell_counts`` over Table 3's 1040 positions, 288 cells and 90 plates, under tracemalloc.
+
+    Its (1040, 288) uint8 output is 0.3 MB; one (K, B, G) mask for all
+    the rows would be 27 MB, where one pass's is at most 256 KiB.
+    """
+    import tracemalloc
+
+    scene = table3_scene
+    plates = generate_random(scene, 90, 0)
+    call = lambda: cell_counts(scene.points, plates, scene.grid, scene.intrinsics, scene.params)  # noqa: E731
+    want = call()  # first-use caches
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing this process")
+    tracemalloc.start()
+    try:
+        counts = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.tobytes() == want.tobytes() and counts.any()
+    assert peak < 3_000_000

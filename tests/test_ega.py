@@ -338,13 +338,13 @@ def test_search_threads_split_each_evaluation_into_spans(desk_scene, monkeypatch
     best_default, hist_default = ega.run(desk_scene, params, count=k)
     monkeypatch.setattr(coverage_module, "_CHUNK_ELEMENTS", 16 * max(desk_scene.grid.n_cells, k) * k)
     spans = []
-    real_probabilities = dep.coverage_probabilities
+    real_gates = coverage_module._live_gates
 
-    def spy(points, *args):
+    def spy(points, *args):  # one gate-core pass
         spans.append(len(points))
-        return real_probabilities(points, *args)
+        return real_gates(points, *args)
 
-    monkeypatch.setattr(dep, "coverage_probabilities", spy)
+    monkeypatch.setattr(coverage_module, "_live_gates", spy)
     best16, hist16 = ega.run(desk_scene, params, count=k)
     assert set(spans) == {16}
     assert [(h.best, h.mean, h.worst) for h in hist16] == [(h.best, h.mean, h.worst) for h in hist_default]

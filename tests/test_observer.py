@@ -331,13 +331,13 @@ def test_pose_strengths_rejects_other_shapes():
 def test_simulate_kernel_calls_stay_within_the_block_cap(monkeypatch):
     scene, deployment = room_scene_and_plates()
     calls = []
-    kernel = obs.axis_strengths
+    kernel = cov._live_gates
 
     def spy(points, axes, landmarks, *args):
-        calls.append((len(points), landmarks.nu.shape[-1]))  # a Deployment's K plates, or PlateRows'
+        calls.append((len(points), landmarks.nu.shape[-1]))  # one gate-core pass over PlateRows' K plates
         return kernel(points, axes, landmarks, *args)
 
-    monkeypatch.setattr(obs, "axis_strengths", spy)
+    monkeypatch.setattr(cov, "_live_gates", spy)
     x0 = pose_to_se3(Pose6(scene.center, yaw=0.3))
     spec = obs.TrajectorySpec(initial=x0, segments=[(25.0, twist([0.0, 0.0, 0.4], [0.0, 0.0, 0.0]))])
     cfg = obs.ObserverConfig(k_i=1e-5, dt=0.01, visibility="camera-model")

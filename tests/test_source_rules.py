@@ -114,3 +114,48 @@ def test_gate_core_builds_no_occluder_table():
     """
     called = called_functions((SRC / "coverage.py").read_text(encoding="utf-8"), "_live_gates")
     assert "_occluded" in called and "_occluder_table" not in called
+
+
+def names_in(node) -> set[str]:
+    """Every name that ``node``'s code loads, binds, imports or reads as an attribute."""
+    found = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            found.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            found.add(child.attr)
+        elif isinstance(child, ast.alias):
+            found.add(child.name)
+    return found
+
+
+@pytest.mark.parametrize("module", ["deployment.py", "observer.py"])
+def test_callers_leave_passes_and_tables_to_coverage(module):
+    """How a call's rows are cut into passes, and which occluder table they read, is decided in ``coverage``."""
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    assert names_in(tree) & {"gate_passes", "seen_from", "_occluder_table", "_CHUNK_ELEMENTS"} == set()
+
+
+def test_one_function_runs_the_gate_core_passes():
+    """``_run_passes`` alone runs ``gate_passes``' passes of ``_live_gates``, calling only private functions per pass.
+
+    The benchmark's tracer wraps each public function of ``coverage`` in a
+    span, so a public function called per pass, in the loop or in a
+    reduction that an entry point hands the runner, would add a span to
+    every pass.
+    """
+    tree = ast.parse((SRC / "coverage.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    runners = {name for name, node in functions.items() if {"gate_passes", "_live_gates"} & names_in(node)}
+    assert runners == {"_run_passes"}
+    loops = [node for node in ast.walk(functions["_run_passes"]) if isinstance(node, ast.For)]
+    assert len(loops) == 1 and "_live_gates" in names_in(ast.Module(body=loops[0].body, type_ignores=[]))
+    per_pass = [ast.Module(body=loops[0].body, type_ignores=[])]
+    for node in functions.values():  # the reductions of the runner's callers
+        if "_run_passes" in names_in(node) and node.name != "_run_passes":
+            per_pass += [child for child in ast.walk(node) if isinstance(child, ast.Lambda)]
+    assert len(per_pass) > 3
+    # module functions are reached by name; ``pdf.masked_fsum`` is the pdf's own callable
+    called = {child.id for node in per_pass for child in ast.walk(node) if isinstance(child, ast.Name)}
+    called &= set(functions)
+    assert "_live_gates" in called and sorted(name for name in called if not name.startswith("_")) == []
