@@ -16,25 +16,28 @@ exact float cuts on ``z`` and tests ``lo <= z <= hi`` per (row, cell,
 plate).  A row is a camera position with its own plates (``PlateRows``): one
 deployment shares its plates across all rows, and a stack of deployments,
 such as a search generation, scores each deployment's run of rows against
-its own plates, so a plate only ever occludes plates of its own row.  The
-kernel tests the window first, for the (row, plate) pairs that face the
-camera and whose window is not empty, taken by flat index.  Shared axes rank
-each cell of a pair's window as surely inside or surely outside by one
-float32 matrix product, with a margin wider than a proven bound on its float
-error (``_DEPTH_MARGIN``); only the cells within the margin get ``z``, in
-float64 with the scalar path's expressions and operation order, which
-per-row axes (a stack of poses) get for every pair.  The occlusion pass then
-tests each pair against the plates of its row that the call's occluder table
-keeps; a plate that fails its own gates still blocks in the scalar rule.  A
-call of more than one row builds the table from the box of its camera
-positions: a plate is left out only where a ray-box bound, proven against
-the test's float rounding, shows it blocks no camera in the box.  The core
-copies each pair's row once into a dense plate-major (plate, row, cell)
-mask: ``strengths_grid`` and ``axis_strengths`` return a (row, cell, plate)
-view of it and ``cell_counts`` its sum over plates, so both equal the scalar
-criteria bit for bit.  Every entry point runs the core through
-``_run_passes``, which cuts the call's rows into ``gate_passes``' passes,
-whose temporaries stay small, and reduces each pass before the next.
+its own plates, so a plate only ever occludes plates of its own row.  A
+call of more than one row builds an occluder table from the box of its
+camera positions: a plate is left out only where a ray-box bound, proven
+against the test's float rounding, shows it blocks no camera in the box.
+Once per call, every entry the table keeps is tested against every row of
+its set in the scalar operation order, which gives the call's blocked
+(row, plate) mask; a plate that fails its own gates still blocks in the
+scalar rule.  Every entry point runs the core through ``_run_passes``,
+which cuts the call's rows into ``gate_passes``' passes, whose temporaries
+stay small, and reduces each pass before the next.  A pass tests the window
+of the (plate, row) pairs that face the camera, have a non-empty window and
+are not blocked, taken by flat index.  Shared axes rank each cell of a
+pair's window as surely inside or surely outside by one float32 matrix
+product, with a margin wider than a proven bound on its float error
+(``_DEPTH_MARGIN``); only the cells within the margin get ``z``, in float64
+with the scalar path's expressions and operation order, which per-row axes
+(a stack of poses) get for every pair.  A one-row call has no table, and
+tests its pairs with a passing cell against every plate.  Each pair's row
+is copied once into a dense plate-major (plate, row, cell) mask:
+``strengths_grid`` and ``axis_strengths`` return a (row, cell, plate) view
+of it and ``cell_counts`` its sum over plates, so both equal the scalar
+criteria bit for bit.
 ``masked_fsum`` turns the counts into P_n: an exact integer-limb product per
 pass, rounded once per row, as ``math.fsum`` rounds.
 """
@@ -387,18 +390,17 @@ class CapSet:
 # resident memory.
 np.empty(1 << 20)
 
-# Cap on rows x max(cells, plates) x plates per gate-core pass. The core's
-# float temporaries are blocks over the L <= rows x plates (row, plate)
-# pairs with a non-empty depth window: the float32 (L, cells) product that
-# classifies the window, and the occlusion pass's arrays over the (pair,
-# plate) elements its occluder table keeps, which are at most L x plates
-# and hold one index and a few floats each. No block then exceeds 2^18
-# elements, 2 MiB at float64 and 1 MiB for the product, so one pass stays
-# under the thresholds set above and reuses heap memory rather than
-# faulting it in anew. The occlusion pass and the table's build also take
-# their elements in blocks of at most 2^18. The pass's (plates, rows,
-# cells) bool mask, built after the occlusion arrays are freed, is at
-# most 2^18 bytes.
+# Cap on rows x max(cells, plates) x plates per gate-core pass. A pass's
+# float temporaries are blocks over the L <= rows x plates (plate, row)
+# pairs with a non-empty depth window, chiefly the float32 (L, cells)
+# product that classifies the window; a one-row call's occlusion test adds
+# arrays over at most L x plates elements of an index and a few floats. No
+# block then exceeds 2^18 elements, 2 MiB at float64 and 1 MiB for the
+# product, so one pass stays under the thresholds set above and reuses heap
+# memory rather than faulting it in anew. The pass's (plates, rows, cells)
+# bool mask is at most 2^18 bytes. The occluder table's build takes its
+# elements in blocks of at most 2^18, and the call's blocked step, which
+# holds about a dozen floats per element, in blocks of at most 2^13.
 _CHUNK_ELEMENTS = 262_144
 
 
@@ -421,8 +423,8 @@ class PlateRows(NamedTuple):
     is m deployments at B / m positions each. ``occluders`` (R, K, K), from
     ``seen_from``, is False at [r, k, j] only where plate j cannot block
     plate k from any camera position the table was built for, so the
-    occlusion pass tests only the others; None makes every plate of a row
-    a candidate.
+    call's blocked step tests only the others; a call of more than one row
+    builds one where it is None, and a one-row call tests every plate.
     """
 
     positions: np.ndarray
@@ -449,8 +451,9 @@ def _run_passes(points, axes, plates: PlateRows, intrinsics, delta, thold, out, 
 
     ``axes`` is (B or 1, G, 3), ``window`` their ``_window_axes`` when shared.
     Each pass takes its rows' sets of ``plates``, as ``PlateRows`` says, and
-    a table built from the box of the points when B > 1 and they have none:
-    one row tests every plate, as a table would cost it more than it saves.
+    its rows of the call's one blocked mask, from a table built from the
+    box of the points when B > 1 and they have none: one row tests every
+    plate in its pass, as a table would cost it more than it saves.
     """
     points = np.asarray(points, dtype=float)
     n_rows, sets = len(points), len(plates.nu)
@@ -458,14 +461,16 @@ def _run_passes(points, axes, plates: PlateRows, intrinsics, delta, thold, out, 
         raise ValueError(f"{sets} plate sets do not split {n_rows} rows into equal runs")
     if plates.occluders is None and n_rows > 1:
         plates = PlateRows.seen_from(*plates[:3], points)
+    blocked = None if plates.occluders is None else _blocked_mask(points, plates)
+    plates = PlateRows(*plates[:3])
     shared = axes.shape[0] == 1
     window = window or (_window_axes(axes[0]) if shared else None)
     for rows in gate_passes(n_rows, axes.shape[1], plates.nu.shape[-1]):
         run = None if sets == 1 else np.arange(rows.start, rows.stop) // (n_rows // sets)
         out[rows] = reduce(_live_gates(
             points[rows], axes if shared else axes[rows],
-            plates if run is None else PlateRows(*(a.take(run, axis=0) for a in plates)),
-            intrinsics, delta, thold, window,
+            plates if run is None else PlateRows(*(a.take(run, axis=0) for a in plates[:3])),
+            intrinsics, delta, thold, window, None if blocked is None else blocked[rows],
         ))
     return out
 
@@ -561,24 +566,20 @@ def _depth_cuts(
     return z_near, z_far, _last_positive(resolved)
 
 
-def _live_gates(points, axes, plates: PlateRows, intrinsics, delta, thold, window=None) -> np.ndarray:
+def _live_gates(points, axes, plates: PlateRows, intrinsics, delta, thold, window=None, blocked=None) -> np.ndarray:
     """The gate core: the (K, B, G) bool mask of measurable (plate, row, cell) triples.
 
     Every gate bounds the camera depth z = axis . (landmark - camera): z
     passes when ``lo <= z <= hi``, where ``lo = max(range * fov_cos,
-    z_near)`` per (row, plate) and ``hi = min(z_far, z_res)`` is one
-    scalar from ``_depth_cuts``. The L pairs that face the camera and have
-    ``lo <= hi`` are taken by flat index into the (B, K) arrays. Their
-    (L, G) window is tested first, by ``_classify_window`` for shared axes,
-    with their ``window`` if given, and by ``_in_window`` for per-row axes.
-    Per-row axes, and plates without a table, then drop the pairs with no
-    passing cell; with shared axes and a table 95-98% of the pairs have one
-    on the packaged Table 3 and desk scenes, so finding the others would
-    cost more than their occlusion test. The occlusion pass tests each
-    pair against the plates of its row that ``plates.occluders`` keeps
-    (all K when it is None; the core reads the table and never builds
-    one), and a blocked pair's row is cleared. Each row is then copied once
-    into the plate-major mask, allocated after the occlusion arrays are freed.
+    z_near)`` per (plate, row) and ``hi = min(z_far, z_res)`` is one
+    scalar from ``_depth_cuts``. The L pairs that face the camera, have
+    ``lo <= hi`` and are clear in ``blocked``, the pass's (B, K) rows of
+    ``_blocked_mask``, are taken by flat index into the plate-major (K, B)
+    arrays, which is their row of the mask. Their (L, G) window is tested
+    by ``_classify_window`` for shared axes, with ``window`` if given, and
+    by ``_in_window`` for per-row axes. Without ``blocked`` (a one-row
+    call) ``_occluded`` then tests the pairs with a passing cell against
+    every plate. Each pair's row is copied once into the mask.
     """
     z_near, z_far, z_res = _depth_cuts(
         *_focus_depths(intrinsics, delta),
@@ -587,33 +588,31 @@ def _live_gates(points, axes, plates: PlateRows, intrinsics, delta, thold, windo
         thold,
     )
     hi = min(z_far, z_res)
-    # landmark - camera, one (B, K) array per coordinate
-    dx, dy, dz = (plates.positions[:, :, i] - points[:, i, None] for i in range(3))
+    # landmark - camera, one plate-major (K, B) array per coordinate
+    dx, dy, dz = (np.subtract(plates.positions[:, :, i].T, points[:, i], order="C") for i in range(3))
     ranges = np.sqrt((dx * dx + dy * dy) + dz * dz)
     lo = np.maximum(ranges * intrinsics.fov_cos, z_near)
     # The scalar facing > 0 on camera - landmark is exactly n . d < 0 here,
     # as negation is exact.
-    n = plates.normals
-    facing = (n[:, :, 0] * dx + n[:, :, 1] * dy) + n[:, :, 2] * dz
-    live = np.flatnonzero((facing < 0) & (lo <= hi))
-    del facing  # the (B, K) arrays left are the ones the occlusion pass reads
-    n_rows, n_plates = dx.shape
-    b, k = np.divmod(live, n_plates)
-    px, py, pz, nk, lo = (a.ravel()[live] for a in (dx, dy, dz, ranges, lo))
+    n = plates.normals.T
+    live = ((n[0] * dx + n[1] * dy) + n[2] * dz < 0) & (lo <= hi)
+    if blocked is not None:
+        live &= ~blocked.T
+    live = np.flatnonzero(live)
+    n_plates, n_rows = dx.shape
+    px, py, pz, lo = (a.ravel()[live] for a in (dx, dy, dz, lo))
     if axes.shape[0] == 1:
         gate = _classify_window(axes[0], px, py, pz, lo, hi, window or _window_axes(axes[0]))
     else:  # one axis row per position, gathered per pair: (3, L, G)
-        pair_axes = axes.take(b, axis=0).transpose(2, 0, 1)
+        pair_axes = axes.take(live % n_rows, axis=0).transpose(2, 0, 1)
         gate = _in_window(pair_axes, px[:, None], py[:, None], pz[:, None], lo[:, None], hi)
-    if axes.shape[0] > 1 or plates.occluders is None:
+    if blocked is None:
         # a pair with no passing cell adds nothing to the mask
         seen = np.flatnonzero(gate.any(axis=1))
-        live, b, k, px, py, pz, nk, gate = (x.take(seen, axis=0) for x in (live, b, k, px, py, pz, nk, gate))
-    # nu is (1, K) for shared plates, (B, K) for per-row ones
-    nu = plates.nu.ravel()[live % plates.nu.size]
-    gate[_occluded(dx, dy, dz, ranges, plates.occluders, live, b, px, py, pz, nk, nu)] = False
+        live, px, py, pz, gate = (x.take(seen, axis=0) for x in (live, px, py, pz, gate))
+        gate[_occluded(dx, dy, dz, ranges, plates.nu, live, px, py, pz)] = False
     mask = np.zeros((n_plates, n_rows, axes.shape[1]), dtype=bool)
-    mask.reshape(n_plates * n_rows, axes.shape[1])[k * n_rows + b] = gate
+    mask.reshape(n_plates * n_rows, axes.shape[1])[live] = gate
     return mask
 
 
@@ -665,7 +664,13 @@ def _in_window(a, px, py, pz, lo, hi) -> np.ndarray:
 # margin 2^-18 = 64v leaves a factor 10 of slack for these terms and the
 # second-order ones, and the floor 2^-1022 covers the float64 absolute
 # errors. A t that is not finite, from a cap that overflows, gives an
-# infinite margin: its cells all fall in the band.
+# infinite margin: its cells all fall in the band. The scaling is np.ldexp's,
+# bit for bit: a product with a power of two 2^e, -1074 <= e <= 1023,
+# rounds once, as ldexp does. As p >= 1 and q <= 1024 (q = 0 where t is
+# not finite), 2^(p-q) is such a power unless t < 2^(p-1024), and 2^-q is
+# then 2^(p-q)·2^-p, exactly; in that corner the classifier calls ldexp.
+# Two steps would not do: (d·2^p)·2^-q overflows where t nears the largest
+# float, and (d·2^-q)·2^p rounds twice where d·2^-q is subnormal.
 _DEPTH_MARGIN = 2.0**-18
 
 
@@ -689,29 +694,12 @@ def _classify_window(axes, px, py, pz, lo, hi, window) -> np.ndarray:
     """``_in_window``'s (L, G) mask for G shared axis rows ``axes`` (G, 3), from one float32 product.
 
     ``window`` is ``_window_axes(axes)``. With C, c, e and m as in
-    ``_DEPTH_MARGIN``'s comment, each pair's far
-    cut ``hi`` is capped at C; then a cell surely passes where ``e < -m``
-    and surely fails where ``e > m``. The product never supplies a z: the
-    cells between, or with e not a number, are resolved by ``_in_window``.
-    ``lo`` is at least z_near, so it, mid and t are positive.
+    ``_DEPTH_MARGIN``'s comment, each pair's far cut ``hi`` is capped at C;
+    then a cell surely passes where ``e < -m`` and surely fails where ``e >
+    m``. The cells between, or with e not a number, get ``_in_window``.
     """
-    reach = np.maximum(np.maximum(np.abs(px), np.abs(py)), np.abs(pz))
-    s, s1, p, a = window
-    rows = np.empty((px.size, 4), dtype=np.float32)
-    with np.errstate(over="ignore", invalid="ignore"):  # only where C or t is not finite
-        hi = np.minimum((reach * s) * (1.0 + 2.0**-40) + 2.0**-1022, hi)
-        mid = 0.5 * lo + 0.5 * hi
-        half = 0.5 * hi - 0.5 * lo
-        t = s1 * reach + mid + half
-        m = _DEPTH_MARGIN * t + 2.0**-1022
-        minus_q = -np.frexp(t)[1]
-        d_exponent = minus_q + p
-        for i, d in enumerate((px, py, pz)):
-            np.ldexp(d, d_exponent, out=rows[:, i])
-        rows[:, 3] = np.ldexp(-mid, minus_q)
-        lower = np.ldexp(half - m, minus_q).astype(np.float32)[:, None]
-        upper = np.ldexp(half + m, minus_q).astype(np.float32)[:, None]
-        c = rows @ a
+    rows, lower, upper, hi = _window_rows(px, py, pz, lo, hi, window)
+    c = rows @ window[3]
     np.abs(c, out=c)  # e + half·2^-q
     gate = c < lower
     # neither surely in nor surely out: c > upper and gate are never both set
@@ -722,39 +710,91 @@ def _classify_window(axes, px, py, pz, lo, hi, window) -> np.ndarray:
     return gate
 
 
-def _occluded(dx, dy, dz, ranges, occluders, live, b, px, py, pz, nk, nu) -> np.ndarray:
-    """Whether a plate of its own row b blocks each pair, shape (L,).
+def _window_rows(px, py, pz, lo, hi, window) -> tuple:
+    """``_classify_window``'s float32 (L, 4) rows, (L, 1) float32 cuts lower and upper, and capped hi.
 
-    ``live`` holds the pairs' flat (row, plate) indices and ``px``, ``py``,
-    ``pz``, ``nk`` and ``nu`` their own landmark - camera coordinates, range
-    and virtual diameter. Plate j of row b blocks a pair when it is nearer
-    along a sight line that passes within nu of it; the pair's own plate
-    never blocks, as nj < nk fails there. Any plate of the row may block,
-    whether or not it passes its own gates, as in the scalar rule, but
-    only the (pair, j) elements that the ``occluders`` table keeps, all of
-    them when it is None, are computed: the dot product, nj < nk and the
-    sight-line distance, each in the scalar operation order. Pairs go in
-    blocks of at most ``_CHUNK_ELEMENTS`` candidate elements.
+    Rows [d·2^(p-q)  -mid·2^-q] and cuts (half -/+ m)·2^-q, as in
+    ``_DEPTH_MARGIN``'s comment, scaled as ``np.ldexp`` scales them.
     """
-    n_plates = dx.shape[1]
-    table = None if occluders is None else occluders.reshape(len(occluders) * n_plates, n_plates)
+    reach = np.maximum(np.maximum(np.abs(px), np.abs(py)), np.abs(pz))
+    s, s1, p, _ = window
+    rows = np.empty((px.size, 4), dtype=np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):  # only where C or t is not finite
+        hi = np.minimum((reach * s) * (1.0 + 2.0**-40) + 2.0**-1022, hi)
+        mid = 0.5 * lo + 0.5 * hi
+        half = 0.5 * hi - 0.5 * lo
+        t = s1 * reach + mid + half
+        m = _DEPTH_MARGIN * t + 2.0**-1022
+        grow = np.ldexp(1.0, p - np.frexp(t)[1])  # 2^(p-q), infinite only where t < 2^(p-1024)
+        scale = grow * 2.0**-p  # 2^-q
+        for i, d in enumerate((px, py, pz)):
+            np.multiply(d, grow, out=rows[:, i])
+        np.multiply(-mid, scale, out=rows[:, 3])
+        lower = ((half - m) * scale).astype(np.float32)[:, None]
+        upper = ((half + m) * scale).astype(np.float32)[:, None]
+    if grow.max(initial=0.0) == math.inf:  # the corner where 2^(p-q) is no float
+        at = np.flatnonzero(grow == math.inf)
+        minus_q = -np.frexp(t[at])[1][:, None]
+        rows[at] = np.ldexp(np.stack((px, py, pz, -mid), axis=1)[at], minus_q + [p, p, p, 0])
+        lower[at], upper[at] = (np.ldexp(x[at, None], minus_q) for x in (half - m, half + m))
+    return rows, lower, upper, hi
+
+
+def _sight_blocks(dots, nj, nk, nu) -> np.ndarray:
+    """The scalar rule's test that plate j blocks target k, from their ranges, dot product and k's nu."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = dots / (nj * nk)
+        perp = nj * np.sqrt(np.maximum(1.0 - c * c, 0.0))
+    return (dots > 0) & (nj < nk) & (perp <= nu)
+
+
+def _occluded(dx, dy, dz, ranges, nu, live, px, py, pz) -> np.ndarray:
+    """Whether a plate of its own row blocks each pair, shape (L,), in a one-row call without a table.
+
+    ``live`` indexes the pass's plate-major (K, B) arrays; ``nu`` is (1 or
+    B, K). Every plate of the row is tested, as in the scalar rule (its
+    own fails nj < nk), in blocks of at most ``_CHUNK_ELEMENTS`` elements.
+    """
+    n_plates, n_rows = dx.shape
+    nk, nu = ranges.ravel()[live], np.broadcast_to(nu.T, dx.shape).ravel()[live]
+    dx, dy, dz, ranges = (a.ravel() for a in (dx, dy, dz, ranges))
     blocked = np.zeros(live.size, dtype=bool)
     step = max(1, _CHUNK_ELEMENTS // max(1, n_plates))
     for start in range(0, live.size, step):
-        rows = live[start:start + step]
-        if table is None:
-            elements = np.arange(rows.size * n_plates)
-        else:
-            elements = np.flatnonzero(table.take(rows % len(table), axis=0))
-        pair, j = np.divmod(elements, n_plates)
-        pair += start
-        at = b.take(pair) * n_plates + j  # plate j of the pair's row
-        nj, n_k = ranges.take(at), nk.take(pair)
+        pair, j = np.divmod(np.arange(start * n_plates, min(start + step, live.size) * n_plates), n_plates)
+        at = j * n_rows + live.take(pair) % n_rows  # plate j of the pair's row
         dots = (dx.take(at) * px.take(pair) + dy.take(at) * py.take(pair)) + dz.take(at) * pz.take(pair)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = dots / (nj * n_k)
-            perp = nj * np.sqrt(np.maximum(1.0 - c * c, 0.0))
-        blocked[pair[(dots > 0) & (nj < n_k) & (perp <= nu.take(pair))]] = True
+        blocked[pair[_sight_blocks(dots, ranges.take(at), nk.take(pair), nu.take(pair))]] = True
+    return blocked
+
+
+def _blocked_mask(points, plates: PlateRows) -> np.ndarray:
+    """The (B, K) mask of the (row, plate) pairs that another plate of the row's set blocks.
+
+    Each entry (set r, target k, blocker j) that ``plates.occluders`` keeps
+    is tested from every row of set r's run of the B ``points``, in the
+    scalar order, in blocks of at most ``_CHUNK_ELEMENTS // 32`` elements.
+    """
+    n_rows, (sets, n_plates) = len(points), plates.nu.shape
+    run = n_rows // max(sets, 1)
+    blocked = np.zeros((n_rows, n_plates), dtype=bool)
+    r, k, j = np.nonzero(plates.occluders)
+    at_k, at_j = r * n_plates + k, r * n_plates + j  # flat plate indices
+    coords, nu = plates.positions.reshape(-1, 3).T, plates.nu.ravel()
+    cameras = points.T.reshape(3, max(sets, 1), run)
+    width = max(1, min(run, _CHUNK_ELEMENTS // 32))
+    count = max(1, _CHUNK_ELEMENTS // 32 // width)
+    for first, o in ((first, o) for first in range(0, r.size, count) for o in range(0, run, width)):
+        e = slice(first, first + count)
+        x = cameras[:, r[e] if sets > 1 else [0], o:o + width]  # (3, entries or 1, rows)
+        ak, aj = coords[0, at_k[e], None] - x[0], coords[0, at_j[e], None] - x[0]
+        nk2, nj2, dots = ak * ak, aj * aj, aj * ak
+        for i in (1, 2):  # summed in the scalar order, one coordinate at a time
+            ak, aj = coords[i, at_k[e], None] - x[i], coords[i, at_j[e], None] - x[i]
+            nk2, nj2, dots = nk2 + ak * ak, nj2 + aj * aj, dots + aj * ak
+        hit = np.flatnonzero(_sight_blocks(dots, np.sqrt(nj2), np.sqrt(nk2), nu[at_k[e], None]))
+        entry, row = np.divmod(hit, x.shape[2])
+        blocked[r[e][entry] * run + o + row, k[e][entry]] = True
     return blocked
 
 
@@ -805,7 +845,7 @@ def _occluder_table(positions, nu, points) -> np.ndarray:
     ``[r, k, j]`` is False on the diagonal and where, by the bound in
     ``_OCCLUDER_MARGIN``'s comment, plate j of row r blocks plate k from no
     camera in the box of ``points`` (B, 3). The target rows go in blocks
-    whose (3, targets, K) arrays hold at most ``_CHUNK_ELEMENTS`` elements.
+    whose (3, K, targets) arrays hold at most ``_CHUNK_ELEMENTS`` elements.
     """
     n = nu.shape[-1]
     ends = np.ascontiguousarray(points.T)  # min and max along (3, B) take a tenth of their time along (B, 3)
@@ -815,23 +855,23 @@ def _occluder_table(positions, nu, points) -> np.ndarray:
     table = np.ones((nu.size, n), dtype=bool)
     if 2.0**-400 < scale < 2.0**500:
         m = _OCCLUDER_MARGIN * 4.0 * scale
-        coords = np.ascontiguousarray(positions.transpose(2, 0, 1))  # (3, R, K)
+        coords, targets = np.ascontiguousarray(positions.transpose(2, 1, 0)), np.ascontiguousarray(flat.T)
         box = np.stack((lo, hi))[:, :, None, None]
         step = max(1, _CHUNK_ELEMENTS // (3 * max(1, n)))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # see the margin's comment
-            reach = nu.reshape(-1, 1) * (1.0 + _OCCLUDER_MARGIN) + m
-            far = np.sqrt(np.square(np.maximum(flat - lo, hi - flat)).sum(axis=1, keepdims=True))
+            reach = nu.ravel() * (1.0 + _OCCLUDER_MARGIN) + m
+            far = np.sqrt(np.square(np.maximum(flat - lo, hi - flat)).sum(axis=1))
             for start in range(0, nu.size, step):
-                t = np.arange(start, min(start + step, nu.size))  # target rows r·K + k
-                p = flat[t].T[:, :, None]  # (3, targets, 1)
-                v = coords.take(t // n, axis=1) - p  # P_j - P_k, (3, targets, K)
+                t = slice(start, min(start + step, nu.size))  # target rows r·K + k
+                p = targets[:, None, t]  # (3, 1, targets)
+                v = coords.take(np.arange(start, t.stop) // n, axis=2) - p  # P_j - P_k, (3, K, targets)
                 s, r, f = np.sqrt(np.square(v).sum(axis=0)), reach[t], far[t]
                 inv = 1.0 / s
                 rho = ((f + m) * r) * inv + 2.0 * m
                 a, b = (box[0] - p - rho) / v, (box[1] - p + rho) / v
                 enter = np.maximum(np.minimum(a, b).max(axis=0), (s - r - 2.0 * m) * inv)
                 leave = np.minimum(np.maximum(a, b).min(axis=0), (f + 2.0 * m) * inv)
-                table[start:start + t.size] = ~(enter > leave)
+                table[t] = ~(enter > leave).T
     table = table.reshape(nu.shape[0], n, n)
     table[:, np.arange(n), np.arange(n)] = False
     return table

@@ -6,6 +6,7 @@ import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -861,6 +862,32 @@ def test_occluder_table_margin_covers_the_scalar_rounding(monkeypatch):
     assert sum(occluder_table(*case)[0, 1] for case in blocked) <= len(blocked) // 4
 
 
+def test_occluder_margin_covers_the_one_minus_c_squared_term_at_half_its_bound(monkeypatch):
+    # A one-point box, whose corner is the camera, and a blocker nearly on
+    # the sight line along a face diagonal, so that the inflated box is
+    # tight across it. The scalar test's c rounds to 1, so 1 - c² cancels
+    # to 0 and the test blocks with any nu, though the blocker lies 2.75√u·nj
+    # from the line, exactly: the error that the margin's proof bounds by
+    # 5√u·nj. The table keeps it at 2^-20 and drops it at a margin of half
+    # that bound, 2.5√u·nj/L. The case is the widest of 6·10^7 random ones.
+    u = 2.0**-53
+    camera = np.array([-255.56333935026768, -255.55859137439438, 0.08816397958151745])
+    target = np.array([255.6260323303607, 255.92235267147342, -0.3745512387339621])
+    blocker = np.array([254.57403501382598, 254.86975531635645, -0.3735780843780353])
+    plates = [facing_landmark(target, camera, 2.0**-40), Landmark(blocker, rho=0.0, eta=0.0, nu=1.0)]
+    assert occlusion_criterion(0, plates, camera) == 0
+    # the exact distance from the camera-to-blocker vector, as rounded, to the sight line
+    aj, ak = ([Fraction(float(v)) for v in point - camera] for point in (blocker, target))
+    dot, nj2 = sum(a * b for a, b in zip(aj, ak)), sum(a * a for a in aj)
+    sine2 = 1 - dot * dot / (nj2 * sum(a * a for a in ak))
+    assert (2.5**2 * u) < sine2 < (3.0**2 * u)
+    cameras = camera[None]
+    assert occluder_table(plates, cameras)[0, 1]
+    half = 2.5 * math.sqrt(u) * math.sqrt(float(nj2)) / (4.0 * np.abs([camera, target, blocker]).max())
+    monkeypatch.setattr(coverage_module, "_OCCLUDER_MARGIN", half)
+    assert not occluder_table(plates, cameras)[0, 1]
+
+
 @pytest.mark.parametrize("scale, nu, camera", [
     (2.0**-410, 1e-130, 1.0),  # products could underflow
     (2.0**510, 1.0, 1.0),  # squares could overflow
@@ -885,6 +912,87 @@ def test_blocks_of_targets_and_pairs_change_no_bit(table3_scene, monkeypatch):
     monkeypatch.setattr(coverage_module, "_CHUNK_ELEMENTS", 45)
     assert np.array_equal(occluder_table(stack.landmarks[:90], scene.points), table)
     assert np.array_equal(evaluate_coverages(scene, stack, 2).p_n, whole.p_n)
+
+
+def fuzzed_plate_sets(data, rng, cameras, sets, k):
+    """``sets`` decks of ``k`` plates, each built around the first camera of its run of ``cameras``.
+
+    The first plate faces that camera. Besides free plates: blockers
+    nu·(1 ± 2^-40) from that camera's sight line to a plate, plates
+    coincident with another, and pairs at one range from the camera,
+    exactly: quarter-cm offsets from an integer camera, permuted, so every
+    sum of squares is exact.
+    """
+    decks, run = [], len(cameras) // sets
+    for r in range(sets):
+        camera, plates = cameras[r * run], []
+        while len(plates) < k:
+            kind = data.draw(st.sampled_from(["free", "sight", "coincident", "equal-range"]), label="kind")
+            positions = [rng.uniform(-150.0, 150.0, 3)]
+            if plates and kind == "sight":
+                target = plates[rng.integers(len(plates))]
+                sight = target.position - camera
+                across = np.cross(sight, rng.normal(size=3))
+                miss = target.nu * (1.0 + rng.choice([-1.0, 1.0]) * 2.0**-40)
+                positions = [camera + rng.uniform(0.05, 0.95) * sight + miss * across / np.linalg.norm(across)]
+            elif plates and kind == "coincident":
+                positions = [plates[rng.integers(len(plates))].position.copy()]
+            elif kind == "equal-range":
+                offset = np.round(rng.uniform(-150.0, 150.0, 3) * 4.0) / 4.0
+                positions = [camera + offset, camera + offset[rng.permutation(3)]]
+            plates += [Landmark(p, rho=rng.uniform(-math.pi, math.pi), eta=rng.uniform(-1.5, 1.5),
+                                nu=float(rng.uniform(0.5, 20.0))) for p in positions]
+            if len(plates) == len(positions):
+                plates[0] = facing_landmark(plates[0].position, camera, plates[0].nu)
+        decks.append(Deployment(plates[:k]))
+    return decks
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@seed(3232)
+@given(data=st.data())
+def test_fuzzed_blocked_mask_matches_the_scalar_occlusion_rule(data):
+    """A call's blocked mask equals ``occlusion_criterion`` for every pair whose plate faces its camera.
+
+    B = m·n integer cameras scored against one deck (R = 1), one deck per
+    run of n rows (R = m) or one deck per row (R = B).
+    """
+    from landmark_coverage.geometry import landmark_normal
+
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n, m = data.draw(st.integers(1, 4), label="positions"), data.draw(st.integers(2, 3), label="deployments")
+    sets = data.draw(st.sampled_from([1, m, m * n]), label="sets")
+    cameras = np.round(rng.uniform(-100.0, 100.0, (m * n, 3)))
+    decks = fuzzed_plate_sets(data, rng, cameras, sets, data.draw(st.integers(2, 7), label="plates"))
+    fields = (np.stack([getattr(d, name) for d in decks]) for name in ("positions", "normals", "nu"))
+    blocked = coverage_module._blocked_mask(cameras, PlateRows.seen_from(*fields, cameras))
+    checked = 0
+    for b, camera in enumerate(cameras):
+        deck = decks[b // (len(cameras) // sets)]
+        for k, plate in enumerate(deck.landmarks):
+            w, normal = camera - plate.position, landmark_normal(plate)
+            if (normal[0] * w[0] + normal[1] * w[1]) + normal[2] * w[2] > 0:
+                assert blocked[b, k] == (occlusion_criterion(k, deck.landmarks, camera) == 0), (b, k)
+                checked += 1
+    assert blocked.shape == (len(cameras), len(decks[0])) and checked > 0
+
+
+def test_a_tabled_call_runs_one_blocked_step_before_its_passes(table3_scene, monkeypatch):
+    """A Table 3 evaluation takes one blocked step, before its first pass, and never calls ``_occluded``.
+
+    A one-row call takes no blocked step and calls ``_occluded`` once, in its one pass.
+    """
+    plates = generate_random(table3_scene, 90, 0)
+    events = []
+    for name in ("_blocked_mask", "_live_gates", "_occluded"):
+        real = getattr(coverage_module, name)
+        monkeypatch.setattr(coverage_module, name, lambda *args, real=real, name=name: events.append(name) or real(*args))
+    evaluate_coverage(table3_scene, plates)
+    assert events == ["_blocked_mask"] + ["_live_gates"] * 104
+    events.clear()
+    scene = table3_scene
+    coverage_probabilities(scene.points[:1], plates, scene.grid, scene.pdf, scene.intrinsics, scene.params)
+    assert events == ["_live_gates", "_occluded"]
 
 
 def depth_cuts(intr, thold, delta=4.0):
@@ -976,6 +1084,63 @@ def test_depths_at_the_window_edges_match_scalar_criteria(monkeypatch):
     assert misclassified() == 0
     monkeypatch.setattr(coverage_module, "_DEPTH_MARGIN", 0.0)
     assert misclassified() > 0
+
+
+def ldexp_window_rows(px, py, pz, lo, hi, window):
+    """``_window_rows`` scaled by ``np.ldexp``, with the exponents of ``_DEPTH_MARGIN``'s comment; and t."""
+    s, s1, p, _ = window
+    reach = np.maximum(np.maximum(np.abs(px), np.abs(py)), np.abs(pz))
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi = np.minimum((reach * s) * (1.0 + 2.0**-40) + 2.0**-1022, hi)
+        mid, half = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
+        t = s1 * reach + mid + half
+        m = coverage_module._DEPTH_MARGIN * t + 2.0**-1022
+        minus_q = -np.frexp(t)[1]
+        rows = np.stack([np.ldexp(d, minus_q + p) for d in (px, py, pz)] + [np.ldexp(-mid, minus_q)], axis=1)
+        cuts = [np.ldexp(x, minus_q).astype(np.float32)[:, None] for x in (half - m, half + m)]
+        return (rows.astype(np.float32), *cuts, hi), t
+
+
+def test_window_rows_scale_as_ldexp_bit_for_bit():
+    """The classifier's float32 rows, cuts and capped hi equal the ``np.ldexp`` form's, bit for bit.
+
+    Per axes (s1 < 2, s1 = 3, 2^100 and 2^1000), pairs with t infinite or
+    not a number, with t below 2^(p - 1024), where 2^(p - q) is no float,
+    with t near the largest float, where d·2^p overflows, with d·2^-q
+    subnormal, where (d·2^-q)·2^p rounds twice, and with zero or subnormal
+    d. A bare product with 2.0**(p - q) is infinite in the corner.
+    """
+    tiny = 5e-324
+    cases = {
+        "unit": (OrientationGrid.from_cells(4, 3).axes(), [
+            (30.0, -40.0, 5.0, 900.0, 1e4), (0.0, -0.0, 0.0, 900.0, 1e4), (tiny, -tiny, 3 * tiny, 900.0, 1e4),
+            (1e308, 1e308, 0.0, 1.0, math.inf), (1.0, 2.0, 3.0, math.inf, math.inf),
+            (8 * tiny, -tiny, 0.0, 2.0**-1060, 2.0**-1059), (0.0, tiny, -0.0, 2.0**-1070, 2.0**-1069),
+        ]),
+        "s1 = 3": (np.array([[1.0, 1.0, 1.0], [0.5, -2.0, 0.25]]), [
+            (4.5e307, 1.0, -1.0, 1.0, 2.0), (-5e307, tiny, 0.0, 1.0, 1e300), (2.0**-1060, tiny, 0.0, 2.0**-1050, 2.0**-1049),
+            (3.0, 4.0, 5.0, 2.0, math.inf),
+        ]),
+        "s1 = 2^100": (np.array([[2.0**100, 0.0, 0.0], [0.0, 2.0**99, -(2.0**98)]]), [
+            (2.0**-1030, -3 * 2.0**-1050, 0.0, 2.0**-930, 2.0**-929), (0.0, tiny, 0.0, 2.0**-1070, 2.0**-1069),
+            (-(2.0**-1040), 0.0, tiny, 2.0**-950, 1.0), (7.0, 1.0, 1.0, 1.0, 2.0), (1e200, 0.0, 0.0, 1.0, 2.0),
+        ]),
+        # d·2^-q is subnormal and rounds to a float32 tie that d·2^(p-q) is above
+        "s1 = 2^1000": (np.array([[2.0**1000, 0.0, 0.0]]), [
+            (2.0**-940, 2.0**-980 * (1.0 + 2.0**-24 + 2.0**-50), 0.0, 1.0, 2.0), (2.0**-1030, 0.0, 0.0, 2.0**-40, 2.0**-39),
+        ]),
+    }
+    corners = 0
+    for label, (axes, pairs) in cases.items():
+        window = coverage_module._window_axes(axes)
+        columns = [np.array(column) for column in zip(*pairs)]
+        want, t = ldexp_window_rows(*columns, window)
+        got = coverage_module._window_rows(*columns, window)
+        for name, a, b in zip(("rows", "lower", "upper", "hi"), got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (label, name)
+        corners += int((t < 2.0 ** (window[2] - 1024)).sum())
+        assert np.isinf(t).any() or label != "unit"
+    assert corners >= 4
 
 
 def test_margin_covers_float32_roundings_that_err_together(monkeypatch):
@@ -1417,37 +1582,62 @@ def test_entry_points_cut_their_rows_into_passes_within_the_cap(desk_scene, monk
         assert own.tobytes() == cut[i * n:(i + 1) * n].tobytes()
 
 
+def spy_blocked_masks(monkeypatch):
+    """Record each ``_blocked_mask`` call's table and mask, and the blocked rows each gate-core pass is given."""
+    masks, slices = [], []
+    blocked_mask, gates = coverage_module._blocked_mask, coverage_module._live_gates
+
+    def spy(points, plates):
+        masks.append((plates.occluders, blocked_mask(points, plates)))
+        return masks[-1][1]
+
+    monkeypatch.setattr(coverage_module, "_blocked_mask", spy)
+    monkeypatch.setattr(coverage_module, "_live_gates", lambda *args: slices.append(args[-1]) or gates(*args))
+    return masks, slices
+
+
 @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
 @pytest.mark.parametrize("rows", [1, 2, 40])
 def test_an_entry_point_builds_one_occluder_table_per_call_of_many_rows(desk_scene, monkeypatch, entry, rows):
-    """A call of more than one row builds one table for all its passes; a one-row call builds none."""
+    """A call of more than one row builds one table, which feeds one blocked mask that every pass slices.
+
+    A one-row call builds neither.
+    """
     plates = generate_random(desk_scene, 12, 0)
     builds, build = [], coverage_module._occluder_table
-    monkeypatch.setattr(coverage_module, "_occluder_table", lambda *args: builds.append(args) or build(*args))
+    monkeypatch.setattr(coverage_module, "_occluder_table", lambda *args: builds.append((args, build(*args))) or builds[-1][1])
     monkeypatch.setattr(coverage_module, "_CHUNK_ELEMENTS", 7 * 72 * 12)  # passes of 7 rows or more
     passes = spy_gate_core(monkeypatch)
+    masks, slices = spy_blocked_masks(monkeypatch)
     ENTRY_POINTS[entry](desk_scene, plates, desk_scene.points[:rows])
-    tables = [rows_plates.occluders for _, _, rows_plates in passes]
     if rows == 1:
-        assert builds == [] and tables == [None]
+        assert builds == [] and masks == [] and slices == [None]
     else:
-        assert len(builds) == 1 and builds[0][2].tobytes() == desk_scene.points[:rows].tobytes()
-        assert tables[0] is not None and all(table is tables[0] for table in tables)
+        assert len(builds) == 1 and builds[0][0][2].tobytes() == desk_scene.points[:rows].tobytes()
+        assert len(masks) == 1 and masks[0][0] is builds[0][1] and masks[0][1].shape == (rows, 12)
+        assert len(slices) == len(passes) and all(given.base is masks[0][1] for given in slices)
+        assert np.concatenate(slices).tobytes() == masks[0][1].tobytes()
 
 
 def test_one_deployment_reaches_every_pass_shared_with_one_table(desk_scene, monkeypatch):
-    """``evaluate_coverage`` hands each pass the deployment's own (1, K, ...) plates, not a gathered copy."""
+    """``evaluate_coverage`` hands each pass the deployment's own (1, K, ...) plates, not a gathered copy.
+
+    Its one (1, K, K) table feeds one blocked mask, which every pass slices.
+    """
     deployment = generate_random(desk_scene, 12, 0)
     whole = evaluate_coverage(desk_scene, deployment).p_n
     monkeypatch.setattr(coverage_module, "_CHUNK_ELEMENTS", 7 * 72 * 12)  # 7-row passes
     passes = spy_gate_core(monkeypatch)
+    masks, slices = spy_blocked_masks(monkeypatch)
     assert evaluate_coverage(desk_scene, deployment).p_n.tobytes() == whole.tobytes()
     assert [rows for rows, _, _ in passes] == [7] * 6 + [6]
     own = (deployment.positions, deployment.normals, deployment.nu)
     for _, _, plates in passes:
-        assert plates.positions.shape == (1, 12, 3) and plates.occluders.shape == (1, 12, 12)
+        assert plates.positions.shape == (1, 12, 3)
         assert all(np.shares_memory(given, field) for given, field in zip(plates[:3], own))
-        assert plates.occluders is passes[0][2].occluders
+    assert len(masks) == 1 and masks[0][0].shape == (1, 12, 12)
+    assert [given.shape for given in slices] == [(7, 12)] * 6 + [(6, 12)]
+    assert all(given.base is masks[0][1] for given in slices)
 
 
 @pytest.mark.parametrize("sets, rows", [(3, 4), (2, 5), (4, 2), (0, 3)])

@@ -159,3 +159,20 @@ def test_one_function_runs_the_gate_core_passes():
     called = {child.id for node in per_pass for child in ast.walk(node) if isinstance(child, ast.Name)}
     called &= set(functions)
     assert "_live_gates" in called and sorted(name for name in called if not name.startswith("_")) == []
+
+
+def test_passes_read_no_occluder_table_and_the_blocked_step_runs_once_before_them():
+    """``_live_gates`` and what it calls read no occluder table; ``_run_passes`` calls ``_blocked_mask`` once, before its pass loop.
+
+    The tabled occlusion test runs once per call, over the rows of every
+    pass; only a one-row call, which has no table, tests occlusion in its pass.
+    """
+    source = (SRC / "coverage.py").read_text(encoding="utf-8")
+    functions = {node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    for name in called_functions(source, "_live_gates") | {"_live_gates"}:
+        assert names_in(functions[name]) & {"occluders", "_occluder_table", "seen_from", "_blocked_mask"} == set(), name
+    runner = functions["_run_passes"]
+    calls = [node for node in ast.walk(runner) if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_blocked_mask"]
+    loops = [node for node in ast.walk(runner) if isinstance(node, ast.For)]
+    assert len(calls) == 1 and len(loops) == 1 and calls[0].lineno < loops[0].lineno
+    assert "_blocked_mask" not in names_in(ast.Module(body=loops[0].body, type_ignores=[]))
