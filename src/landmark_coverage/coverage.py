@@ -27,13 +27,14 @@ scalar rule.  Every entry point runs the core through ``_run_passes``,
 which cuts the call's rows into ``gate_passes``' passes, whose temporaries
 stay small, and reduces each pass before the next.  A pass tests the window
 of the (plate, row) pairs that face the camera, have a non-empty window and
-are not blocked, taken by flat index.  Shared axes rank each cell of a
-pair's window as surely inside or surely outside by one float32 matrix
-product, with a margin wider than a proven bound on its float error
-(``_DEPTH_MARGIN``); only the cells within the margin get ``z``, in float64
-with the scalar path's expressions and operation order, which per-row axes
-(a stack of poses) get for every pair.  A one-row call has no table, and
-tests its pairs with a passing cell against every plate.  Each pair's row
+are not blocked, taken by flat index.  Shared axes, scaled once per call,
+rank each cell of a pair's window as surely inside or surely outside by one
+float32 matrix product, with a margin wider than a proven bound on its
+float error (``_DEPTH_MARGIN``); only the cells within the margin get
+``z``, in float64 with the scalar path's expressions and operation order,
+which per-row axes (a stack of poses) get for every pair.  A one-row call
+has no table, and tests its pairs with a passing cell against every plate
+of its row, a (targets, plates) broadcast.  Each pair's row
 is copied once into a dense plate-major (plate, row, cell) mask:
 ``strengths_grid`` and ``axis_strengths`` return a (row, cell, plate) view
 of it and ``cell_counts`` its sum over plates, so both equal the scalar
@@ -116,7 +117,6 @@ class OrientationGrid:
             raise ValueError("pitch samples must lie in [-pi/2, pi/2]")
         self._rotations = None
         self._axes = None
-        self._window_axes = None
 
     @classmethod
     def from_cells(cls, n_yaw: int, n_pitch: int) -> "OrientationGrid":
@@ -176,12 +176,6 @@ class OrientationGrid:
             axes[..., 2] = sin_p
             self._axes = axes.reshape(-1, 3)
         return self._axes
-
-    def window_axes(self) -> tuple:
-        """``axes()`` as the depth-window classifier scales them, built once: ``_window_axes(axes())``."""
-        if self._window_axes is None:
-            self._window_axes = _window_axes(self.axes())
-        return self._window_axes
 
 
 _WEIGHT_SUM_TOL = 1e-9
@@ -394,10 +388,10 @@ np.empty(1 << 20)
 # float temporaries are blocks over the L <= rows x plates (plate, row)
 # pairs with a non-empty depth window, chiefly the float32 (L, cells)
 # product that classifies the window; a one-row call's occlusion test adds
-# arrays over at most L x plates elements of an index and a few floats. No
-# block then exceeds 2^18 elements, 2 MiB at float64 and 1 MiB for the
-# product, so one pass stays under the thresholds set above and reuses heap
-# memory rather than faulting it in anew. The pass's (plates, rows, cells)
+# a few float blocks over (targets, plates). No block then exceeds 2^18
+# elements, 2 MiB at float64 and 1 MiB for the product, so one pass stays
+# under the thresholds set above and reuses heap memory rather than
+# faulting it in anew. The pass's (plates, rows, cells)
 # bool mask is at most 2^18 bytes. The occluder table's build takes its
 # elements in blocks of at most 2^18, and the call's blocked step, which
 # holds about a dozen floats per element, in blocks of at most 2^13.
@@ -420,17 +414,12 @@ class PlateRows(NamedTuple):
 
     The R sets score a call's B rows in R equal consecutive runs: R = 1
     shares one set among all rows, R = B gives each row its own, and R = m
-    is m deployments at B / m positions each. ``occluders`` (R, K, K), from
-    ``seen_from``, is False at [r, k, j] only where plate j cannot block
-    plate k from any camera position the table was built for, so the
-    call's blocked step tests only the others; a call of more than one row
-    builds one where it is None, and a one-row call tests every plate.
+    is m deployments at B / m positions each.
     """
 
     positions: np.ndarray
     normals: np.ndarray
     nu: np.ndarray
-    occluders: np.ndarray | None = None
 
     @classmethod
     def of(cls, landmarks) -> "PlateRows":
@@ -440,36 +429,31 @@ class PlateRows(NamedTuple):
         plates = Deployment.of(landmarks)
         return cls(plates.positions[None], plates.normals[None], plates.nu[None])
 
-    @classmethod
-    def seen_from(cls, positions, normals, nu, points) -> "PlateRows":
-        """Plates (R, K, ...) with their occluder table for cameras anywhere in the box of ``points`` (B, 3)."""
-        return cls(positions, normals, nu, _occluder_table(positions, nu, np.asarray(points, dtype=float)))
 
-
-def _run_passes(points, axes, plates: PlateRows, intrinsics, delta, thold, out, reduce, window=None):
+def _run_passes(points, axes, plates: PlateRows, intrinsics, delta, thold, out, reduce):
     """The gate core over the B rows of ``points``: ``out[rows] = reduce(mask)`` per pass, in order.
 
-    ``axes`` is (B or 1, G, 3), ``window`` their ``_window_axes`` when shared.
-    Each pass takes its rows' sets of ``plates``, as ``PlateRows`` says, and
-    its rows of the call's one blocked mask, from a table built from the
-    box of the points when B > 1 and they have none: one row tests every
-    plate in its pass, as a table would cost it more than it saves.
+    ``axes`` is (B or 1, G, 3); shared axes get one ``_window_axes`` block,
+    which every pass classifies with. Each pass takes its rows' sets of
+    ``plates``, as ``PlateRows`` says, and, when B > 1, its rows of the
+    call's one blocked mask, from an occluder table built from the box of
+    the points: one row tests every plate in its pass, as a table would
+    cost it more than it saves.
     """
     points = np.asarray(points, dtype=float)
     n_rows, sets = len(points), len(plates.nu)
     if sets != 1 and n_rows != sets * (n_rows // max(sets, 1)):
         raise ValueError(f"{sets} plate sets do not split {n_rows} rows into equal runs")
-    if plates.occluders is None and n_rows > 1:
-        plates = PlateRows.seen_from(*plates[:3], points)
-    blocked = None if plates.occluders is None else _blocked_mask(points, plates)
-    plates = PlateRows(*plates[:3])
+    blocked = None
+    if n_rows > 1:
+        blocked = _blocked_mask(points, plates, _occluder_table(plates.positions, plates.nu, points))
     shared = axes.shape[0] == 1
-    window = window or (_window_axes(axes[0]) if shared else None)
+    window = _window_axes(axes[0]) if shared else None
     for rows in gate_passes(n_rows, axes.shape[1], plates.nu.shape[-1]):
         run = None if sets == 1 else np.arange(rows.start, rows.stop) // (n_rows // sets)
         out[rows] = reduce(_live_gates(
             points[rows], axes if shared else axes[rows],
-            plates if run is None else PlateRows(*(a.take(run, axis=0) for a in plates[:3])),
+            plates if run is None else PlateRows(*(a.take(run, axis=0) for a in plates)),
             intrinsics, delta, thold, window, None if blocked is None else blocked[rows],
         ))
     return out
@@ -566,7 +550,7 @@ def _depth_cuts(
     return z_near, z_far, _last_positive(resolved)
 
 
-def _live_gates(points, axes, plates: PlateRows, intrinsics, delta, thold, window=None, blocked=None) -> np.ndarray:
+def _live_gates(points, axes, plates: PlateRows, intrinsics, delta, thold, window, blocked) -> np.ndarray:
     """The gate core: the (K, B, G) bool mask of measurable (plate, row, cell) triples.
 
     Every gate bounds the camera depth z = axis . (landmark - camera): z
@@ -576,10 +560,11 @@ def _live_gates(points, axes, plates: PlateRows, intrinsics, delta, thold, windo
     ``lo <= hi`` and are clear in ``blocked``, the pass's (B, K) rows of
     ``_blocked_mask``, are taken by flat index into the plate-major (K, B)
     arrays, which is their row of the mask. Their (L, G) window is tested
-    by ``_classify_window`` for shared axes, with ``window`` if given, and
-    by ``_in_window`` for per-row axes. Without ``blocked`` (a one-row
-    call) ``_occluded`` then tests the pairs with a passing cell against
-    every plate. Each pair's row is copied once into the mask.
+    by ``_classify_window`` when ``window``, the shared axes'
+    ``_window_axes``, is given, and by ``_in_window`` with each pair's own
+    row of ``axes`` when it is None. Without ``blocked`` (a one-row call)
+    ``_occluded`` then tests the pairs with a passing cell against every
+    plate. Each pair's row is copied once into the mask.
     """
     z_near, z_far, z_res = _depth_cuts(
         *_focus_depths(intrinsics, delta),
@@ -601,16 +586,16 @@ def _live_gates(points, axes, plates: PlateRows, intrinsics, delta, thold, windo
     live = np.flatnonzero(live)
     n_plates, n_rows = dx.shape
     px, py, pz, lo = (a.ravel()[live] for a in (dx, dy, dz, lo))
-    if axes.shape[0] == 1:
-        gate = _classify_window(axes[0], px, py, pz, lo, hi, window or _window_axes(axes[0]))
-    else:  # one axis row per position, gathered per pair: (3, L, G)
+    if window is not None:
+        gate = _classify_window(axes[0], px, py, pz, lo, hi, window)
+    else:  # the pair's own row's axes, gathered per pair: (3, L, G)
         pair_axes = axes.take(live % n_rows, axis=0).transpose(2, 0, 1)
         gate = _in_window(pair_axes, px[:, None], py[:, None], pz[:, None], lo[:, None], hi)
     if blocked is None:
         # a pair with no passing cell adds nothing to the mask
         seen = np.flatnonzero(gate.any(axis=1))
-        live, px, py, pz, gate = (x.take(seen, axis=0) for x in (live, px, py, pz, gate))
-        gate[_occluded(dx, dy, dz, ranges, plates.nu, live, px, py, pz)] = False
+        live, gate = live.take(seen), gate.take(seen, axis=0)
+        gate[_occluded(dx, dy, dz, ranges, plates.nu, live)] = False
     mask = np.zeros((n_plates, n_rows, axes.shape[1]), dtype=bool)
     mask.reshape(n_plates * n_rows, axes.shape[1])[live] = gate
     return mask
@@ -748,37 +733,36 @@ def _sight_blocks(dots, nj, nk, nu) -> np.ndarray:
     return (dots > 0) & (nj < nk) & (perp <= nu)
 
 
-def _occluded(dx, dy, dz, ranges, nu, live, px, py, pz) -> np.ndarray:
-    """Whether a plate of its own row blocks each pair, shape (L,), in a one-row call without a table.
+def _occluded(dx, dy, dz, ranges, nu, live) -> np.ndarray:
+    """Whether another plate of the one row blocks each target plate in ``live``, shape (L,).
 
-    ``live`` indexes the pass's plate-major (K, B) arrays; ``nu`` is (1 or
-    B, K). Every plate of the row is tested, as in the scalar rule (its
-    own fails nj < nk), in blocks of at most ``_CHUNK_ELEMENTS`` elements.
+    A one-row call's test, without a table: ``dx``, ``dy``, ``dz`` and
+    ``ranges`` are the row's (K, 1) arrays and ``nu`` its (1, K) radii.
+    Every plate is tested against each target, as in the scalar rule (the
+    target itself fails nj < nk), in (targets, K) blocks of at most
+    ``_CHUNK_ELEMENTS`` elements.
     """
-    n_plates, n_rows = dx.shape
-    nk, nu = ranges.ravel()[live], np.broadcast_to(nu.T, dx.shape).ravel()[live]
-    dx, dy, dz, ranges = (a.ravel() for a in (dx, dy, dz, ranges))
-    blocked = np.zeros(live.size, dtype=bool)
-    step = max(1, _CHUNK_ELEMENTS // max(1, n_plates))
+    dx, dy, dz, ranges, nu = (a.ravel() for a in (dx, dy, dz, ranges, nu))
+    blocked = np.empty(live.size, dtype=bool)
+    step = max(1, _CHUNK_ELEMENTS // max(1, dx.size))
     for start in range(0, live.size, step):
-        pair, j = np.divmod(np.arange(start * n_plates, min(start + step, live.size) * n_plates), n_plates)
-        at = j * n_rows + live.take(pair) % n_rows  # plate j of the pair's row
-        dots = (dx.take(at) * px.take(pair) + dy.take(at) * py.take(pair)) + dz.take(at) * pz.take(pair)
-        blocked[pair[_sight_blocks(dots, ranges.take(at), nk.take(pair), nu.take(pair))]] = True
+        k = live[start:start + step, None]  # (targets, 1) against the (K,) blockers
+        dots = (dx * dx[k] + dy * dy[k]) + dz * dz[k]
+        blocked[start:start + step] = _sight_blocks(dots, ranges, ranges[k], nu[k]).any(axis=1)
     return blocked
 
 
-def _blocked_mask(points, plates: PlateRows) -> np.ndarray:
+def _blocked_mask(points, plates: PlateRows, table) -> np.ndarray:
     """The (B, K) mask of the (row, plate) pairs that another plate of the row's set blocks.
 
-    Each entry (set r, target k, blocker j) that ``plates.occluders`` keeps
+    Each entry (set r, target k, blocker j) that the occluder ``table`` keeps
     is tested from every row of set r's run of the B ``points``, in the
     scalar order, in blocks of at most ``_CHUNK_ELEMENTS // 32`` elements.
     """
     n_rows, (sets, n_plates) = len(points), plates.nu.shape
     run = n_rows // max(sets, 1)
     blocked = np.zeros((n_rows, n_plates), dtype=bool)
-    r, k, j = np.nonzero(plates.occluders)
+    r, k, j = np.nonzero(table)
     at_k, at_j = r * n_plates + k, r * n_plates + j  # flat plate indices
     coords, nu = plates.positions.reshape(-1, 3).T, plates.nu.ravel()
     cameras = points.T.reshape(3, max(sets, 1), run)
@@ -938,7 +922,7 @@ def _grid_passes(points, landmarks, grid, intrinsics, params, pdf):
     finish = (lambda counts: counts) if pdf is None else (lambda counts: pdf.masked_fsum(counts >= params.n))
     return _run_passes(
         points, grid.axes()[None], plates, intrinsics, params.delta, params.thold, out,
-        lambda mask: finish(mask.view(np.uint8).sum(axis=0, dtype=dtype)), grid.window_axes(),
+        lambda mask: finish(mask.view(np.uint8).sum(axis=0, dtype=dtype)),
     )
 
 

@@ -50,8 +50,10 @@ WALL_NAMES = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")
 # kernel computes a depth only for the live (position, plate) pairs (about
 # 0.08 s on 2 vCPUs). A simulation keeps several arrays per step, 30 s at
 # 0.01 s being 3000 steps; the packaged configs deploy at most 90 plates.
-# One position's occlusion blocks hold up to K x K plate pairs at about
-# 40 B each, some 700 MB at 4096 plates.
+# Every occlusion block holds at most 2^18 elements, the gate core's block
+# cap: at 4096 plates a one-pose pose_strengths call and a one-position
+# evaluate_coverage each peak at about 9 MB of traced memory, and from two
+# positions up the (4096, 4096) occluder table brings it to about 31 MB.
 # MAX_CELLS, the orientation-cell cap, is OrientationGrid.from_cells's.
 MAX_POSITIONS = 1_000_000
 MAX_GATE_EVALUATIONS = 10**10

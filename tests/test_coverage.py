@@ -33,6 +33,7 @@ from landmark_coverage.coverage import (
     strengths_grid,
 )
 from landmark_coverage.deployment import (
+    MAX_PLATES,
     evaluate_coverage,
     evaluate_coverages,
     generate_random,
@@ -294,26 +295,27 @@ def test_grid_axes_are_the_rotations_third_rows_bitwise(n_yaw, n_pitch):
 
 
 def test_cell_counts_classify_with_the_grids_scaled_axes(monkeypatch):
-    """The classifier's per-grid constants are built once per grid, and each pass gets them."""
+    """A call scales its shared axes once, and every pass of that call classifies with that one block."""
     grid = OrientationGrid.from_cells(12, 6)
-    window = grid.window_axes()
-    s, s1, p, a = window
-    assert grid.window_axes() is window and not a.flags.writeable
-    fresh = coverage_module._window_axes(grid.axes())
-    assert (s, s1, p) == fresh[:3] and a.tobytes() == fresh[3].tobytes()
-    assert s1 == max(s, 1.0) and a.dtype == np.float32 and np.all(a[3] == 1.0)
+    builds, build = [], coverage_module._window_axes
+    monkeypatch.setattr(coverage_module, "_window_axes", lambda axes: builds.append(build(axes)) or builds[-1])
     windows, real = [], coverage_module._classify_window
     monkeypatch.setattr(coverage_module, "_classify_window", lambda *args: windows.append(args[-1]) or real(*args))
+    monkeypatch.setattr(coverage_module, "_CHUNK_ELEMENTS", 2 * 72 * 8)  # passes of 2 rows
     rng = np.random.default_rng(8)
     points = rng.uniform(-50.0, 50.0, (6, 3))
     plates = [Landmark(rng.uniform(-400.0, 400.0, 3), float(rng.uniform(-3.0, 3.0)), 0.0) for _ in range(8)]
     params = CoverageParams(thold=0.2, delta=4.0, n=1)
     counts = cell_counts(points, plates, grid, TABLE3, params)
-    assert windows and all(w is window for w in windows)
-    # strengths_grid's shared axes come without the grid, so each pass scales them anew
+    assert len(builds) == 1 and len(windows) == 3 and all(w is builds[0] for w in windows)
+    s, s1, p, a = builds[0]
+    fresh = build(grid.axes())
+    assert (s, s1, p) == fresh[:3] and a.tobytes() == fresh[3].tobytes() and not a.flags.writeable
+    assert s1 == max(s, 1.0) and a.dtype == np.float32 and np.all(a[3] == 1.0)
+    # strengths_grid's shared axes, from the rotations, get a block of their own call
     windows.clear()
     mask = strengths_grid(points, grid.rotations(), plates, TABLE3, params.delta, params.thold)
-    assert windows and all(w is not window for w in windows)
+    assert len(builds) == 2 and len(windows) == 3 and all(w is builds[1] for w in windows)
     assert counts.any() and np.array_equal(counts, mask.sum(axis=2))
 
 
@@ -774,10 +776,9 @@ def scalar_blockers(plates, cameras):
 
 
 def occluder_table(plates, cameras):
-    """``PlateRows.seen_from``'s (K, K) table of one deployment seen from ``cameras``."""
+    """The (K, K) occluder table of one deployment seen from ``cameras``."""
     deployment = Deployment(plates)
-    rows = PlateRows.seen_from(deployment.positions[None], deployment.normals[None], deployment.nu[None], cameras)
-    return rows.occluders[0]
+    return coverage_module._occluder_table(deployment.positions[None], deployment.nu[None], cameras)[0]
 
 
 def box_cameras(lo, size, inside):
@@ -831,11 +832,9 @@ def test_fuzzed_occluder_table_keeps_every_scalar_blocker(data):
     # a stack gives each row the table its own plates give, when the stack's scale is theirs
     turned = plates[::-1]
     stack, k = Deployment(plates + turned), len(plates)
-    rows = PlateRows.seen_from(
-        stack.positions.reshape(2, k, 3), stack.normals.reshape(2, k, 3), stack.nu.reshape(2, k), cameras
-    )
-    assert np.array_equal(rows.occluders[0], table)
-    assert np.array_equal(rows.occluders[1], occluder_table(turned, cameras))
+    rows = coverage_module._occluder_table(stack.positions.reshape(2, k, 3), stack.nu.reshape(2, k), cameras)
+    assert np.array_equal(rows[0], table)
+    assert np.array_equal(rows[1], occluder_table(turned, cameras))
 
 
 def test_occluder_table_margin_covers_the_scalar_rounding(monkeypatch):
@@ -904,14 +903,29 @@ def test_occluder_table_keeps_every_plate_outside_its_proof(scale, nu, camera):
 def test_blocks_of_targets_and_pairs_change_no_bit(table3_scene, monkeypatch):
     # the table's target rows and the occlusion pass's pairs one per block,
     # against one block each, for a stack of two deployments in which
-    # several dozen (position, plate) pairs are blocked
+    # several dozen (position, plate) pairs are blocked; and a one-row
+    # call's targets one per block, from a position and a pose at which
+    # the stack's 180 plates, taken as one deck, block several of their own
     scene = dataclasses.replace(table3_scene, points=table3_scene.points[::20], rel=table3_scene.rel[::20])
     stack = Deployment.of([lm for seed in (0, 1) for lm in generate_random(scene, 90, seed).landmarks])
+    room, point = table3_scene, table3_scene.points[535]
+    pose = pose_to_se3(Pose6(point, *room.grid.cell_angles(61)))
+    one_row = {
+        "pose_strengths": lambda: pose_strengths(pose, stack, room.intrinsics, room.params.delta, room.params.thold),
+        "coverage_caps": lambda: coverage_caps(point, stack, room.grid, room.intrinsics, room.params).masks,
+    }
+    blocked, occluded = [], coverage_module._occluded
+    monkeypatch.setattr(coverage_module, "_occluded", lambda *args: blocked.append(occluded(*args)) or blocked[-1])
+    singles = {name: call() for name, call in one_row.items()}
+    assert len(blocked) == 2 and all(b.sum() >= 3 for b in blocked)
     whole = evaluate_coverages(scene, stack, 2)
     table = occluder_table(stack.landmarks[:90], scene.points)
     monkeypatch.setattr(coverage_module, "_CHUNK_ELEMENTS", 45)
     assert np.array_equal(occluder_table(stack.landmarks[:90], scene.points), table)
     assert np.array_equal(evaluate_coverages(scene, stack, 2).p_n, whole.p_n)
+    for name, call in one_row.items():
+        assert call().tobytes() == singles[name].tobytes(), name
+    assert len(blocked) == 4 and all(np.array_equal(a, b) for a, b in zip(blocked[:2], blocked[2:]))
 
 
 def fuzzed_plate_sets(data, rng, cameras, sets, k):
@@ -964,8 +978,9 @@ def test_fuzzed_blocked_mask_matches_the_scalar_occlusion_rule(data):
     sets = data.draw(st.sampled_from([1, m, m * n]), label="sets")
     cameras = np.round(rng.uniform(-100.0, 100.0, (m * n, 3)))
     decks = fuzzed_plate_sets(data, rng, cameras, sets, data.draw(st.integers(2, 7), label="plates"))
-    fields = (np.stack([getattr(d, name) for d in decks]) for name in ("positions", "normals", "nu"))
-    blocked = coverage_module._blocked_mask(cameras, PlateRows.seen_from(*fields, cameras))
+    plates = PlateRows(*(np.stack([getattr(d, name) for d in decks]) for name in ("positions", "normals", "nu")))
+    table = coverage_module._occluder_table(plates.positions, plates.nu, cameras)
+    blocked = coverage_module._blocked_mask(cameras, plates, table)
     checked = 0
     for b, camera in enumerate(cameras):
         deck = decks[b // (len(cameras) // sets)]
@@ -1587,8 +1602,8 @@ def spy_blocked_masks(monkeypatch):
     masks, slices = [], []
     blocked_mask, gates = coverage_module._blocked_mask, coverage_module._live_gates
 
-    def spy(points, plates):
-        masks.append((plates.occluders, blocked_mask(points, plates)))
+    def spy(points, plates, table):
+        masks.append((table, blocked_mask(points, plates, table)))
         return masks[-1][1]
 
     monkeypatch.setattr(coverage_module, "_blocked_mask", spy)
@@ -1691,3 +1706,32 @@ def test_a_direct_cell_count_holds_one_pass_of_memory(table3_scene):
         tracemalloc.stop()
     assert counts.tobytes() == want.tobytes() and counts.any()
     assert peak < 3_000_000
+
+
+def test_a_one_pose_call_at_the_plate_cap_holds_a_few_blocks_of_memory(desk_scene, monkeypatch):
+    """A one-pose ``pose_strengths`` at ``MAX_PLATES`` random desk plates, under tracemalloc.
+
+    Its occlusion test broadcasts (targets, plates) blocks of at most 2^18
+    elements, so a few 2 MiB float blocks are live at once, about 8.7 MB
+    in all.
+    """
+    import tracemalloc
+
+    plates = generate_random(desk_scene, MAX_PLATES, 0)
+    pose = pose_to_se3(Pose6(desk_scene.center + [20.0, -10.0, 5.0], yaw=0.5, pitch=0.2))
+    gates = (desk_scene.intrinsics, desk_scene.params.delta, desk_scene.params.thold)
+    targets, occluded = [], coverage_module._occluded
+    monkeypatch.setattr(coverage_module, "_occluded", lambda *args: targets.append(args[5].size) or occluded(*args))
+    want = pose_strengths(pose, plates, *gates)  # first-use caches
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing this process")
+    tracemalloc.start()
+    try:
+        mask = pose_strengths(pose, plates, *gates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.tobytes() == want.tobytes() and mask.any()
+    # 170 targets, in three blocks against all 4096 plates
+    assert targets[0] == targets[1] > 2 * coverage_module._CHUNK_ELEMENTS // MAX_PLATES
+    assert peak < 12_000_000

@@ -107,7 +107,7 @@ def test_gate_core_calls_only_private_coverage_functions():
 
 
 def test_gate_core_builds_no_occluder_table():
-    """The occluder table is built once per evaluation or pose stack, by ``PlateRows.seen_from``.
+    """The occluder table is built once per call of more than one row, by ``_run_passes``.
 
     The gate core only reads it: a table built per pass would cost about
     as much as the occlusion tests it saves.
@@ -176,3 +176,18 @@ def test_passes_read_no_occluder_table_and_the_blocked_step_runs_once_before_the
     loops = [node for node in ast.walk(runner) if isinstance(node, ast.For)]
     assert len(calls) == 1 and len(loops) == 1 and calls[0].lineno < loops[0].lineno
     assert "_blocked_mask" not in names_in(ast.Module(body=loops[0].body, type_ignores=[]))
+
+
+def test_plate_rows_carry_plates_and_nothing_the_runner_builds():
+    """``PlateRows`` holds three plate fields, and no module names a table or window block outside the runner.
+
+    The occluder table and the window classifier's scaled axes are locals
+    of ``_run_passes``, built once per call; a field, method or cache that
+    carried them would be a second place to decide when they are built.
+    """
+    from landmark_coverage.coverage import PlateRows
+
+    assert PlateRows._fields == ("positions", "normals", "nu")
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert names_in(tree) & {"occluders", "seen_from", "window_axes"} == set(), path.name
