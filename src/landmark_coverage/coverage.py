@@ -24,15 +24,17 @@ Once per call, every entry the table keeps is tested against every row of
 its set in the scalar operation order, which gives the call's blocked
 (row, plate) mask; a plate that fails its own gates still blocks in the
 scalar rule.  Every entry point runs the core through ``_run_passes``,
-which cuts the call's rows into ``gate_passes``' passes, whose temporaries
-stay small, and reduces each pass before the next.  A pass tests the window
-of the (plate, row) pairs that face the camera, have a non-empty window and
-are not blocked, taken by flat index.  Shared axes, scaled once per call,
-rank each cell of a pair's window as surely inside or surely outside by one
-float32 matrix product, with a margin wider than a proven bound on its
-float error (``_DEPTH_MARGIN``); only the cells within the margin get
-``z``, in float64 with the scalar path's expressions and operation order,
-which per-row axes (a stack of poses) get for every pair.  A one-row call
+which finds the depth cuts, the blocked mask and the shared axes' scaling
+once per call, then cuts the rows into ``gate_passes``' passes, whose
+temporaries stay small (``_CHUNK_ELEMENTS`` bounds the per-call arrays),
+and reduces each pass before the next.  A pass tests the window of the
+(plate, row) pairs that face the camera, have a non-empty window and are
+not blocked, taken by flat index.  Shared axes rank each cell of a pair's
+window as surely inside or surely outside by one float32 matrix product,
+with a margin wider than a proven bound on its float error
+(``_DEPTH_MARGIN``); only the cells within the margin get ``z``, in
+float64 with the scalar path's expressions and operation order, which
+per-row axes (a stack of poses) get for every pair.  A one-row call
 has no table, and tests its pairs with a passing cell against every plate
 of its row, a (targets, plates) broadcast.  Each pair's row
 is copied once into a dense plate-major (plate, row, cell) mask:
@@ -226,11 +228,6 @@ def focus_depths(intrinsics: CameraIntrinsics, delta: float) -> tuple[float, flo
     (everything beyond the near depth stays sharp), which always happens for
     a lens focused at infinity.
     """
-    return _focus_depths(intrinsics, delta)
-
-
-def _focus_depths(intrinsics: CameraIntrinsics, delta: float) -> tuple[float, float]:
-    # ``focus_depths``' body, which the gate core calls once per pass
     if not (delta > 0 and math.isfinite(delta)):
         raise ValueError("delta must be a positive pixel count")
     coc = delta * min(intrinsics.s_u, intrinsics.s_v)
@@ -391,10 +388,14 @@ np.empty(1 << 20)
 # a few float blocks over (targets, plates). No block then exceeds 2^18
 # elements, 2 MiB at float64 and 1 MiB for the product, so one pass stays
 # under the thresholds set above and reuses heap memory rather than
-# faulting it in anew. The pass's (plates, rows, cells)
-# bool mask is at most 2^18 bytes. The occluder table's build takes its
-# elements in blocks of at most 2^18, and the call's blocked step, which
-# holds about a dozen floats per element, in blocks of at most 2^13.
+# faulting it in anew. The pass's (plates, rows, cells) bool mask is at
+# most 2^18 bytes. The occluder table's build takes its elements in blocks
+# of at most 2^18, and the call's blocked step, which holds about a dozen
+# floats per element, in blocks of at most 2^13. Outside this budget lie
+# two per-call bool arrays: the (B, K) blocked mask, bounded by the
+# callers' row and plate caps (MAX_POSITIONS or MAX_STEPS rows, MAX_PLATES
+# plates), and the (R·K, K) occluder table, at most 16 MiB for one set of
+# MAX_PLATES and 64 MiB for a generation (ega.MAX_GENERATION_PAIRS).
 _CHUNK_ELEMENTS = 262_144
 
 
@@ -433,17 +434,20 @@ class PlateRows(NamedTuple):
 def _run_passes(points, axes, plates: PlateRows, intrinsics, delta, thold, out, reduce):
     """The gate core over the B rows of ``points``: ``out[rows] = reduce(mask)`` per pass, in order.
 
-    ``axes`` is (B or 1, G, 3); shared axes get one ``_window_axes`` block,
-    which every pass classifies with. Each pass takes its rows' sets of
-    ``plates``, as ``PlateRows`` says, and, when B > 1, its rows of the
-    call's one blocked mask, from an occluder table built from the box of
-    the points: one row tests every plate in its pass, as a table would
-    cost it more than it saves.
+    Once per call, before the passes, it finds the depth window's
+    ``(fov_cos, z_near, hi)`` cuts, one ``_window_axes`` block for shared
+    ``axes`` (1, G, 3), and, when B > 1, the (B, K) blocked mask from an
+    occluder table over the box of the points: one row tests every plate
+    in its pass, as a table would cost it more than it saves. Each pass
+    takes its rows' sets of ``plates``, as ``PlateRows`` says, and mask rows.
     """
     points = np.asarray(points, dtype=float)
     n_rows, sets = len(points), len(plates.nu)
     if sets != 1 and n_rows != sets * (n_rows // max(sets, 1)):
         raise ValueError(f"{sets} plate sets do not split {n_rows} rows into equal runs")
+    near, far = focus_depths(intrinsics, delta)
+    z_near, z_far, z_res = _depth_cuts(near, far, intrinsics.magnification, max(intrinsics.s_u, intrinsics.s_v), thold)
+    cuts = intrinsics.fov_cos, z_near, min(z_far, z_res)
     blocked = None
     if n_rows > 1:
         blocked = _blocked_mask(points, plates, _occluder_table(plates.positions, plates.nu, points))
@@ -454,7 +458,7 @@ def _run_passes(points, axes, plates: PlateRows, intrinsics, delta, thold, out, 
         out[rows] = reduce(_live_gates(
             points[rows], axes if shared else axes[rows],
             plates if run is None else PlateRows(*(a.take(run, axis=0) for a in plates)),
-            intrinsics, delta, thold, window, None if blocked is None else blocked[rows],
+            cuts, window, None if blocked is None else blocked[rows],
         ))
     return out
 
@@ -550,33 +554,28 @@ def _depth_cuts(
     return z_near, z_far, _last_positive(resolved)
 
 
-def _live_gates(points, axes, plates: PlateRows, intrinsics, delta, thold, window, blocked) -> np.ndarray:
+def _live_gates(points, axes, plates: PlateRows, cuts, window, blocked) -> np.ndarray:
     """The gate core: the (K, B, G) bool mask of measurable (plate, row, cell) triples.
 
     Every gate bounds the camera depth z = axis . (landmark - camera): z
     passes when ``lo <= z <= hi``, where ``lo = max(range * fov_cos,
-    z_near)`` per (plate, row) and ``hi = min(z_far, z_res)`` is one
-    scalar from ``_depth_cuts``. The L pairs that face the camera, have
-    ``lo <= hi`` and are clear in ``blocked``, the pass's (B, K) rows of
-    ``_blocked_mask``, are taken by flat index into the plate-major (K, B)
-    arrays, which is their row of the mask. Their (L, G) window is tested
-    by ``_classify_window`` when ``window``, the shared axes'
-    ``_window_axes``, is given, and by ``_in_window`` with each pair's own
-    row of ``axes`` when it is None. Without ``blocked`` (a one-row call)
-    ``_occluded`` then tests the pairs with a passing cell against every
-    plate. Each pair's row is copied once into the mask.
+    z_near)`` per (plate, row) and ``cuts`` is the call's ``(fov_cos,
+    z_near, hi)``, ``hi = min(z_far, z_res)`` from ``_depth_cuts``. The L
+    pairs that face the camera, have ``lo <= hi`` and are clear in
+    ``blocked``, the pass's (B, K) rows of ``_blocked_mask``, are taken by
+    flat index into the plate-major (K, B) arrays, which is their row of the
+    mask. Their (L, G) window is tested by ``_classify_window`` when
+    ``window``, the shared axes' ``_window_axes``, is given, and by
+    ``_in_window`` with each pair's own row of ``axes`` when it is None.
+    Without ``blocked`` (a one-row call) ``_occluded`` then tests the pairs
+    with a passing cell against every plate. Each pair's row is copied once
+    into the mask.
     """
-    z_near, z_far, z_res = _depth_cuts(
-        *_focus_depths(intrinsics, delta),
-        intrinsics.magnification,
-        max(intrinsics.s_u, intrinsics.s_v),
-        thold,
-    )
-    hi = min(z_far, z_res)
+    fov_cos, z_near, hi = cuts
     # landmark - camera, one plate-major (K, B) array per coordinate
     dx, dy, dz = (np.subtract(plates.positions[:, :, i].T, points[:, i], order="C") for i in range(3))
     ranges = np.sqrt((dx * dx + dy * dy) + dz * dz)
-    lo = np.maximum(ranges * intrinsics.fov_cos, z_near)
+    lo = np.maximum(ranges * fov_cos, z_near)
     # The scalar facing > 0 on camera - landmark is exactly n . d < 0 here,
     # as negation is exact.
     n = plates.normals.T

@@ -54,6 +54,9 @@ WALL_NAMES = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")
 # cap: at 4096 plates a one-pose pose_strengths call and a one-position
 # evaluate_coverage each peak at about 9 MB of traced memory, and from two
 # positions up the (4096, 4096) occluder table brings it to about 31 MB.
+# The table and the call's (rows, plates) blocked mask lie outside the
+# block cap, bounded by these caps; a search generation's table, one
+# (plates, plates) block per chromosome, by ega.MAX_GENERATION_PAIRS.
 # MAX_CELLS, the orientation-cell cap, is OrientationGrid.from_cells's.
 MAX_POSITIONS = 1_000_000
 MAX_GATE_EVALUATIONS = 10**10
@@ -447,13 +450,17 @@ def scene_from_config(doc: dict, context: str = "scene") -> Scene:
     yaw_step = _number(orientation.get("yaw_step_rad", math.pi / 12), f"{context}.orientation.yaw_step_rad", positive=True)
     pitch_step = _number(orientation.get("pitch_step_rad", math.pi / 12), f"{context}.orientation.pitch_step_rad", positive=True)
     # The cell counts OrientationGrid.from_steps rounds to, bounded per axis
-    # first so that rounding never meets an overflowed step ratio.
+    # first so that rounding never meets an overflowed step ratio, and then
+    # refused per field where one rounds to no cell.
     n_yaw, n_pitch = 2.0 * math.pi / yaw_step, math.pi / pitch_step
     if not (n_yaw <= MAX_CELLS and n_pitch <= MAX_CELLS and round(n_yaw) * round(n_pitch) <= MAX_CELLS):
         raise SchemaError(
             f"{context}.orientation: yaw_step_rad {yaw_step!r} and pitch_step_rad {pitch_step!r} "
             f"give more than {MAX_CELLS} orientation cells"
         )
+    for name, step, cells in (("yaw_step_rad", yaw_step, n_yaw), ("pitch_step_rad", pitch_step, n_pitch)):
+        if round(cells) < 1:
+            raise SchemaError(f"{context}.orientation.{name}: {step!r} is too coarse to give one orientation cell")
 
     pdf = doc.get("pdf", "uniform")
     if not isinstance(pdf, str):

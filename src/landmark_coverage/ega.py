@@ -28,9 +28,12 @@ logger = logging.getLogger(__name__)
 
 GENES_PER_LANDMARK = 5
 
-# Caps on one generation: M x positions rows <= MAX_POSITIONS, and M x
-# plates stacked <= this, which keeps its gene block within 40 MB.
+# Caps on one generation: M x positions rows <= MAX_POSITIONS, M x plates
+# stacked <= MAX_GENERATION_PLATES, which keeps its gene block within 40 MB,
+# and M x plates^2 (target, blocker) pairs <= MAX_GENERATION_PAIRS, which
+# keeps its (M x plates, plates) bool occluder table within 64 MiB.
 MAX_GENERATION_PLATES = 1 << 20
+MAX_GENERATION_PAIRS = 1 << 26
 
 
 @dataclass(eq=False)
@@ -253,7 +256,8 @@ def run(
         count = len(initial)
     if count is None:
         raise ValueError("either a landmark count or an initial deployment is required")
-    for size, per, cap in ((scene.n_points, "positions", MAX_POSITIONS), (count, "plates", MAX_GENERATION_PLATES)):
+    for size, per, cap in ((scene.n_points, "positions", MAX_POSITIONS), (count, "plates", MAX_GENERATION_PLATES),
+                           (count * count, "plate pairs", MAX_GENERATION_PAIRS)):
         if params.m * size > cap:
             raise ValueError(
                 f"population size --m {params.m} x {size} {per} is {params.m * size} {per} "

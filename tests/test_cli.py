@@ -769,6 +769,9 @@ MALFORMED_INPUTS = [
     # a rotation rate whose |omega * dt|^2 overflows, which the integrator meets as sin(inf)
     ("segments", "segments.0.omega_rad_s", [1e308, 0.0, 0.0], "segments[0].omega_rad_s"),
     ("trajectory", "random_walk.ang_speed_rad_s", 1e308, "random_walk.ang_speed_rad_s"),
+    # a step so coarse that its axis rounds to no cell
+    ("scene", "orientation.yaw_step_rad", 100, "yaw_step_rad"),
+    ("scene", "orientation.pitch_step_rad", 100, "pitch_step_rad"),
 ]
 
 
@@ -937,7 +940,9 @@ def test_population_caps_hold_at_the_boundary(tmp_path, capsys, monkeypatch):
     # 8 chromosomes of 3 plates on the desk's 48 positions: 384 rows, 24 plates
     optimize = ["optimize", "--scene", DESK, "--count", "3", "--m", "8", "--iterations", "0"]
     out = tmp_path / "out"
-    for name, at_cap in (("MAX_POSITIONS", 8 * DESK_POINTS), ("MAX_GENERATION_PLATES", 8 * 3)):
+    for name, at_cap in (
+        ("MAX_POSITIONS", 8 * DESK_POINTS), ("MAX_GENERATION_PLATES", 8 * 3), ("MAX_GENERATION_PAIRS", 8 * 3 * 3),
+    ):
         monkeypatch.setattr(ega_module, name, at_cap)
         run_ok(optimize + ["--out-dir", str(tmp_path / "at-cap")], capsys)
         monkeypatch.setattr(ega_module, name, at_cap - 1)

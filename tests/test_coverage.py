@@ -319,6 +319,31 @@ def test_cell_counts_classify_with_the_grids_scaled_axes(monkeypatch):
     assert counts.any() and np.array_equal(counts, mask.sum(axis=2))
 
 
+@pytest.mark.parametrize("entry", ["cell_counts", "coverage_probabilities", "axis_strengths"])
+def test_a_call_finds_its_depth_cuts_once_over_all_its_passes(monkeypatch, entry):
+    """One entry-point call over three passes asks ``_depth_cuts`` once, not once per pass."""
+    grid = OrientationGrid.from_cells(12, 6)
+    cuts, real = [], coverage_module._depth_cuts
+    monkeypatch.setattr(coverage_module, "_depth_cuts", lambda *args: cuts.append(args) or real(*args))
+    passes, gates = [], coverage_module._live_gates
+    monkeypatch.setattr(coverage_module, "_live_gates", lambda *args: passes.append(1) or gates(*args))
+    monkeypatch.setattr(coverage_module, "_CHUNK_ELEMENTS", 2 * 72 * 8)  # passes of 2 rows
+    rng = np.random.default_rng(8)
+    points = rng.uniform(-50.0, 50.0, (6, 3))
+    plates = [Landmark(rng.uniform(-400.0, 400.0, 3), float(rng.uniform(-3.0, 3.0)), 0.0) for _ in range(8)]
+    params = CoverageParams(thold=0.2, delta=4.0, n=1)
+    calls = {
+        "cell_counts": lambda: cell_counts(points, plates, grid, TABLE3, params),
+        "coverage_probabilities": lambda: coverage_probabilities(
+            points, plates, grid, OrientationPdf.uniform(grid), TABLE3, params),
+        "axis_strengths": lambda: coverage_module.axis_strengths(
+            points, grid.axes()[None], plates, TABLE3, params.delta, params.thold),
+    }
+    calls[entry]()
+    assert len(passes) == 3 and len(cuts) == 1
+    assert cuts[0][2:] == (TABLE3.magnification, max(TABLE3.s_u, TABLE3.s_v), params.thold)
+
+
 def test_flat_index_matches_histogram2d_convention():
     # The orientation density estimated via histogram2d must line up with
     # the grid's yaw-major flat indexing.

@@ -102,8 +102,28 @@ def test_gate_core_calls_only_private_coverage_functions():
     pass and its cost to the traced figures.
     """
     called = called_functions((SRC / "coverage.py").read_text(encoding="utf-8"), "_live_gates")
-    assert {"_classify_window", "_occluded", "_depth_cuts"} <= called
+    assert {"_classify_window", "_occluded"} <= called
     assert sorted(name for name in called if not name.startswith("_")) == []
+
+
+def test_the_runner_resolves_the_camera_once_before_its_passes():
+    """``_run_passes`` finds the depth cuts before its pass loop; the gate core never sees the camera.
+
+    ``_depth_cuts`` and ``focus_depths`` are named in the runner outside its
+    one loop, by nothing that ``_live_gates`` reaches, and ``_live_gates``
+    takes no intrinsics, blur tolerance or threshold.
+    """
+    source = (SRC / "coverage.py").read_text(encoding="utf-8")
+    functions = {node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    runner = functions["_run_passes"]
+    loops = [node for node in ast.walk(runner) if isinstance(node, ast.For)]
+    outside = [node for node in runner.body if node not in loops]
+    assert len(loops) == 1 and {"_depth_cuts", "focus_depths"} <= names_in(ast.Module(body=outside, type_ignores=[]))
+    assert names_in(ast.Module(body=loops[0].body, type_ignores=[])) & {"_depth_cuts", "focus_depths"} == set()
+    for name in called_functions(source, "_live_gates") | {"_live_gates"}:
+        assert names_in(functions[name]) & {"_depth_cuts", "focus_depths", "intrinsics"} == set(), name
+    params = {arg.arg for arg in functions["_live_gates"].args.args}
+    assert params & {"intrinsics", "delta", "thold"} == set()
 
 
 def test_gate_core_builds_no_occluder_table():
